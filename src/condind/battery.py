@@ -7,18 +7,20 @@ a counterexample or carries a contradiction alarm.
 
 from __future__ import annotations
 
+import operator
+from dataclasses import replace
 from fractions import Fraction
 
 from .checks import (
     CheckReport,
     Verdict,
-    _Falsifier,
     check_additive_implies_regular,
     check_axioms,
     check_convex_implies_regular,
     check_hplus_decomposition,
     check_regular,
     check_structural,
+    falsify,
 )
 from .errors import HypothesisFailedError
 from .expectation_ext import (
@@ -65,6 +67,7 @@ from .space import (
     restrict,
 )
 from .stochastic import (
+    AdaptedProcess,
     StochasticIndicator,
     backward_envelope,
     check_esssup_shift_rigidity,
@@ -75,18 +78,6 @@ from .stochastic import (
 )
 
 _EPS_GRID = (0, Fraction(1, 4), Fraction(1, 2), 1, 2, 3)
-
-
-def _tagged(report: CheckReport, prop: str) -> CheckReport:
-    return CheckReport(
-        prop=prop,
-        verdict=report.verdict,
-        cases=report.cases,
-        witness=report.witness,
-        reason=report.reason,
-        notes=report.notes,
-        alarm=report.alarm,
-    )
 
 
 def _convention_table_report() -> CheckReport:
@@ -107,22 +98,24 @@ def _convention_table_report() -> CheckReport:
         (pos, two): pos, (pos, pos): pos, (pos, neg): neg,
         (neg, two): neg, (neg, pos): neg, (neg, neg): pos,
     }
-    f = _Falsifier("conv-table")
-    for (a, b), want in add_table.items():
-        f.run(a + b == want, op="add", a=a, b=b, got=a + b, want=want)
-    for (a, b), want in sub_table.items():
-        f.run(a - b == want, op="sub", a=a, b=b, got=a - b, want=want)
-    for (a, b), want in mul_table.items():
-        f.run(a * b == want, op="mul", a=a, b=b, got=a * b, want=want)
     zero_rules = [
         (ZERO * pos == ZERO, "0*inf"),
         (ZERO * neg == ZERO, "0*-inf"),
         (pos - pos == ZERO, "inf-inf"),
         (neg - neg == ZERO, "-inf--inf"),
     ]
-    for ok, label in zero_rules:
-        f.run(ok, op=label)
-    return f.report()
+
+    tables = {operator.add: add_table, operator.sub: sub_table, operator.mul: mul_table}
+
+    def trials():
+        for fn, table in tables.items():
+            for (a, b), want in table.items():
+                got = fn(a, b)
+                yield got == want, dict(op=fn.__name__, a=a, b=b, got=got, want=want)
+        for ok, label in zero_rules:
+            yield ok, dict(op=label)
+
+    return falsify("conv-table", trials())
 
 
 def _dual_involution(I, samples, seed) -> CheckReport:
@@ -130,18 +123,19 @@ def _dual_involution(I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     star = dual(I)
     double = dual(star)
-    f = _Falsifier(prop)
     swap_ok = (
         (Flag.SUBADDITIVE in I.flags) == (Flag.SUPERADDITIVE in star.flags)
         and (Flag.SUPERADDITIVE in I.flags) == (Flag.SUBADDITIVE in star.flags)
     )
-    f.run(swap_ok, step="flag-swap", flags=sorted(fl.value for fl in star.flags))
-    for X in iter_cases(I.target.space, rng, samples):
-        if not (I.in_domain(X) and double.in_domain(X)):
-            continue
-        if not f.run(double(X) == I(X), X=X, lhs=double(X), rhs=I(X)):
-            break
-    return f.report()
+
+    def trials():
+        yield swap_ok, dict(step="flag-swap", flags=sorted(fl.value for fl in star.flags))
+        for X in iter_cases(I.target.space, rng, samples):
+            if I.in_domain(X) and double.in_domain(X):
+                lhs, rhs = double(X), I(X)
+                yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials())
 
 
 def _averaging(I, samples, seed, cap) -> CheckReport:
@@ -149,57 +143,48 @@ def _averaging(I, samples, seed, cap) -> CheckReport:
     rng = derive_rng(seed, prop)
     events = enumerate_events(I.target, cap)
     zero = RandomVariable.constant(I.target.space, 0)
-    f = _Falsifier(prop)
-    for X in iter_cases(I.target.space, rng, samples):
-        if not I.in_domain(X):
-            continue
-        for ev in events:
-            XH = restrict(X, ev)
-            if not I.in_domain(XH):
+
+    def trials():
+        for X in iter_cases(I.target.space, rng, samples):
+            if not I.in_domain(X):
                 continue
-            if not f.run(
-                restrict(I(XH), ev.complement()) == zero, X=X, H=ev, value=I(XH)
-            ):
-                break
-        if f.failure is not None:
-            break
-    return f.report()
+            for ev in events:
+                XH = restrict(X, ev)
+                if I.in_domain(XH):
+                    IXH = I(XH)
+                    yield restrict(IXH, ev.complement()) == zero, dict(X=X, H=ev, value=IXH)
+
+    return falsify(prop, trials())
 
 
 def _extension_sandwich(I, samples, seed) -> CheckReport:
     prop = f"extension-sandwich:{I.name}"
     rng = derive_rng(seed, prop)
     space = I.target.space
-    f = _Falsifier(prop)
-    for X in iter_cases(space, rng, samples):
-        if not I.in_domain(X):
-            continue
-        anchors = [sample_rv(space, rng) for _ in range(2)] + [X]
-        anchors = [A for A in anchors if I.in_domain(A)]
-        low = lower_extension(I, anchors, X)
-        high = upper_extension(I, anchors, X)
-        if not f.run(
-            low.le(I(X)) and I(X).le(high), step="sandwich", X=X, low=low, high=high
-        ):
-            break
-        coincide = True
-        for A in anchors:
-            if not (
-                lower_extension(I, anchors, A) == I(A)
-                and upper_extension(I, anchors, A) == I(A)
-            ):
-                coincide = False
-                break
-        if not f.run(coincide, step="coincidence-on-anchors", X=X):
-            break
-        # with no anchors only measurable minorants/majorants remain
-        if not f.run(
-            lower_extension(I, [], X) == essinf_cond(X, I.target)
-            and upper_extension(I, [], X) == esssup_cond(X, I.target),
-            step="empty-anchor-collapse", X=X,
-        ):
-            break
-    return f.report()
+
+    def trials():
+        for X in iter_cases(space, rng, samples):
+            if not I.in_domain(X):
+                continue
+            anchors = [sample_rv(space, rng) for _ in range(2)] + [X]
+            anchors = [A for A in anchors if I.in_domain(A)]
+            low = lower_extension(I, anchors, X)
+            high = upper_extension(I, anchors, X)
+            IX = I(X)
+            yield low.le(IX) and IX.le(high), dict(step="sandwich", X=X, low=low, high=high)
+            coincide = all(
+                lower_extension(I, anchors, A) == I(A) == upper_extension(I, anchors, A)
+                for A in anchors
+            )
+            yield coincide, dict(step="coincidence-on-anchors", X=X)
+            # with no anchors only measurable minorants/majorants remain
+            collapse = (
+                lower_extension(I, [], X) == essinf_cond(X, I.target)
+                and upper_extension(I, [], X) == esssup_cond(X, I.target)
+            )
+            yield collapse, dict(step="empty-anchor-collapse", X=X)
+
+    return falsify(prop, trials())
 
 
 def _extension_duality(I, samples, seed) -> CheckReport:
@@ -207,18 +192,19 @@ def _extension_duality(I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     space = I.target.space
     star = dual(I)
-    f = _Falsifier(prop)
-    for X in iter_cases(space, rng, samples):
-        anchors = [sample_rv(space, rng) for _ in range(3)]
-        lhs = -lower_extension(I, anchors, -X)  # (I^{L(E)})*(X)
-        rhs = upper_extension(star, [-A for A in anchors], X)  # (I*)^{U(-E)}(X)
-        if not f.run(lhs == rhs, step="lower-upper", X=X, lhs=lhs, rhs=rhs):
-            break
-        lhs2 = -upper_extension(I, anchors, -X)
-        rhs2 = lower_extension(star, [-A for A in anchors], X)
-        if not f.run(lhs2 == rhs2, step="upper-lower", X=X, lhs=lhs2, rhs=rhs2):
-            break
-    return f.report()
+
+    def trials():
+        for X in iter_cases(space, rng, samples):
+            anchors = [sample_rv(space, rng) for _ in range(3)]
+            flipped = [-A for A in anchors]
+            lhs = -lower_extension(I, anchors, -X)  # (I^{L(E)})*(X)
+            rhs = upper_extension(star, flipped, X)  # (I*)^{U(-E)}(X)
+            yield lhs == rhs, dict(step="lower-upper", X=X, lhs=lhs, rhs=rhs)
+            lhs = -upper_extension(I, anchors, -X)
+            rhs = lower_extension(star, flipped, X)
+            yield lhs == rhs, dict(step="upper-lower", X=X, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials())
 
 
 def _mix_self_duality(I, samples, seed) -> CheckReport:
@@ -226,13 +212,14 @@ def _mix_self_duality(I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     T = mix_self_dual(I)
     Tstar = dual(T)
-    f = _Falsifier(prop)
-    for X in iter_cases(I.target.space, rng, samples):
-        if not (T.in_domain(X) and Tstar.in_domain(X)):
-            continue
-        if not f.run(T(X) == Tstar(X), X=X, lhs=T(X), rhs=Tstar(X)):
-            break
-    return f.report()
+
+    def trials():
+        for X in iter_cases(I.target.space, rng, samples):
+            if T.in_domain(X) and Tstar.in_domain(X):
+                lhs, rhs = T(X), Tstar(X)
+                yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials())
 
 
 def _linear_scaling_selfdual(I, samples, seed) -> CheckReport:
@@ -240,23 +227,20 @@ def _linear_scaling_selfdual(I, samples, seed) -> CheckReport:
     prop = f"linear-scaling:{I.name}"
     rng = derive_rng(seed, prop)
     space = I.target.space
-    f = _Falsifier(prop)
-    for X in iter_cases(space, rng, samples, allow_inf=False):
-        if not I.in_domain(X):
-            continue
-        coeffs = [RandomVariable.constant(space, a) for a in ALPHA_GRID]
-        coeffs.append(sample_measurable(I.target, rng, allow_inf=False))
-        broke = False
-        for A in coeffs:
-            AX = A * X
-            if not I.in_domain(AX):
+
+    def trials():
+        for X in iter_cases(space, rng, samples, allow_inf=False):
+            if not I.in_domain(X):
                 continue
-            if not f.run(I(AX) == A * I(X), X=X, alpha=A, lhs=I(AX), rhs=A * I(X)):
-                broke = True
-                break
-        if broke:
-            break
-    return f.report()
+            coeffs = [RandomVariable.constant(space, a) for a in ALPHA_GRID]
+            coeffs.append(sample_measurable(I.target, rng, allow_inf=False))
+            for A in coeffs:
+                AX = A * X
+                if I.in_domain(AX):
+                    lhs, rhs = I(AX), A * I(X)
+                    yield lhs == rhs, dict(X=X, alpha=A, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials())
 
 
 def _projection_property(SI, t_index, samples, seed, cap) -> CheckReport:
@@ -265,60 +249,53 @@ def _projection_property(SI, t_index, samples, seed, cap) -> CheckReport:
     filtration = SI.filtration
     I0 = SI.indicators[0]
     Ft = filtration.partitions[t_index]
-    f = _Falsifier(prop)
-    cases = 0
-    while cases < samples:
-        cases += 1
-        X = sample_rv(filtration.space, rng, allow_inf=False, nonneg=True)
-        Z = SI.indicators[t_index](X)
-        rep = check_projection(I0, Z, X, Ft, cap=cap)
-        if not f.run(rep.verdict is Verdict.VERIFIED, X=X, Z=Z, inner=rep.witness):
-            break
-    return f.report()
+
+    def trials():
+        for _ in range(samples):
+            X = sample_rv(filtration.space, rng, allow_inf=False, nonneg=True)
+            Z = SI.indicators[t_index](X)
+            rep = check_projection(I0, Z, X, Ft, cap=cap)
+            yield rep.verdict is Verdict.VERIFIED, dict(X=X, Z=Z, inner=rep.witness)
+
+    return falsify(prop, trials())
 
 
 def _martingale_property(SI, samples, seed) -> CheckReport:
     prop = f"martingale:{SI.indicators[0].name}"
     rng = derive_rng(seed, prop)
     filtration = SI.filtration
-    f = _Falsifier(prop)
-    from .stochastic import AdaptedProcess
 
-    cases = 0
-    while cases < samples:
-        cases += 1
-        X = sample_rv(filtration.space, rng, allow_inf=False)
-        if not all(ind.in_domain(X) for ind in SI.indicators):
-            continue
-        values = tuple(ind(X) for ind in SI.indicators)
-        M = AdaptedProcess(filtration, values)
-        rep = is_indicator_martingale(SI, M)
-        if not f.run(rep.verdict is Verdict.VERIFIED, X=X, inner=rep.witness):
-            break
-    return f.report()
+    def trials():
+        for _ in range(samples):
+            X = sample_rv(filtration.space, rng, allow_inf=False)
+            if all(ind.in_domain(X) for ind in SI.indicators):
+                M = AdaptedProcess(filtration, tuple(ind(X) for ind in SI.indicators))
+                rep = is_indicator_martingale(SI, M)
+                yield rep.verdict is Verdict.VERIFIED, dict(X=X, inner=rep.witness)
+
+    return falsify(prop, trials())
 
 
 def _envelope_tower(SI, samples, seed) -> CheckReport:
     prop = f"envelope-tower:{SI.indicators[0].name}"
     rng = derive_rng(seed, prop)
     filtration = SI.filtration
-    f = _Falsifier(prop)
-    cases = 0
-    while cases < samples:
-        cases += 1
-        payoff = sample_measurable(filtration.partitions[-1], rng, allow_inf=True)
-        if not all(ind.in_domain(payoff) for ind in SI.indicators):
-            continue
-        V = backward_envelope(SI, payoff)
-        ok = True
-        current = payoff
-        for ti in range(len(filtration.times) - 2, -1, -1):
-            current = SI.indicators[ti](current)
-            if V.values[ti] != current:
-                ok = False
-        if not f.run(ok, payoff=payoff, V0=V.values[0]):
-            break
-    return f.report()
+
+    def trials():
+        for _ in range(samples):
+            payoff = sample_measurable(filtration.partitions[-1], rng, allow_inf=True)
+            if not all(ind.in_domain(payoff) for ind in SI.indicators):
+                continue
+            V = backward_envelope(SI, payoff)
+            ok = True
+            current = payoff
+            for ti in range(len(filtration.times) - 2, -1, -1):
+                current = SI.indicators[ti](current)
+                if V.values[ti] != current:
+                    ok = False
+            yield ok, dict(payoff=payoff, V0=V.values[0])
+
+    return falsify(prop, trials())
 
 
 def _shift_rigidity(filtration, samples, seed) -> CheckReport:
@@ -327,33 +304,33 @@ def _shift_rigidity(filtration, samples, seed) -> CheckReport:
     F0 = filtration.partitions[0]
     finest = filtration.partitions[-1]
     space = filtration.space
-    f = _Falsifier(prop)
     zero = RandomVariable.constant(space, 0)
-    cases = attempts = 0
-    while cases < samples and attempts < samples * 20:
-        attempts += 1
-        members: set[int] = set()
-        for cell in finest.cells:
-            if rng.random() < 0.6:
-                members.update(cell)
-        event = Event(space, frozenset(members))
-        if event.is_empty():
-            continue
-        X = restrict(sample_rv(space, rng, allow_inf=False), event)
-        if esssup_cond(X, F0) == zero:
-            continue
-        cases += 1
-        rep = check_esssup_shift_rigidity(F0, event, X, _EPS_GRID)
-        if not f.run(rep.verdict is Verdict.VERIFIED, X=X, event=event, inner=rep.witness):
-            break
-        # companion statement: (X' - eps)1_F for arbitrary X' carried to X'1_F
-        X2 = sample_rv(space, rng, allow_inf=False)
-        carried = restrict(X2, event)
-        if esssup_cond(carried, F0) != zero:
-            rep2 = check_esssup_shift_rigidity(F0, event, carried, _EPS_GRID)
-            if not f.run(rep2.verdict is Verdict.VERIFIED, X=X2, event=event, inner=rep2.witness):
-                break
-    return f.report()
+
+    def trials():
+        cases = attempts = 0
+        while cases < samples and attempts < samples * 20:
+            attempts += 1
+            members: set[int] = set()
+            for cell in finest.cells:
+                if rng.random() < 0.6:
+                    members.update(cell)
+            event = Event(space, frozenset(members))
+            if event.is_empty():
+                continue
+            X = restrict(sample_rv(space, rng, allow_inf=False), event)
+            if esssup_cond(X, F0) == zero:
+                continue
+            cases += 1
+            rep = check_esssup_shift_rigidity(F0, event, X, _EPS_GRID)
+            yield rep.verdict is Verdict.VERIFIED, dict(X=X, event=event, inner=rep.witness)
+            # companion statement: (X' - eps)1_F for arbitrary X' carried to X'1_F
+            X2 = sample_rv(space, rng, allow_inf=False)
+            carried = restrict(X2, event)
+            if esssup_cond(carried, F0) != zero:
+                rep2 = check_esssup_shift_rigidity(F0, event, carried, _EPS_GRID)
+                yield rep2.verdict is Verdict.VERIFIED, dict(X=X2, event=event, inner=rep2.witness)
+
+    return falsify(prop, trials())
 
 
 def sample_normalized_density(H: Partition, rng) -> RandomVariable:
@@ -372,22 +349,21 @@ def sample_normalized_density(H: Partition, rng) -> RandomVariable:
 def _density_roundtrip(H, samples, seed) -> CheckReport:
     prop = "density-roundtrip"
     rng = derive_rng(seed, prop)
-    f = _Falsifier(prop)
     inner = max(8, samples // 50)
-    for case in range(samples):
-        rho0 = sample_normalized_density(H, rng)
-        I = weighted_indicator(H, rho0, label=f"weighted#{case}")
-        try:
-            rep = recover_density(I, samples=inner, seed=seed + case)
-        except HypothesisFailedError as exc:
-            f.run(False, rho0=rho0, failed=list(exc.failed))
-            break
-        if not f.run(
-            rep.density == rho0 and rep.reconstruction_ok,
-            rho0=rho0, recovered=rep.density,
-        ):
-            break
-    return f.report()
+
+    def trials():
+        for case in range(samples):
+            rho0 = sample_normalized_density(H, rng)
+            I = weighted_indicator(H, rho0, label=f"weighted#{case}")
+            try:
+                rep = recover_density(I, samples=inner, seed=seed + case)
+            except HypothesisFailedError as exc:
+                yield False, dict(rho0=rho0, failed=list(exc.failed))
+            else:
+                ok = rep.density == rho0 and rep.reconstruction_ok
+                yield ok, dict(rho0=rho0, recovered=rep.density)
+
+    return falsify(prop, trials())
 
 
 def _density_hypothesis_failure(H, seed) -> CheckReport:
@@ -415,10 +391,9 @@ def _engineered_additivity(space, partition, seed) -> CheckReport:
         return CheckReport.skipped(prop, "needs a partition cell with at least 2 atoms")
     ci = partition.cells.index(cell)
     i0 = cell[0]
-    f = _Falsifier(prop)
 
-    def spiked(value, where) -> RandomVariable:
-        vals = [ext(1)] * space.size
+    def spiked(value, where, rest=ext(1)) -> RandomVariable:
+        vals = [rest] * space.size
         vals[where] = value
         return RandomVariable(space, tuple(vals))
 
@@ -430,32 +405,27 @@ def _engineered_additivity(space, partition, seed) -> CheckReport:
         ("F4", ones, spiked(POS_INF, i0)),
         ("F5", ones, spiked(NEG_INF, i0)),
     ]
-    for want, X, Y in cases:
+
+    def trials():
+        for want, X, Y in cases:
+            _, tags = additivity_set(X, Y, partition)
+            yield tags[ci] == want, dict(want=want, got=tags[ci], X=X, Y=Y)
+            rep = check_additivity_on_F(X, Y, partition)
+            yield rep.ok, dict(want=want, inner=rep.witness, X=X, Y=Y)
+        # doubly infinite cell: unclassified, equality observed but never asserted
+        X = spiked(POS_INF, i0)
+        Y = spiked(NEG_INF, i0)
         _, tags = additivity_set(X, Y, partition)
-        if not f.run(tags[ci] == want, want=want, got=tags[ci], X=X, Y=Y):
-            break
+        yield tags[ci] is None, dict(want=None, got=tags[ci], X=X, Y=Y)
         rep = check_additivity_on_F(X, Y, partition)
-        if not f.run(rep.ok, want=want, inner=rep.witness, X=X, Y=Y):
-            break
-    # doubly infinite cell: unclassified, equality observed but never asserted
-    X = spiked(POS_INF, i0)
-    Y = spiked(NEG_INF, i0)
-    _, tags = additivity_set(X, Y, partition)
-    f.run(tags[ci] is None, want=None, got=tags[ci], X=X, Y=Y)
-    rep = check_additivity_on_F(X, Y, partition)
-    f.run(rep.verdict is not Verdict.COUNTEREXAMPLE, step="off-F-not-asserted")
-    trivial = Partition.trivial(space)
-    if space.size >= 2:
-        vals = [ext(0)] * space.size
-        vals[0] = POS_INF
-        X1 = RandomVariable(space, tuple(vals))
-        vals2 = [ext(0)] * space.size
-        vals2[1] = NEG_INF
-        Y1 = RandomVariable(space, tuple(vals2))
-        bothbad = X1 + Y1  # puts +inf and -inf inside the single cell
-        rep2 = check_additivity_on_F(X1, bothbad, trivial)
-        f.run(rep2.verdict is Verdict.SKIPPED, step="fully-off-F-skips", got=rep2.verdict.value)
-    return f.report()
+        yield rep.verdict is not Verdict.COUNTEREXAMPLE, dict(step="off-F-not-asserted")
+        if space.size >= 2:
+            X1 = spiked(POS_INF, 0, rest=ZERO)
+            bothbad = X1 + spiked(NEG_INF, 1, rest=ZERO)  # +inf and -inf inside the single cell
+            verdict = check_additivity_on_F(X1, bothbad, Partition.trivial(space)).verdict
+            yield verdict is Verdict.SKIPPED, dict(step="fully-off-F-skips", got=verdict.value)
+
+    return falsify(prop, trials())
 
 
 def verify_all(
@@ -479,60 +449,69 @@ def verify_all(
     )
 
     light = min(samples, max(50, samples // 2))
+    few = max(20, light // 5)
+    # library checkers are renamed to the battery's property names; the
+    # battery's own checkers (the underscored ones) already report under them
     for pname, partition in part_items:
         n = samples if partition == main else light
         for name in BUILTIN_NAMES:
             I = builtin_indicator(name, partition)
-            reports.append(_tagged(check_axioms(I, n, seed), f"axioms:{name}@{pname}"))
-            reports.append(_tagged(check_regular(I, n, seed, cap), f"locality:{name}@{pname}"))
+            reports.append(replace(check_axioms(I, n, seed), prop=f"axioms:{name}@{pname}"))
+            reports.append(replace(check_regular(I, n, seed, cap), prop=f"locality:{name}@{pname}"))
 
     for name in BUILTIN_NAMES:
         I = builtin_indicator(name, main)
-        reports.append(_tagged(_averaging(I, samples, seed, cap), f"averaging:{name}"))
-        reports.append(_tagged(_dual_involution(I, samples, seed), f"dual-involution:{name}"))
+        reports.append(_averaging(I, samples, seed, cap))
+        reports.append(_dual_involution(I, samples, seed))
         for flag in sorted(I.flags, key=lambda fl: fl.value):
             if flag is Flag.REGULAR:
                 continue
             reports.append(
-                _tagged(
+                replace(
                     check_structural(I, flag, samples, seed),
-                    f"structural:{name}:{flag.value}",
+                    prop=f"structural:{name}:{flag.value}",
                 )
             )
         if I.has(Flag.INCREASING):
-            reports.append(
-                _tagged(_extension_sandwich(I, samples, seed), f"extension-sandwich:{name}")
-            )
-            reports.append(
-                _tagged(_extension_duality(I, samples, seed), f"extension-duality:{name}")
-            )
-        reports.append(_tagged(_mix_self_duality(I, samples, seed), f"mix-self-dual:{name}"))
+            reports.append(_extension_sandwich(I, samples, seed))
+            reports.append(_extension_duality(I, samples, seed))
+        reports.append(_mix_self_duality(I, samples, seed))
         reports.append(
-            _tagged(check_hplus_decomposition(I, samples, seed), f"sign-split:{name}")
+            replace(check_hplus_decomposition(I, samples, seed), prop=f"sign-split:{name}")
         )
         reports.append(
-            _tagged(check_convex_implies_regular(I, light, seed), f"convex-implies-regular:{name}")
+            replace(
+                check_convex_implies_regular(I, light, seed),
+                prop=f"convex-implies-regular:{name}",
+            )
         )
         reports.append(
-            _tagged(check_additive_implies_regular(I, light, seed), f"additive-implies-regular:{name}")
+            replace(
+                check_additive_implies_regular(I, light, seed),
+                prop=f"additive-implies-regular:{name}",
+            )
         )
 
-    condexp = builtin_indicator("condexp", main)
-    reports.append(_tagged(_linear_scaling_selfdual(condexp, samples, seed), "linear-scaling:condexp"))
-    reports.append(_tagged(check_lemm_cond_exp(main, samples, seed, cap), "condexp-ext-identities"))
+    reports.append(_linear_scaling_selfdual(builtin_indicator("condexp", main), samples, seed))
+    reports.append(
+        replace(check_lemm_cond_exp(main, samples, seed, cap), prop="condexp-ext-identities")
+    )
 
     for name in ("esssup", "essinf", "condexp"):
         I = builtin_indicator(name, main)
-        reports.append(_tagged(check_prop_rm(I, light, seed, tol), f"risk:prop-rm:{name}"))
-        reports.append(_tagged(check_dom_closure(I, max(20, light // 5), seed, tol), f"risk:dom-closure:{name}"))
+        reports.append(replace(check_prop_rm(I, light, seed, tol), prop=f"risk:prop-rm:{name}"))
+        reports.append(
+            replace(check_dom_closure(I, few, seed, tol), prop=f"risk:dom-closure:{name}")
+        )
+    sup = builtin_indicator("esssup", main)
     reports.append(
-        _tagged(
-            check_rho_correspondence(builtin_indicator("esssup", main), RhoSide.NEG_VALUE, light, seed),
-            "risk:rho-iff:esssup",
+        replace(
+            check_rho_correspondence(sup, RhoSide.NEG_VALUE, light, seed),
+            prop="risk:rho-iff:esssup",
         )
     )
 
-    reports.append(_tagged(_density_roundtrip(main, max(20, samples // 10), seed), "density-roundtrip"))
+    reports.append(_density_roundtrip(main, max(20, samples // 10), seed))
     reports.append(_density_hypothesis_failure(main, seed))
     reports.append(_engineered_additivity(space, main, seed))
 
@@ -544,30 +523,24 @@ def verify_all(
             for si in range(len(times)):
                 for ti in range(si + 1, len(times)):
                     reports.append(
-                        _tagged(
+                        replace(
                             check_tower(SI, times[si], times[ti], samples, seed),
-                            f"tower:{name}:{times[si]}<={times[ti]}",
+                            prop=f"tower:{name}:{times[si]}<={times[ti]}",
                         )
                     )
         sup_family = StochasticIndicator.from_builtin(filtration, "esssup")
         mid = min(1, len(times) - 1)
+        reports.append(_projection_property(sup_family, mid, few, seed, cap))
         reports.append(
-            _tagged(_projection_property(sup_family, mid, max(20, light // 5), seed, cap), "projection:esssup")
-        )
-        reports.append(
-            _tagged(
+            replace(
                 check_projection_uniqueness_premises(sup_family.indicators[0], light, seed),
-                "uniqueness-premises:esssup",
+                prop="uniqueness-premises:esssup",
             )
         )
         for name in ("esssup", "condexp"):
             SI = StochasticIndicator.from_builtin(filtration, name)
-            reports.append(
-                _tagged(_martingale_property(SI, max(20, light // 5), seed), f"martingale:{name}")
-            )
-            reports.append(
-                _tagged(_envelope_tower(SI, max(20, light // 5), seed), f"envelope-tower:{name}")
-            )
+            reports.append(_martingale_property(SI, few, seed))
+            reports.append(_envelope_tower(SI, few, seed))
         reports.append(_shift_rigidity(filtration, light, seed))
     else:
         reports.append(

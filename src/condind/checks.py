@@ -3,13 +3,18 @@
 Every checker returns a CheckReport: Verified with a case count, a
 Counterexample whose witness re-evaluates to a genuine violation, or Skipped
 with a reason. Exact arithmetic means there is no tolerance anywhere.
+
+A checker states its law as a generator of trials, one ``(ok, witness)``
+pair per evaluated case, and hands it to ``falsify``. The first failing
+trial ends the law's run and becomes the counterexample; since the generator
+is never resumed after that, no further cases are drawn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import CapExceededError
 from .indicators import Flag, IndicatorSpec, essinf_cond, esssup_cond
@@ -75,26 +80,17 @@ class CheckReport:
         return CheckReport(prop, Verdict.SKIPPED, reason=reason, notes=notes)
 
 
-class _Falsifier:
-    """Accumulates cases until a violation shows up."""
+Trial = tuple[bool, Mapping[str, Any] | None]
 
-    def __init__(self, prop: str):
-        self.prop = prop
-        self.cases = 0
-        self.failure: dict[str, Any] | None = None
 
-    def run(self, ok: bool, **witness) -> bool:
-        self.cases += 1
-        if not ok and self.failure is None:
-            self.failure = dict(witness)
-        return ok
-
-    def report(self, notes: tuple[str, ...] = (), alarm_on_fail: bool = False) -> CheckReport:
-        if self.failure is not None:
-            return CheckReport.counterexample(
-                self.prop, self.failure, self.cases, notes=notes, alarm=alarm_on_fail
-            )
-        return CheckReport.verified(self.prop, self.cases, notes=notes)
+def falsify(prop: str, trials: Iterable[Trial], notes: tuple[str, ...] = ()) -> CheckReport:
+    """Count trials until the first failing one, which is the counterexample."""
+    cases = 0
+    for ok, witness in trials:
+        cases += 1
+        if not ok:
+            return CheckReport.counterexample(prop, witness, cases, notes=notes)
+    return CheckReport.verified(prop, cases, notes=notes)
 
 
 # -- core axioms ---------------------------------------------------------------
@@ -106,36 +102,30 @@ def check_axioms(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
     rng = derive_rng(seed, f"axioms:{I.name}")
     H = I.target
     space = H.space
-    f = _Falsifier(f"axioms:{I.name}")
-
     zero = RandomVariable.constant(space, 0)
-    f.run(I.in_domain(zero), axiom="domain-contains-zero")
 
-    for X in iter_cases(space, rng, samples):
-        if not I.in_domain(X):
-            continue
-        IX = I(X)
-        lo, hi = essinf_cond(X, H), esssup_cond(X, H)
-        if not f.run(lo.le(IX) and IX.le(hi), axiom="sandwich", X=X, value=IX, lo=lo, hi=hi):
-            break
-        if not f.run(is_measurable(IX, H), axiom="measurability", X=X, value=IX):
-            break
-        if X.is_nonnegative() and not f.run(
-            IX.ge(zero), axiom="positivity", X=X, value=IX
-        ):
-            break
-        # P2 sampled: the domain absorbs measurable summands
-        M = sample_measurable(H, rng, allow_inf=True)
-        if not f.run(I.in_domain(X + M), axiom="domain-closure", X=X, M=M):
-            break
+    def trials():
+        yield I.in_domain(zero), dict(axiom="domain-contains-zero")
+        for X in iter_cases(space, rng, samples):
+            if not I.in_domain(X):
+                continue
+            IX = I(X)
+            lo, hi = essinf_cond(X, H), esssup_cond(X, H)
+            yield lo.le(IX) and IX.le(hi), dict(axiom="sandwich", X=X, value=IX, lo=lo, hi=hi)
+            yield is_measurable(IX, H), dict(axiom="measurability", X=X, value=IX)
+            if X.is_nonnegative():
+                yield IX.ge(zero), dict(axiom="positivity", X=X, value=IX)
+            # P2 sampled: the domain absorbs measurable summands
+            M = sample_measurable(H, rng, allow_inf=True)
+            yield I.in_domain(X + M), dict(axiom="domain-closure", X=X, M=M)
 
-    for _ in range(max(1, samples // 4)):
-        M = sample_measurable(H, rng, allow_inf=True)
-        if not I.in_domain(M):
-            continue
-        if not f.run(I(M) == M, axiom="idempotence", X=M, value=I(M)):
-            break
-    return f.report()
+        for _ in range(max(1, samples // 4)):
+            M = sample_measurable(H, rng, allow_inf=True)
+            if I.in_domain(M):
+                IM = I(M)
+                yield IM == M, dict(axiom="idempotence", X=M, value=IM)
+
+    return falsify(f"axioms:{I.name}", trials())
 
 
 # -- regularity (cell locality) -----------------------------------------------
@@ -153,6 +143,9 @@ def check_regular(
     (2) I(X 1_H) = I(X) 1_H,
     (3) I splices across H and its complement,
     plus the averaging identity I(X 1_H) 1_{H^c} = 0.
+
+    One trial per draw of (X, Y): every event of a failing draw is still
+    evaluated, so the notes report each statement's verdict on that draw.
     """
     rng = derive_rng(seed, f"regular:{I.name}")
     H = I.target
@@ -163,54 +156,41 @@ def check_regular(
     except CapExceededError:
         events = [sample_event(H, rng) for _ in range(min(samples, 64))]
         notes.append(f"partial: 2^{H.cell_count} events exceed cap {cap}; sampled {len(events)}")
-
-    tallies = {"agree": _Falsifier("s1"), "restrict": _Falsifier("s2"), "splice": _Falsifier("s3")}
-    avg = _Falsifier("avg")
-    first_failure: dict[str, Any] | None = None
     zero = RandomVariable.constant(space, 0)
+    failed: set[str] = set()
 
-    cases = 0
-    while cases < samples:
-        cases += 1
-        X = sample_rv(space, rng)
-        Y = sample_rv(space, rng)
-        if not (I.in_domain(X) and I.in_domain(Y)):
-            continue
-        IX, IY = I(X), I(Y)
-        for ev in events:
-            XH = restrict(X, ev)
-            spliced = patch(X, ev, Y)
-            if not (I.in_domain(XH) and I.in_domain(spliced)):
-                continue
-            IXH = I(XH)
-            ok2 = tallies["restrict"].run(IXH == restrict(IX, ev), X=X, H=ev, lhs=IXH, rhs=restrict(IX, ev))
-            ok3 = tallies["splice"].run(
-                I(spliced) == restrict(IX, ev) + restrict(IY, ev.complement()),
-                X=X, Y=Y, H=ev, lhs=I(spliced), rhs=restrict(IX, ev) + restrict(IY, ev.complement()),
-            )
-            ok1 = tallies["agree"].run(
-                restrict(I(spliced), ev) == restrict(IX, ev),
-                X=X, Y=spliced, H=ev,
-            )
-            okavg = avg.run(restrict(IXH, ev.complement()) == zero, X=X, H=ev, lhs=restrict(IXH, ev.complement()))
-            if first_failure is None and not (ok1 and ok2 and ok3 and okavg):
-                bad = next(
-                    t for ok, t in ((ok1, tallies["agree"]), (ok2, tallies["restrict"]), (ok3, tallies["splice"]), (okavg, avg))
-                    if not ok
-                )
-                first_failure = bad.failure
-        if first_failure is not None:
-            break
+    def draws():
+        for _ in range(samples):
+            X = sample_rv(space, rng)
+            Y = sample_rv(space, rng)
+            first = None
+            if I.in_domain(X) and I.in_domain(Y):
+                IX, IY = I(X), I(Y)
+                for ev in events:
+                    XH = restrict(X, ev)
+                    spliced = patch(X, ev, Y)
+                    if not (I.in_domain(XH) and I.in_domain(spliced)):
+                        continue
+                    IXH, ISp, IX_ev = I(XH), I(spliced), restrict(IX, ev)
+                    glued = IX_ev + restrict(IY, ev.complement())
+                    off = restrict(IXH, ev.complement())
+                    for name, ok, witness in (
+                        ("agree", restrict(ISp, ev) == IX_ev, dict(X=X, Y=spliced, H=ev)),
+                        ("restrict", IXH == IX_ev, dict(X=X, H=ev, lhs=IXH, rhs=IX_ev)),
+                        ("splice", ISp == glued, dict(X=X, Y=Y, H=ev, lhs=ISp, rhs=glued)),
+                        ("avg", off == zero, dict(X=X, H=ev, lhs=off)),
+                    ):
+                        if not ok:
+                            failed.add(name)
+                            first = first or witness
+            yield first is None, first
 
-    verdicts = {k: t.failure is None for k, t in tallies.items()}
+    report = falsify(f"regular:{I.name}", draws())
+    verdicts = {k: k not in failed for k in ("agree", "restrict", "splice")}
     if len(set(verdicts.values())) > 1:
         notes.append(f"statement disagreement under sampling: {verdicts}")
     notes.append("statements: " + ", ".join(f"{k}={'ok' if v else 'fail'}" for k, v in verdicts.items()))
-    if first_failure is not None:
-        return CheckReport.counterexample(f"regular:{I.name}", first_failure, cases, notes=tuple(notes))
-    if avg.failure is not None:
-        return CheckReport.counterexample(f"regular:{I.name}", avg.failure, cases, notes=tuple(notes))
-    return CheckReport.verified(f"regular:{I.name}", cases, notes=tuple(notes))
+    return replace(report, notes=tuple(notes))
 
 
 # -- structural flags -----------------------------------------------------------
@@ -230,126 +210,95 @@ def check_structural(
     H = I.target
     space = H.space
     prop = f"{which if flag is None else flag.value}:{I.name}"
-    f = _Falsifier(prop)
 
     if flag is Flag.REGULAR:
         return check_regular(I, samples, seed)
 
-    if flag is Flag.SELF_DUAL:
-        for X in iter_cases(space, rng, samples):
-            if not (I.in_domain(X) and I.in_domain(-X)):
-                continue
-            if not f.run(I(X) == -I(-X), X=X, lhs=I(X), rhs=-I(-X)):
-                break
-        return f.report()
+    def trials():
+        if flag is Flag.SELF_DUAL:
+            for X in iter_cases(space, rng, samples):
+                if I.in_domain(X) and I.in_domain(-X):
+                    lhs, rhs = I(X), -I(-X)
+                    yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
 
-    if flag is Flag.INCREASING:
-        for _ in range(samples):
-            X, Y = sample_dominating_pair(space, rng)
-            if not (I.in_domain(X) and I.in_domain(Y)):
-                continue
-            if not f.run(I(X).le(I(Y)), X=X, Y=Y, lhs=I(X), rhs=I(Y)):
-                break
-        return f.report()
+        elif flag is Flag.INCREASING:
+            for _ in range(samples):
+                X, Y = sample_dominating_pair(space, rng)
+                if I.in_domain(X) and I.in_domain(Y):
+                    lhs, rhs = I(X), I(Y)
+                    yield lhs.le(rhs), dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
 
-    if flag is Flag.TRANSLATION_INVARIANT:
-        for X in iter_cases(space, rng, samples):
-            if not I.in_domain(X):
-                continue
-            M = sample_measurable(H, rng, allow_inf=False)
-            if not I.in_domain(X + M):
-                continue
-            if not f.run(I(X + M) == I(X) + M, X=X, alpha=M, lhs=I(X + M), rhs=I(X) + M):
-                break
-        return f.report()
-
-    if flag is Flag.POS_HOMOGENEOUS:
-        for X in iter_cases(space, rng, samples):
-            if not I.in_domain(X):
-                continue
-            alphas = [RandomVariable.constant(space, a) for a in NONNEG_ALPHA_GRID]
-            alphas.append(sample_measurable(H, rng, nonneg=True))
-            bad = False
-            for A in alphas:
-                AX = A * X
-                if not I.in_domain(AX):
+        elif flag is Flag.TRANSLATION_INVARIANT:
+            for X in iter_cases(space, rng, samples):
+                if not I.in_domain(X):
                     continue
-                if not f.run(I(AX) == A * I(X), X=X, alpha=A, lhs=I(AX), rhs=A * I(X)):
-                    bad = True
-                    break
-            if bad:
-                break
-        return f.report()
+                M = sample_measurable(H, rng, allow_inf=False)
+                XM = X + M
+                if I.in_domain(XM):
+                    lhs, rhs = I(XM), I(X) + M
+                    yield lhs == rhs, dict(X=X, alpha=M, lhs=lhs, rhs=rhs)
 
-    if flag is Flag.LINEAR:
-        for X in iter_cases(space, rng, samples):
-            Y = sample_rv(space, rng)
-            if not (I.in_domain(X) and I.in_domain(Y)):
-                continue
-            A = sample_measurable(H, rng, allow_inf=False)
-            for coeff in (RandomVariable.constant(space, 1), A):
-                Z = coeff * X + Y
-                if not I.in_domain(Z):
+        elif flag is Flag.POS_HOMOGENEOUS:
+            for X in iter_cases(space, rng, samples):
+                if not I.in_domain(X):
                     continue
-                if not f.run(
-                    I(Z) == coeff * I(X) + I(Y),
-                    X=X, Y=Y, alpha=coeff, lhs=I(Z), rhs=coeff * I(X) + I(Y),
-                ):
-                    break
-            if f.failure is not None:
-                break
-        return f.report()
+                alphas = [RandomVariable.constant(space, a) for a in NONNEG_ALPHA_GRID]
+                alphas.append(sample_measurable(H, rng, nonneg=True))
+                for A in alphas:
+                    AX = A * X
+                    if I.in_domain(AX):
+                        lhs, rhs = I(AX), A * I(X)
+                        yield lhs == rhs, dict(X=X, alpha=A, lhs=lhs, rhs=rhs)
 
-    if flag in (Flag.SUBADDITIVE, Flag.SUPERADDITIVE):
-        sub = flag is Flag.SUBADDITIVE
-        for X in iter_cases(space, rng, samples):
-            Y = sample_rv(space, rng)
-            if not (I.in_domain(X) and I.in_domain(Y) and I.in_domain(X + Y)):
-                continue
-            lhs, rhs = I(X + Y), I(X) + I(Y)
-            ok = lhs.le(rhs) if sub else lhs.ge(rhs)
-            if not f.run(ok, X=X, Y=Y, lhs=lhs, rhs=rhs):
-                break
-        return f.report()
-
-    if flag is Flag.CONVEX:
-        for X in iter_cases(space, rng, samples):
-            Y = sample_rv(space, rng)
-            if not (I.in_domain(X) and I.in_domain(Y)):
-                continue
-            alphas = [RandomVariable.constant(space, a) for a in UNIT_GRID]
-            bad = False
-            for A in alphas:
-                one_minus = RandomVariable.constant(space, 1) - A
-                Z = A * X + one_minus * Y
-                if not I.in_domain(Z):
+        elif flag is Flag.LINEAR:
+            for X in iter_cases(space, rng, samples):
+                Y = sample_rv(space, rng)
+                if not (I.in_domain(X) and I.in_domain(Y)):
                     continue
-                rhs = A * I(X) + one_minus * I(Y)
-                if not f.run(I(Z).le(rhs), X=X, Y=Y, alpha=A, lhs=I(Z), rhs=rhs):
-                    bad = True
-                    break
-            if bad:
-                break
-        return f.report()
+                A = sample_measurable(H, rng, allow_inf=False)
+                for coeff in (RandomVariable.constant(space, 1), A):
+                    Z = coeff * X + Y
+                    if I.in_domain(Z):
+                        lhs, rhs = I(Z), coeff * I(X) + I(Y)
+                        yield lhs == rhs, dict(X=X, Y=Y, alpha=coeff, lhs=lhs, rhs=rhs)
 
-    # Fatou: on a finite space a.s. convergence is eventually constant, so
-    # only supplied finite prefixes are checkable and the tail collapses.
-    if sequences is None:
+        elif flag in (Flag.SUBADDITIVE, Flag.SUPERADDITIVE):
+            for X in iter_cases(space, rng, samples):
+                Y = sample_rv(space, rng)
+                if I.in_domain(X) and I.in_domain(Y) and I.in_domain(X + Y):
+                    lhs, rhs = I(X + Y), I(X) + I(Y)
+                    ok = lhs.le(rhs) if flag is Flag.SUBADDITIVE else lhs.ge(rhs)
+                    yield ok, dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
+
+        elif flag is Flag.CONVEX:
+            for X in iter_cases(space, rng, samples):
+                Y = sample_rv(space, rng)
+                if not (I.in_domain(X) and I.in_domain(Y)):
+                    continue
+                for a in UNIT_GRID:
+                    A = RandomVariable.constant(space, a)
+                    one_minus = RandomVariable.constant(space, 1) - A
+                    Z = A * X + one_minus * Y
+                    if I.in_domain(Z):
+                        lhs, rhs = I(Z), A * I(X) + one_minus * I(Y)
+                        yield lhs.le(rhs), dict(X=X, Y=Y, alpha=A, lhs=lhs, rhs=rhs)
+
+        else:
+            # Fatou: on a finite space a.s. convergence is eventually constant,
+            # so only supplied finite prefixes are checkable and the tail collapses.
+            for seq in sequences:
+                if seq and all(I.in_domain(Xn) for Xn in seq):
+                    limit = seq[-1]  # the constant tail
+                    yield I(limit).ge(I(seq[-1])), dict(sequence=list(seq))
+
+    if flag is None and sequences is None:
         return CheckReport.skipped(
             prop, "partial: finite spaces only admit eventually-constant sequences; supply them explicitly"
         )
-    for seq in sequences:
-        if not seq:
-            continue
-        limit = seq[-1]  # the constant tail
-        if not all(I.in_domain(Xn) for Xn in seq):
-            continue
-        if not f.run(I(limit).ge(I(seq[-1])), sequence=list(seq)):
-            break
-    rep = f.report()
-    if rep.verdict is Verdict.VERIFIED:
+    rep = falsify(prop, trials())
+    if flag is None and rep.verdict is Verdict.VERIFIED:
         return CheckReport.skipped(
-            prop, "partial", notes=(f"eventually-constant prefixes checked: {f.cases}",)
+            prop, "partial", notes=(f"eventually-constant prefixes checked: {rep.cases}",)
         )
     return rep
 
@@ -366,19 +315,17 @@ def check_hplus_decomposition(
         return CheckReport.skipped(prop, "needs regular and pos_homogeneous flags")
     rng = derive_rng(seed, prop)
     H = I.target
-    f = _Falsifier(prop)
-    for X in iter_cases(H.space, rng, samples):
-        h = sample_measurable(H, rng, allow_inf=False)
-        for coeff in (h, RandomVariable.constant(H.space, -1)):
-            hX = coeff * X
-            if not (I.in_domain(X) and I.in_domain(-X) and I.in_domain(hX)):
-                continue
-            rhs = coeff.pos() * I(X) + coeff.neg() * I(-X)
-            if not f.run(I(hX) == rhs, X=X, h=coeff, lhs=I(hX), rhs=rhs):
-                break
-        if f.failure is not None:
-            break
-    return f.report()
+
+    def trials():
+        for X in iter_cases(H.space, rng, samples):
+            h = sample_measurable(H, rng, allow_inf=False)
+            for coeff in (h, RandomVariable.constant(H.space, -1)):
+                hX = coeff * X
+                if I.in_domain(X) and I.in_domain(-X) and I.in_domain(hX):
+                    lhs, rhs = I(hX), coeff.pos() * I(X) + coeff.neg() * I(-X)
+                    yield lhs == rhs, dict(X=X, h=coeff, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials())
 
 
 # -- implication guards (must never fire) ----------------------------------------
@@ -425,22 +372,21 @@ def check_additive_implies_regular(
     if sub.verdict is Verdict.VERIFIED:
         rng = derive_rng(seed, prop)
         H = I.target
-        f = _Falsifier(prop)
         try:
             events = enumerate_events(H)
         except CapExceededError:
             events = [sample_event(H, rng) for _ in range(32)]
-        for X in iter_cases(H.space, rng, samples):
-            if not I.in_domain(X):
-                continue
-            IX = I(X)
-            for ev in events:
-                XH = restrict(X, ev)
-                if not I.in_domain(XH):
+
+        def trials():
+            for X in iter_cases(H.space, rng, samples):
+                if not I.in_domain(X):
                     continue
-                if not f.run(restrict(IX, ev).le(I(XH)), X=X, H=ev, lhs=restrict(IX, ev), rhs=I(XH)):
-                    break
-            if f.failure is not None:
-                break
-        return f.report(notes=("subadditive only: checked the half inequality",))
+                IX = I(X)
+                for ev in events:
+                    XH = restrict(X, ev)
+                    if I.in_domain(XH):
+                        lhs, rhs = restrict(IX, ev), I(XH)
+                        yield lhs.le(rhs), dict(X=X, H=ev, lhs=lhs, rhs=rhs)
+
+        return falsify(prop, trials(), notes=("subadditive only: checked the half inequality",))
     return CheckReport.verified(prop, sub.cases + sup.cases, notes=("premise falsified; implication vacuous",))

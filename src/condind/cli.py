@@ -30,7 +30,6 @@ from .checks import (
 )
 from .errors import (
     CondIndError,
-    ParseError,
     UnknownCommandError,
     UnknownNameError,
     ValidationError,
@@ -39,7 +38,6 @@ from .expectation_ext import (
     DensityReport,
     additivity_set,
     check_additivity_on_F,
-    cond_exp_extended,
     recover_density,
     weighted_indicator,
 )
@@ -51,6 +49,7 @@ from .indicators import (
     IndicatorSpec,
     builtin_indicator,
     dual,
+    ext_cond_expectation_closed_form,
     family_inf,
     family_sup,
     lower_extension,
@@ -316,7 +315,7 @@ def dispatch(args: argparse.Namespace, scenario: Scenario) -> RunReport:
     elif command == "condexp-ext":
         sigma = _sigma(scenario, args.sigma)
         X = scenario.variable(args.var)
-        results = {"sigma": sigma, "value": cond_exp_extended(X, sigma)}
+        results = {"sigma": sigma, "value": ext_cond_expectation_closed_form(X, sigma)}
 
     elif command == "additivity-set":
         sigma = _sigma(scenario, args.sigma)
@@ -466,9 +465,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario) if args.scenario else canonical_scenario()
         report = dispatch(args, scenario)
-    except (ParseError, ValidationError, UnknownNameError, UnknownCommandError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return EXIT_VALIDATION
     except CondIndError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_VALIDATION

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import CheckReport, Verdict, _Falsifier
+from .checks import CheckReport, Verdict, falsify
 from .errors import BadDensityError, CapExceededError, HypothesisFailedError
 from .extreal import ONE, ZERO, ExtReal, ext
 from .indicators import (
@@ -44,9 +44,8 @@ from .space import (
 )
 
 
-def cond_exp_extended(X: RandomVariable, H: Partition) -> RandomVariable:
-    """E(X+|H) - E(X-|H); same closed form the indicator layer exposes."""
-    return ext_cond_expectation_closed_form(X, H)
+# E(X+|H) - E(X-|H), exported under a second name; the package calls the first
+cond_exp_extended = ext_cond_expectation_closed_form
 
 
 def check_lemm_cond_exp(
@@ -67,50 +66,39 @@ def check_lemm_cond_exp(
     rng = derive_rng(seed, prop)
     space = H.space
     events = enumerate_events(H, cap)
-    f = _Falsifier(prop)
 
     def I(X: RandomVariable) -> RandomVariable:
         return ext_cond_expectation_closed_form(X, H)
 
-    for X in iter_cases(space, rng, samples):
-        IX = I(X)
-        for ev in events:
-            if not f.run(
-                I(restrict(X, ev)) == restrict(IX, ev),
-                identity="restriction", X=X, H=ev,
-            ):
-                break
-        if f.failure is not None:
-            break
+    def trials():
+        for X in iter_cases(space, rng, samples):
+            IX = I(X)
+            for ev in events:
+                ok = I(restrict(X, ev)) == restrict(IX, ev)
+                yield ok, dict(identity="restriction", X=X, H=ev)
 
-        alphas = [RandomVariable.constant(space, a) for a in ALPHA_GRID]
-        alphas.append(sample_measurable(H, rng, allow_inf=False))
-        for A in alphas:
-            if not f.run(
-                I(A * X) == A * IX, identity="scalar", X=X, alpha=A,
-                lhs=I(A * X), rhs=A * IX,
-            ):
-                break
-        if f.failure is not None:
-            break
+            alphas = [RandomVariable.constant(space, a) for a in ALPHA_GRID]
+            alphas.append(sample_measurable(H, rng, allow_inf=False))
+            for A in alphas:
+                lhs, rhs = I(A * X), A * IX
+                yield lhs == rhs, dict(identity="scalar", X=X, alpha=A, lhs=lhs, rhs=rhs)
 
-        M = sample_measurable(H, rng, allow_inf=False)
-        shifted = I(X + M)
-        expected = IX + M
-        ok = True
-        for ci, cell in enumerate(H.cells):
-            both_inf = (
-                _cell_half_mean(X, cell, True).is_pos_inf
-                and _cell_half_mean(X, cell, False).is_pos_inf
+            M = sample_measurable(H, rng, allow_inf=False)
+            shifted = I(X + M)
+            expected = IX + M
+            # claimed only off the cells where both half-means are infinite
+            ok = all(
+                shifted.values[i] == expected.values[i]
+                for cell in H.cells
+                if not (
+                    _cell_half_mean(X, cell, True).is_pos_inf
+                    and _cell_half_mean(X, cell, False).is_pos_inf
+                )
+                for i in cell
             )
-            if both_inf:
-                continue  # outside the claimed set
-            for i in cell:
-                if shifted.values[i] != expected.values[i]:
-                    ok = False
-        if not f.run(ok, identity="shift", X=X, alpha=M, lhs=shifted, rhs=expected):
-            break
-    return f.report()
+            yield ok, dict(identity="shift", X=X, alpha=M, lhs=shifted, rhs=expected)
+
+    return falsify(prop, trials())
 
 
 ADDITIVITY_TAGS = ("F1", "F2", "F3", "F4", "F5")
@@ -160,8 +148,8 @@ def check_additivity_on_F(
     off it, observe without asserting."""
     prop = "additivity-on-F"
     F, tags = additivity_set(X, Y, H)
-    lhs = cond_exp_extended(X + Y, H)
-    rhs = cond_exp_extended(X, H) + cond_exp_extended(Y, H)
+    lhs = ext_cond_expectation_closed_form(X + Y, H)
+    rhs = ext_cond_expectation_closed_form(X, H) + ext_cond_expectation_closed_form(Y, H)
     notes: list[str] = []
     failure = None
     on_cells = 0
@@ -194,7 +182,7 @@ def _validate_density(density: RandomVariable, H: Partition) -> None:
         raise BadDensityError("density must be nonnegative")
     if expectation(density) != ONE:
         raise BadDensityError("density must integrate to 1")
-    if cond_exp_extended(density, H) != RandomVariable.constant(density.space, 1):
+    if ext_cond_expectation_closed_form(density, H) != RandomVariable.constant(density.space, 1):
         raise BadDensityError("density must have conditional mean 1")
 
 
@@ -203,7 +191,7 @@ def weighted_expectation(
 ) -> RandomVariable:
     """E(rho X | H) for a normalized density rho (finite, >= 0, both means 1)."""
     _validate_density(density, H)
-    return cond_exp_extended(density * X, H)
+    return ext_cond_expectation_closed_form(density * X, H)
 
 
 def weighted_indicator(H: Partition, density: RandomVariable, label: str = "weighted") -> IndicatorSpec:
@@ -211,7 +199,7 @@ def weighted_indicator(H: Partition, density: RandomVariable, label: str = "weig
     return IndicatorSpec(
         name=label,
         target=H,
-        eval_fn=lambda X: cond_exp_extended(density * X, H),
+        eval_fn=lambda X: ext_cond_expectation_closed_form(density * X, H),
         flags=frozenset(
             {Flag.INCREASING, Flag.POS_HOMOGENEOUS, Flag.REGULAR, Flag.SELF_DUAL}
         ),
@@ -231,20 +219,23 @@ def _hypothesis_reports(
 ) -> tuple[CheckReport, CheckReport]:
     rng = derive_rng(seed, f"recover:{I.name}")
     space = I.target.space
-    add = _Falsifier(f"additivity:{I.name}")
-    sd = _Falsifier(f"self-dual:{I.name}")
-    for X in iter_cases(space, rng, samples, allow_inf=False):
-        Y = sample_rv(space, rng, allow_inf=False)
-        if not (I.in_domain(X) and I.in_domain(Y) and I.in_domain(X + Y)):
-            continue
-        if not add.run(I(X + Y) == I(X) + I(Y), X=X, Y=Y, lhs=I(X + Y), rhs=I(X) + I(Y)):
-            break
-    for X in iter_cases(space, rng, samples, allow_inf=False):
-        if not (I.in_domain(X) and I.in_domain(-X)):
-            continue
-        if not sd.run(I(X) == -I(-X), X=X, lhs=I(X), rhs=-I(-X)):
-            break
-    return add.report(), sd.report()
+
+    def additivity():
+        for X in iter_cases(space, rng, samples, allow_inf=False):
+            Y = sample_rv(space, rng, allow_inf=False)
+            if I.in_domain(X) and I.in_domain(Y) and I.in_domain(X + Y):
+                lhs, rhs = I(X + Y), I(X) + I(Y)
+                yield lhs == rhs, dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
+
+    def self_duality():
+        for X in iter_cases(space, rng, samples, allow_inf=False):
+            if I.in_domain(X) and I.in_domain(-X):
+                lhs, rhs = I(X), -I(-X)
+                yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
+
+    # consumed in order: the self-duality draws follow the additivity draws
+    add = falsify(f"additivity:{I.name}", additivity())
+    return add, falsify(f"self-dual:{I.name}", self_duality())
 
 
 def recover_density(
@@ -283,7 +274,8 @@ def recover_density(
             for m, p in zip(mu, space.probs)
         ),
     )
-    cond_mean_one = measure_ok and cond_exp_extended(density, H) == RandomVariable.constant(space, 1)
+    ones = RandomVariable.constant(space, 1)
+    cond_mean_one = measure_ok and ext_cond_expectation_closed_form(density, H) == ones
 
     mismatch: RandomVariable | None = None
     if measure_ok:
@@ -292,13 +284,11 @@ def recover_density(
         trial: list[RandomVariable] = []
         if space.size <= 4:
             trial.extend(exhaustive_grid_rvs(space, small_grid))
-        trial.extend(
-            X for X in iter_cases(space, rng, samples, allow_inf=False)
-        )
+        trial.extend(iter_cases(space, rng, samples, allow_inf=False))
         for X in trial:
             if not I.in_domain(X):
                 continue
-            if I(X) != cond_exp_extended(density * X, H):
+            if I(X) != ext_cond_expectation_closed_form(density * X, H):
                 mismatch = X
                 break
     ok = (
@@ -333,15 +323,13 @@ def check_contractive(
 ) -> CheckReport:
     """E|I(X)| <= E|X| on sampled finite inputs."""
     rng = derive_rng(seed, f"contractive:{I.name}")
-    f = _Falsifier(f"contractive:{I.name}")
-    for X in iter_cases(I.target.space, rng, samples, allow_inf=False):
-        if not I.in_domain(X):
-            continue
-        if not f.run(
-            expectation(abs_rv(I(X))) <= expectation(abs_rv(X)), X=X
-        ):
-            break
-    return f.report()
+
+    def trials():
+        for X in iter_cases(I.target.space, rng, samples, allow_inf=False):
+            if I.in_domain(X):
+                yield expectation(abs_rv(I(X))) <= expectation(abs_rv(X)), dict(X=X)
+
+    return falsify(f"contractive:{I.name}", trials())
 
 
 def abs_rv(X: RandomVariable) -> RandomVariable:

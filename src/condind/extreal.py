@@ -190,18 +190,6 @@ def ext_mul(a: ExtReal, b: ExtReal) -> ExtReal:
     return a * b
 
 
-def ext_max(a: ExtReal, b: ExtReal) -> ExtReal:
-    return a if a >= b else b
-
-
-def ext_min(a: ExtReal, b: ExtReal) -> ExtReal:
-    return a if a <= b else b
-
-
-def format_ext(x: ExtReal) -> str:
-    return str(x)
-
-
 def parse_ext(text: RationalLike | float) -> ExtReal:
     """Parse a JSON scalar: "p/q", decimal string, "inf"/"-inf", or number."""
     return ExtReal(text)

@@ -10,6 +10,7 @@ never runs a check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -374,6 +375,34 @@ def family_inf(indicators: Sequence[IndicatorSpec]) -> IndicatorSpec:
 # -- lower / upper extensions -------------------------------------------------
 
 
+def _extension(
+    I: IndicatorSpec, E_list: Sequence[RandomVariable], X: RandomVariable, lower: bool
+) -> RandomVariable:
+    # Both directions run this body; upper is not derived from lower through
+    # `dual`, because the extension-duality law checks exactly that relation.
+    side = "lower" if lower else "upper"
+    if Flag.INCREASING not in I.flags:
+        raise NotMonotoneError(f"{I.name}: {side}_extension needs the increasing flag")
+    qualifies, improves = (operator.le, operator.gt) if lower else (operator.ge, operator.lt)
+    H = I.target
+    base = essinf_cond(X, H) if lower else esssup_cond(X, H)
+    out: list[ExtReal] = [ZERO] * X.space.size
+    for ci, cell in enumerate(H.cells):
+        best = base.values[cell[0]]
+        event = H.cell_event(ci)
+        for Y in E_list:
+            _require_same_space(Y, X)
+            if all(qualifies(Y.values[i], X.values[i]) for i in cell):
+                cand = patch(Y, event, base)
+                if I.in_domain(cand):
+                    v = I.eval_fn(cand).values[cell[0]]
+                    if improves(v, best):
+                        best = v
+        for i in cell:
+            out[i] = best
+    return RandomVariable(X.space, tuple(out))
+
+
 def lower_extension(
     I: IndicatorSpec, E_list: Sequence[RandomVariable], X: RandomVariable
 ) -> RandomVariable:
@@ -384,47 +413,11 @@ def lower_extension(
     minorant-on-a-cell is patched with that minimum off the cell before
     evaluation, which keeps the construction cell-local.
     """
-    if Flag.INCREASING not in I.flags:
-        raise NotMonotoneError(f"{I.name}: lower_extension needs the increasing flag")
-    H = I.target
-    base = essinf_cond(X, H)
-    out: list[ExtReal] = [ZERO] * X.space.size
-    for ci, cell in enumerate(H.cells):
-        best = base.values[cell[0]]
-        event = H.cell_event(ci)
-        for Y in E_list:
-            _require_same_space(Y, X)
-            if all(Y.values[i] <= X.values[i] for i in cell):
-                cand = patch(Y, event, base)
-                if I.in_domain(cand):
-                    v = I.eval_fn(cand).values[cell[0]]
-                    if v > best:
-                        best = v
-        for i in cell:
-            out[i] = best
-    return RandomVariable(X.space, tuple(out))
+    return _extension(I, E_list, X, lower=True)
 
 
 def upper_extension(
     I: IndicatorSpec, E_list: Sequence[RandomVariable], X: RandomVariable
 ) -> RandomVariable:
     """Smallest cell-local value I can certify from above; mirror of the lower one."""
-    if Flag.INCREASING not in I.flags:
-        raise NotMonotoneError(f"{I.name}: upper_extension needs the increasing flag")
-    H = I.target
-    base = esssup_cond(X, H)
-    out: list[ExtReal] = [ZERO] * X.space.size
-    for ci, cell in enumerate(H.cells):
-        best = base.values[cell[0]]
-        event = H.cell_event(ci)
-        for Y in E_list:
-            _require_same_space(Y, X)
-            if all(Y.values[i] >= X.values[i] for i in cell):
-                cand = patch(Y, event, base)
-                if I.in_domain(cand):
-                    v = I.eval_fn(cand).values[cell[0]]
-                    if v < best:
-                        best = v
-        for i in cell:
-            out[i] = best
-    return RandomVariable(X.space, tuple(out))
+    return _extension(I, E_list, X, lower=False)

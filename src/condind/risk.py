@@ -10,12 +10,12 @@ because regularity decouples the cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .checks import CheckReport, Verdict, _Falsifier
+from .checks import CheckReport, Verdict, falsify
 from .errors import (
     DomainViolationError,
     NotIncreasingError,
@@ -183,32 +183,27 @@ def check_rm_axioms(
     prop = f"rm-axioms:{rm.name}"
     rng = derive_rng(seed, prop)
     space = rm.target.space
-    f = _Falsifier(prop)
     zero = RandomVariable.constant(space, 0)
-    if rm.in_domain(zero):
-        f.run(
-            all(_within(v, ZERO, tol) for v in rm(zero).values),
-            axiom="normalization", value=rm(zero),
-        )
-    for _ in range(samples):
-        X2, X1 = sample_dominating_pair(space, rng, allow_inf=False)  # X1 >= X2
-        if not (rm.in_domain(X1) and rm.in_domain(X2)):
-            continue
-        r1, r2 = rm(X1), rm(X2)
-        slack = RandomVariable.constant(space, tol)
-        if not f.run(
-            r1.le(r2 + slack), axiom="antitone", X1=X1, X2=X2, lhs=r1, rhs=r2
-        ):
-            break
-        M = sample_measurable(rm.target, rng, allow_inf=False)
-        if rm.in_domain(X1 + M):
-            lhs, rhs = rm(X1 + M), rm(X1) - M
-            if not f.run(
-                all(_within(a, b, tol) for a, b in zip(lhs.values, rhs.values)),
-                axiom="cash-invariance", X=X1, alpha=M, lhs=lhs, rhs=rhs,
-            ):
-                break
-    return f.report()
+    slack = RandomVariable.constant(space, tol)
+
+    def trials():
+        if rm.in_domain(zero):
+            r0 = rm(zero)
+            ok = all(_within(v, ZERO, tol) for v in r0.values)
+            yield ok, dict(axiom="normalization", value=r0)
+        for _ in range(samples):
+            X2, X1 = sample_dominating_pair(space, rng, allow_inf=False)  # X1 >= X2
+            if not (rm.in_domain(X1) and rm.in_domain(X2)):
+                continue
+            r1, r2 = rm(X1), rm(X2)
+            yield r1.le(r2 + slack), dict(axiom="antitone", X1=X1, X2=X2, lhs=r1, rhs=r2)
+            M = sample_measurable(rm.target, rng, allow_inf=False)
+            if rm.in_domain(X1 + M):
+                lhs, rhs = rm(X1 + M), r1 - M
+                ok = all(_within(a, b, tol) for a, b in zip(lhs.values, rhs.values))
+                yield ok, dict(axiom="cash-invariance", X=X1, alpha=M, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials())
 
 
 def check_rm_convexity(
@@ -217,27 +212,21 @@ def check_rm_convexity(
     prop = f"rm-convex:{rm.name}"
     rng = derive_rng(seed, prop)
     space = rm.target.space
-    f = _Falsifier(prop)
-    for X in iter_cases(space, rng, samples, allow_inf=False):
-        Y = sample_rv(space, rng, allow_inf=False)
-        if not (rm.in_domain(X) and rm.in_domain(Y)):
-            continue
-        broke = False
-        for a in UNIT_GRID:
-            A = RandomVariable.constant(space, a)
-            B = RandomVariable.constant(space, Fraction(1) - a)
-            Z = A * X + B * Y
-            if not rm.in_domain(Z):
+
+    def trials():
+        for X in iter_cases(space, rng, samples, allow_inf=False):
+            Y = sample_rv(space, rng, allow_inf=False)
+            if not (rm.in_domain(X) and rm.in_domain(Y)):
                 continue
-            if not f.run(
-                rm(Z).le(A * rm(X) + B * rm(Y)),
-                alpha=a, X=X, Y=Y, lhs=rm(Z), rhs=A * rm(X) + B * rm(Y),
-            ):
-                broke = True
-                break
-        if broke:
-            break
-    return f.report()
+            for a in UNIT_GRID:
+                A = RandomVariable.constant(space, a)
+                B = RandomVariable.constant(space, Fraction(1) - a)
+                Z = A * X + B * Y
+                if rm.in_domain(Z):
+                    lhs, rhs = rm(Z), A * rm(X) + B * rm(Y)
+                    yield lhs.le(rhs), dict(alpha=a, X=X, Y=Y, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials())
 
 
 def check_rm_pos_hom(
@@ -246,24 +235,19 @@ def check_rm_pos_hom(
     prop = f"rm-pos-hom:{rm.name}"
     rng = derive_rng(seed, prop)
     space = rm.target.space
-    f = _Falsifier(prop)
-    for X in iter_cases(space, rng, samples, allow_inf=False):
-        if not rm.in_domain(X):
-            continue
-        broke = False
-        for a in NONNEG_ALPHA_GRID:
-            A = RandomVariable.constant(space, a)
-            if not rm.in_domain(A * X):
+
+    def trials():
+        for X in iter_cases(space, rng, samples, allow_inf=False):
+            if not rm.in_domain(X):
                 continue
-            if not f.run(
-                rm(A * X) == A * rm(X),
-                alpha=a, X=X, lhs=rm(A * X), rhs=A * rm(X),
-            ):
-                broke = True
-                break
-        if broke:
-            break
-    return f.report()
+            for a in NONNEG_ALPHA_GRID:
+                A = RandomVariable.constant(space, a)
+                AX = A * X
+                if rm.in_domain(AX):
+                    lhs, rhs = rm(AX), A * rm(X)
+                    yield lhs == rhs, dict(alpha=a, X=X, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials())
 
 
 def check_rm_coherent(
@@ -302,7 +286,6 @@ def check_dom_closure(
         return CheckReport.skipped(prop, "rho undefined without the increasing flag")
     rng = derive_rng(seed, prop)
     space = I.target.space
-    f = _Falsifier(prop)
     notes: list[str] = []
 
     def in_dom(X: RandomVariable) -> bool:
@@ -321,35 +304,32 @@ def check_dom_closure(
         ("upward", I.has(Flag.INCREASING), Flag.INCREASING.value),
         ("convexity", _acceptance_set_convex(I), "convex acceptance set"),
     )
-    for claim, claimed, premise in claims:
-        if not claimed:
-            notes.append(f"{claim}: vacuous ({premise} absent)")
-            continue
-        for X in members:
-            if claim == "scaling":
-                for a in NONNEG_ALPHA_GRID:
-                    if not f.run(in_dom(X.scale(a)), claim=claim, X=X, alpha=a):
-                        break
-            elif claim == "addition":
-                Y = members[rng.randrange(len(members))]
-                if not f.run(in_dom(X + Y), claim=claim, X=X, Y=Y):
-                    break
-            elif claim == "upward":
-                bump = sample_rv(space, rng, allow_inf=False, nonneg=True)
-                if not f.run(in_dom(X + bump), claim=claim, X=X, bump=bump):
-                    break
-            else:
-                Y = members[rng.randrange(len(members))]
-                for a in UNIT_GRID:
-                    A = RandomVariable.constant(space, a)
-                    B = RandomVariable.constant(space, Fraction(1) - a)
-                    if not f.run(in_dom(A * X + B * Y), claim=claim, X=X, Y=Y, alpha=a):
-                        break
-            if f.failure is not None:
-                break
-        if f.failure is not None:
-            break
-    return f.report(notes=tuple(notes))
+
+    def trials():
+        for claim, claimed, premise in claims:
+            if not claimed:
+                notes.append(f"{claim}: vacuous ({premise} absent)")
+                continue
+            for X in members:
+                if claim == "scaling":
+                    for a in NONNEG_ALPHA_GRID:
+                        yield in_dom(X.scale(a)), dict(claim=claim, X=X, alpha=a)
+                elif claim == "addition":
+                    Y = members[rng.randrange(len(members))]
+                    yield in_dom(X + Y), dict(claim=claim, X=X, Y=Y)
+                elif claim == "upward":
+                    bump = sample_rv(space, rng, allow_inf=False, nonneg=True)
+                    yield in_dom(X + bump), dict(claim=claim, X=X, bump=bump)
+                else:
+                    Y = members[rng.randrange(len(members))]
+                    for a in UNIT_GRID:
+                        A = RandomVariable.constant(space, a)
+                        B = RandomVariable.constant(space, Fraction(1) - a)
+                        yield in_dom(A * X + B * Y), dict(claim=claim, X=X, Y=Y, alpha=a)
+
+    # notes name the vacuous claims met before the run ended
+    report = falsify(prop, trials())
+    return replace(report, notes=tuple(notes))
 
 
 def check_prop_rm(
@@ -381,18 +361,16 @@ def check_prop_rm(
     if I.has(Flag.SUPERADDITIVE):
         rng = derive_rng(seed, prop + ":subadd")
         space = I.target.space
-        f = _Falsifier(prop + ":subadd")
-        for X in iter_cases(space, rng, samples, allow_inf=False):
-            Y = sample_rv(space, rng, allow_inf=False)
-            if not (rm.in_domain(X) and rm.in_domain(Y) and rm.in_domain(X + Y)):
-                continue
-            slack = RandomVariable.constant(space, axiom_tol + axiom_tol)
-            if not f.run(
-                rm(X + Y).le(rm(X) + rm(Y) + slack), X=X, Y=Y,
-                lhs=rm(X + Y), rhs=rm(X) + rm(Y),
-            ):
-                break
-        reports.append(f.report())
+        slack = RandomVariable.constant(space, axiom_tol + axiom_tol)
+
+        def subadd_trials():
+            for X in iter_cases(space, rng, samples, allow_inf=False):
+                Y = sample_rv(space, rng, allow_inf=False)
+                if rm.in_domain(X) and rm.in_domain(Y) and rm.in_domain(X + Y):
+                    lhs, rhs = rm(X + Y), rm(X) + rm(Y)
+                    yield lhs.le(rhs + slack), dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
+
+        reports.append(falsify(prop + ":subadd", subadd_trials()))
     else:
         notes.append("subadditivity inheritance skipped (superadditive flag absent)")
     cases = sum(r.cases for r in reports)
@@ -419,42 +397,37 @@ def check_rho_correspondence(
     rm = rho_from_indicator(I, side)
     rng = derive_rng(seed, prop)
     space = I.target.space
-    f = _Falsifier(prop)
-    axioms_ok = flags_ok = True
-    for _ in range(samples):
-        X2, X1 = sample_dominating_pair(space, rng, allow_inf=False)  # X1 >= X2
-        if not (rm.in_domain(X1) and rm.in_domain(X2)):
-            continue
-        p2 = rm(X1).le(rm(X2))
-        if side is RhoSide.NEG_VALUE:
-            inc = I(X2).le(I(X1))
-        else:
-            inc = I(-X1).le(I(-X2))
-        axioms_ok &= p2
-        flags_ok &= inc
-        if not f.run(p2 == inc, step="antitone<->increasing", X1=X1, X2=X2):
-            break
-        M = sample_measurable(rm.target, rng, allow_inf=False)
-        if not rm.in_domain(X1 + M):
-            continue
-        p3 = rm(X1 + M) == rm(X1) - M
-        if side is RhoSide.NEG_VALUE:
-            ti = I(X1 + M) == I(X1) + M
-        else:
-            # translation invariance instantiated at -X1-M with shift +M
-            ti = I(-X1) == I(-X1 - M) + M
-        axioms_ok &= p3
-        flags_ok &= ti
-        if not f.run(p3 == ti, step="cash<->translation", X=X1, alpha=M):
-            break
-    notes = (
-        f"axioms={'verified' if axioms_ok else 'counterexample'}",
-        f"flags={'verified' if flags_ok else 'counterexample'}",
-    )
-    rep = f.report(notes=notes)
+    held = {"axioms": True, "flags": True}
+
+    def trials():
+        for _ in range(samples):
+            X2, X1 = sample_dominating_pair(space, rng, allow_inf=False)  # X1 >= X2
+            if not (rm.in_domain(X1) and rm.in_domain(X2)):
+                continue
+            r1 = rm(X1)
+            p2 = r1.le(rm(X2))
+            if side is RhoSide.NEG_VALUE:
+                inc = I(X2).le(I(X1))
+            else:
+                inc = I(-X1).le(I(-X2))
+            held["axioms"] &= p2
+            held["flags"] &= inc
+            yield p2 == inc, dict(step="antitone<->increasing", X1=X1, X2=X2)
+            M = sample_measurable(rm.target, rng, allow_inf=False)
+            if not rm.in_domain(X1 + M):
+                continue
+            p3 = rm(X1 + M) == r1 - M
+            if side is RhoSide.NEG_VALUE:
+                ti = I(X1 + M) == I(X1) + M
+            else:
+                # translation invariance instantiated at -X1-M with shift +M
+                ti = I(-X1) == I(-X1 - M) + M
+            held["axioms"] &= p3
+            held["flags"] &= ti
+            yield p3 == ti, dict(step="cash<->translation", X=X1, alpha=M)
+
+    rep = falsify(prop, trials())
+    notes = tuple(f"{k}={'verified' if ok else 'counterexample'}" for k, ok in held.items())
     if rep.verdict is Verdict.COUNTEREXAMPLE:
-        return CheckReport.counterexample(
-            prop, rep.witness or {}, rep.cases,
-            notes=notes + ("iff violated per-case",), alarm=True,
-        )
-    return rep
+        return replace(rep, notes=notes + ("iff violated per-case",), alarm=True)
+    return replace(rep, notes=notes)

@@ -157,18 +157,6 @@ def exhaustive_grid_rvs(
         yield RandomVariable(space, combo)
 
 
-def measurable_grid_rvs(
-    partition: Partition, grid: Sequence[ExtReal]
-) -> Iterator[RandomVariable]:
-    size = partition.space.size
-    for combo in itertools.product(grid, repeat=partition.cell_count):
-        vals = [None] * size
-        for cv, cell in zip(combo, partition.cells):
-            for i in cell:
-                vals[i] = cv
-        yield RandomVariable(partition.space, tuple(vals))
-
-
 def sample_event(partition: Partition, rng: random.Random) -> Event:
     members: set[int] = set()
     for cell in partition.cells:

@@ -2,8 +2,10 @@
 an optional filtration (by partition name), and named variables.
 
 Values parse exactly: "p/q", decimal strings, "inf"/"-inf", or JSON
-numbers. Validation is eager with precise diagnostics; a scenario that loads
-is structurally sound.
+numbers (booleans are not numbers). Validation is eager with precise
+diagnostics: every malformed document or unreadable file raises a
+ValidationError or ParseError, and a scenario that loads is structurally
+sound.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .extreal import parse_ext
+from .extreal import ExtReal, parse_ext
 from .space import Filtration, FiniteProbabilitySpace, Partition, RandomVariable
 
 
@@ -37,6 +39,25 @@ class Scenario:
         return self.variables[name]
 
 
+def _literal(raw, where: str) -> ExtReal:
+    if isinstance(raw, bool):
+        raise ValidationError(f"{where}: {raw!r} is not a number")
+    try:
+        return parse_ext(raw)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{where}: bad value {raw!r} ({exc})") from None
+
+
+def _section(doc: dict, key: str, kind: type):
+    # an optional top-level container; absent or null reads as empty
+    value = doc.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ValidationError(f"{key!r} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ValidationError("scenario root must be a JSON object")
@@ -49,25 +70,30 @@ def parse_scenario(doc: dict) -> Scenario:
         if not isinstance(entry, dict) or "label" not in entry or "prob" not in entry:
             raise ValidationError("each atom needs 'label' and 'prob'")
         labels.append(str(entry["label"]))
-        p = parse_ext(entry["prob"])
+        p = _literal(entry["prob"], f"atom {entry['label']!r}")
         if not p.is_finite:
             raise ValidationError(f"atom {entry['label']!r}: probability must be finite")
         probs.append(p.frac)
     space = FiniteProbabilitySpace(tuple(labels), tuple(probs))
 
     partitions: dict[str, Partition] = {}
-    for name, cells in (doc.get("partitions") or {}).items():
+    for name, cells in _section(doc, "partitions", dict).items():
+        if not (
+            isinstance(cells, list)
+            and all(isinstance(c, list) and all(isinstance(l, str) for l in c) for c in cells)
+        ):
+            raise ValidationError(f"partition {name!r} must be a list of lists of atom labels")
         try:
             partitions[name] = Partition.from_labels(space, cells)
         except ValidationError as exc:
             raise ValidationError(f"partition {name!r}: {exc}") from None
 
-    filtration_names = tuple(doc.get("filtration") or ())
+    filtration_names = tuple(_section(doc, "filtration", list))
     filtration = None
     if filtration_names:
         parts = []
         for name in filtration_names:
-            if name not in partitions:
+            if not (isinstance(name, str) and name in partitions):
                 raise ValidationError(f"filtration references unknown partition {name!r}")
             parts.append(partitions[name])
         try:
@@ -76,14 +102,13 @@ def parse_scenario(doc: dict) -> Scenario:
             raise ValidationError(f"filtration: {exc}") from None
 
     variables: dict[str, RandomVariable] = {}
-    for name, mapping in (doc.get("variables") or {}).items():
+    for name, mapping in _section(doc, "variables", dict).items():
         if not isinstance(mapping, dict):
             raise ValidationError(f"variable {name!r} must map atoms to values")
+        values = {k: _literal(v, f"variable {name!r} at {k!r}") for k, v in mapping.items()}
         try:
-            variables[name] = RandomVariable.of(
-                space, {k: parse_ext(v) for k, v in mapping.items()}
-            )
-        except (ValidationError, ValueError, ZeroDivisionError) as exc:
+            variables[name] = RandomVariable.of(space, values)
+        except ValidationError as exc:
             raise ValidationError(f"variable {name!r}: {exc}") from None
 
     return Scenario(
@@ -96,7 +121,10 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read scenario {str(path)!r}: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

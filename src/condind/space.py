@@ -43,14 +43,6 @@ class FiniteProbabilitySpace:
         n = len(labels)
         return FiniteProbabilitySpace(tuple(labels), (Fraction(1, n),) * n)
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[str, Fraction | int | str]]) -> "FiniteProbabilitySpace":
-        labels, probs = [], []
-        for label, p in pairs:
-            labels.append(label)
-            probs.append(Fraction(p))
-        return FiniteProbabilitySpace(tuple(labels), tuple(probs))
-
     @property
     def size(self) -> int:
         return len(self.atoms)

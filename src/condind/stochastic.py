@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checks import CheckReport, _Falsifier
+from .checks import CheckReport, falsify
 from .errors import (
     CapExceededError,
     GridTooLargeError,
@@ -103,26 +103,25 @@ def check_tower(
     Is, It = SI.indicators[si], SI.indicators[ti]
     prop = f"tower:{Is.name}@{s}<={t}"
     rng = derive_rng(seed, prop)
-    f = _Falsifier(prop)
-    notes: list[str] = []
     custom = Is.domain_fn is not None or It.domain_fn is not None
-    for X in iter_cases(SI.filtration.space, rng, samples):
-        if not Is.in_domain(X):
-            continue
-        if custom and not f.run(It.in_domain(X), nesting="D(I_s) inside D(I_t)", X=X):
-            break
-        if not It.in_domain(X):
-            continue
-        inner = It(X)
-        if custom and not f.run(Is.in_domain(inner), nesting="I_t maps into D(I_s)", X=X):
-            break
-        if not Is.in_domain(inner):
-            continue
-        if not f.run(Is(inner) == Is(X), X=X, lhs=Is(inner), rhs=Is(X)):
-            break
-    if custom:
-        notes.append("custom domains: nesting verified per sample")
-    return f.report(notes=tuple(notes))
+
+    def trials():
+        for X in iter_cases(SI.filtration.space, rng, samples):
+            if not Is.in_domain(X):
+                continue
+            if custom:
+                yield It.in_domain(X), dict(nesting="D(I_s) inside D(I_t)", X=X)
+            if not It.in_domain(X):
+                continue
+            inner = It(X)
+            if custom:
+                yield Is.in_domain(inner), dict(nesting="I_t maps into D(I_s)", X=X)
+            if Is.in_domain(inner):
+                lhs, rhs = Is(inner), Is(X)
+                yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
+
+    notes = ("custom domains: nesting verified per sample",) if custom else ()
+    return falsify(prop, trials(), notes=notes)
 
 
 def check_projection(
@@ -145,16 +144,15 @@ def check_projection(
         rng = derive_rng(seed, prop)
         events = [sample_event(Ft, rng) for _ in range(min(samples, 256))]
         notes.append(f"partial: 2^{Ft.cell_count} events exceed cap {cap}; sampled {len(events)}")
-    f = _Falsifier(prop)
-    for ev in events:
-        lhs_arg, rhs_arg = restrict(X, ev), restrict(Z, ev)
-        if not (I0.in_domain(lhs_arg) and I0.in_domain(rhs_arg)):
-            continue
-        if not f.run(
-            I0(lhs_arg) == I0(rhs_arg), F=ev, lhs=I0(lhs_arg), rhs=I0(rhs_arg)
-        ):
-            break
-    return f.report(notes=tuple(notes))
+
+    def trials():
+        for ev in events:
+            lhs_arg, rhs_arg = restrict(X, ev), restrict(Z, ev)
+            if I0.in_domain(lhs_arg) and I0.in_domain(rhs_arg):
+                lhs, rhs = I0(lhs_arg), I0(rhs_arg)
+                yield lhs == rhs, dict(F=ev, lhs=lhs, rhs=rhs)
+
+    return falsify(prop, trials(), notes=tuple(notes))
 
 
 def projection_solve(
@@ -235,51 +233,39 @@ def check_projection_uniqueness_premises(
     prop = f"uniqueness-premises:{I0.name}"
     rng = derive_rng(seed, prop)
     space = I0.target.space
-    f = _Falsifier(prop)
     zero = RandomVariable.constant(space, 0)
-    notes: list[str] = []
-    if I0.has(Flag.SUPERADDITIVE):
-        for X in iter_cases(space, rng, samples):
-            Y = sample_rv(space, rng)
-            if I0.in_domain(X) and I0.in_domain(Y) and I0.in_domain(X + Y):
-                if not f.run(
-                    I0(X + Y).ge(I0(X) + I0(Y)),
-                    premise="superadditivity", X=X, Y=Y,
-                    lhs=I0(X + Y), rhs=I0(X) + I0(Y),
-                ):
-                    break
-    else:
-        notes.append("superadditive flag absent: premise not claimed, not sampled")
-    for Y in iter_cases(space, rng, samples, nonneg=True):
-        if not I0.in_domain(Y):
-            continue
-        dominated = I0(Y).le(zero)
-        if not f.run(
-            dominated == (Y == zero), premise="degeneracy", Y=Y, value=I0(Y)
-        ):
-            break
-    return f.report(notes=tuple(notes))
+    superadditive = I0.has(Flag.SUPERADDITIVE)
+
+    def trials():
+        if superadditive:
+            for X in iter_cases(space, rng, samples):
+                Y = sample_rv(space, rng)
+                if I0.in_domain(X) and I0.in_domain(Y) and I0.in_domain(X + Y):
+                    lhs, rhs = I0(X + Y), I0(X) + I0(Y)
+                    yield lhs.ge(rhs), dict(premise="superadditivity", X=X, Y=Y, lhs=lhs, rhs=rhs)
+        for Y in iter_cases(space, rng, samples, nonneg=True):
+            if I0.in_domain(Y):
+                value = I0(Y)
+                yield value.le(zero) == (Y == zero), dict(premise="degeneracy", Y=Y, value=value)
+
+    notes = ("superadditive flag absent: premise not claimed, not sampled",)
+    return falsify(prop, trials(), notes=() if superadditive else notes)
 
 
 def is_indicator_martingale(SI: StochasticIndicator, M: AdaptedProcess) -> CheckReport:
     """I_s(M_t) = M_s for every ordered pair of times."""
     if M.filtration != SI.filtration:
         raise ValidationError("process and indicator must share the filtration")
-    prop = "indicator-martingale"
-    f = _Falsifier(prop)
     times = SI.filtration.times
-    for si in range(len(times)):
-        for ti in range(si, len(times)):
-            Is = SI.indicators[si]
-            Mt = M.values[ti]
-            if not Is.in_domain(Mt):
-                continue
-            if not f.run(
-                Is(Mt) == M.values[si],
-                s=times[si], t=times[ti], lhs=Is(Mt), rhs=M.values[si],
-            ):
-                return f.report()
-    return f.report()
+
+    def trials():
+        for si, ti in itertools.combinations_with_replacement(range(len(times)), 2):
+            Is, Ms, Mt = SI.indicators[si], M.values[si], M.values[ti]
+            if Is.in_domain(Mt):
+                lhs = Is(Mt)
+                yield lhs == Ms, dict(s=times[si], t=times[ti], lhs=lhs, rhs=Ms)
+
+    return falsify("indicator-martingale", trials())
 
 
 def backward_envelope(
@@ -327,17 +313,15 @@ def check_esssup_shift_rigidity(
     base = esssup_cond(X, F0)
     if base == RandomVariable.constant(X.space, 0):
         return CheckReport.skipped(prop, "conditional supremum identically zero")
-    f = _Falsifier(prop)
     one_F = RandomVariable.indicator(Ft_event)
-    for raw in eps_grid:
-        eps = ext(raw)
-        if eps < ZERO:
-            continue
-        shifted = esssup_cond(X - one_F.scale(eps), F0)
-        if eps == ZERO:
-            ok = shifted == base
-        else:
-            ok = shifted != base
-        if not f.run(ok, eps=eps, lhs=shifted, rhs=base, X=X):
-            break
-    return f.report()
+
+    def trials():
+        for raw in eps_grid:
+            eps = ext(raw)
+            if eps < ZERO:
+                continue
+            shifted = esssup_cond(X - one_F.scale(eps), F0)
+            ok = shifted == base if eps == ZERO else shifted != base
+            yield ok, dict(eps=eps, lhs=shifted, rhs=base, X=X)
+
+    return falsify(prop, trials())

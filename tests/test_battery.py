@@ -1,6 +1,9 @@
 """Battery structure and cross-cutting invariants at small sample counts."""
 
+import hashlib
+import io
 import itertools
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -18,6 +21,7 @@ from condind import (
     mix_self_dual,
     verify_all,
 )
+from condind.cli import run
 from condind.errors import EmptyDomainError
 from condind.indicators import BUILTIN_NAMES, IndicatorSpec
 from condind.sampling import GRID_VALUES
@@ -124,3 +128,14 @@ def test_battery_green_on_random_scenario_shapes():
         reports = verify_all(_random_scenario(seed), seed=seed, samples=15)
         failing = [r.prop for r in reports if not r.ok]
         assert failing == [], (seed, failing)
+
+
+def test_verify_all_bytes_pinned():
+    # the report of a fixed seed and sample count stays byte-identical across
+    # refactors of the checkers
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(["verify-all", "--seed", "7", "--samples", "10"])
+    assert code == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "436c668e801fc6e8cbc0877a1174dc927313ec90f989f39a7ab5d801673d155f"

@@ -79,6 +79,49 @@ def test_decimal_and_inf_values(tmp_path):
     assert W.values[1].is_pos_inf and W.values[2].is_neg_inf
 
 
+def _with_atom(prob):
+    doc = mutated_doc()
+    doc["atoms"][0]["prob"] = prob
+    return doc
+
+
+def _with_value(value):
+    doc = mutated_doc()
+    doc["variables"]["X"]["a"] = value
+    return doc
+
+
+_TWO_ATOMS = {"atoms": [{"label": "a", "prob": "1/2"}, {"label": "b", "prob": "1/2"}],
+              "variables": {"X": {"a": "1", "b": "2"}}}
+
+# each document would load, or crash, without its shape or literal check
+MALFORMED_SCENARIOS = {
+    "prob-text": _with_atom("abc"),
+    "prob-zero-denominator": _with_atom("1/0"),
+    "prob-infinity": _with_atom(float("inf")),
+    "prob-bool": {"atoms": [{"label": "a", "prob": True}], "partitions": {"H": [["a"]]},
+                  "variables": {"X": {"a": "1"}}},
+    "value-bool": _with_value(True),
+    "value-text": _with_value("abc"),
+    "partitions-list": mutated_doc(partitions=[["a", "b", "c", "d"]]),
+    "variables-list": mutated_doc(variables=[{"a": "1", "b": "1", "c": "1", "d": "1"}]),
+    "cells-string": dict(_TWO_ATOMS, partitions={"H": "ab"}),
+    "filtration-string": mutated_doc(filtration="H"),
+    "missing-file": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_exits_2_with_json_error(case, tmp_path, capsys):
+    doc = MALFORMED_SCENARIOS[case]
+    path = str(tmp_path / "missing.json") if doc is None else write_scenario(tmp_path, doc)
+    code = run(["apply", "--scenario", path, "--indicator", "esssup", "--sigma", "H", "--var", "X"])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION, err
+    assert "error" in json.loads(err)
+    assert "Traceback" not in err
+
+
 def test_round_trip(tmp_path):
     s = canonical_scenario()
     out = tmp_path / "echo.json"
