@@ -362,7 +362,11 @@ def dispatch(args: argparse.Namespace, scenario: Scenario) -> RunReport:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        # argparse reports only ValueError/TypeError/ArgumentTypeError as usage errors
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,9 +464,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    if args.cap is None:
-        args.cap = int(os.environ.get("CONDIND_CAP", DEFAULT_EVENT_CAP))
     try:
+        if args.cap is None:
+            env_cap = os.environ.get("CONDIND_CAP", str(DEFAULT_EVENT_CAP))
+            try:
+                args.cap = int(env_cap)
+            except ValueError:
+                raise ValidationError(f"CONDIND_CAP must be an integer, got {env_cap!r}") from None
         scenario = load_scenario(args.scenario) if args.scenario else canonical_scenario()
         report = dispatch(args, scenario)
     except CondIndError as exc:

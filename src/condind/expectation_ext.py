@@ -16,12 +16,7 @@ from fractions import Fraction
 from .checks import CheckReport, Verdict, falsify
 from .errors import BadDensityError, CapExceededError, HypothesisFailedError
 from .extreal import ONE, ZERO, ExtReal, ext
-from .indicators import (
-    IndicatorSpec,
-    _cell_half_mean,
-    ext_cond_expectation_closed_form,
-)
-from .indicators import Flag
+from .indicators import Flag, IndicatorSpec, ext_cond_expectation_closed_form
 from .sampling import (
     ALPHA_GRID,
     DEFAULT_SAMPLES,
@@ -46,6 +41,13 @@ from .space import (
 
 # E(X+|H) - E(X-|H), exported under a second name; the package calls the first
 cond_exp_extended = ext_cond_expectation_closed_form
+
+
+def _infinite_halves(X: RandomVariable, cell: tuple[int, ...]) -> tuple[bool, bool]:
+    # Whether E(X+|cell) and E(X-|cell) are +inf: a +inf (resp. -inf) atom
+    # carries positive mass, and no finite atom can make a half-mean infinite.
+    vals = [X.values[i] for i in cell]
+    return any(v.is_pos_inf for v in vals), any(v.is_neg_inf for v in vals)
 
 
 def check_lemm_cond_exp(
@@ -90,10 +92,7 @@ def check_lemm_cond_exp(
             ok = all(
                 shifted.values[i] == expected.values[i]
                 for cell in H.cells
-                if not (
-                    _cell_half_mean(X, cell, True).is_pos_inf
-                    and _cell_half_mean(X, cell, False).is_pos_inf
-                )
+                if not all(_infinite_halves(X, cell))
                 for i in cell
             )
             yield ok, dict(identity="shift", X=X, alpha=M, lhs=shifted, rhs=expected)
@@ -119,21 +118,18 @@ def additivity_set(
     tags: dict[int, str | None] = {}
     members: set[int] = set()
     for ci, cell in enumerate(H.cells):
-        xp = _cell_half_mean(X, cell, True)
-        xm = _cell_half_mean(X, cell, False)
-        yp = _cell_half_mean(Y, cell, True)
-        ym = _cell_half_mean(Y, cell, False)
-        fin = lambda v: v.is_finite
+        xp, xm = _infinite_halves(X, cell)
+        yp, ym = _infinite_halves(Y, cell)
         tag: str | None = None
-        if fin(xp) and fin(xm) and fin(yp) and fin(ym):
+        if not (xp or xm or yp or ym):
             tag = "F1"
-        elif xp.is_pos_inf and fin(xm) and fin(ym):
+        elif xp and not xm and not ym:
             tag = "F2"
-        elif xm.is_pos_inf and fin(xp) and fin(yp):
+        elif xm and not xp and not yp:
             tag = "F3"
-        elif yp.is_pos_inf and fin(xm) and fin(ym):
+        elif yp and not xm and not ym:
             tag = "F4"
-        elif ym.is_pos_inf and fin(xp) and fin(yp):
+        elif ym and not xp and not yp:
             tag = "F5"
         tags[ci] = tag
         if tag is not None:

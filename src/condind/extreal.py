@@ -93,19 +93,44 @@ class ExtReal:
     def __hash__(self):
         return hash((self.kind, self.frac))
 
+    # A non-ExtReal operand has no `kind`: returning NotImplemented lets
+    # Python raise TypeError. try/except keeps isinstance off the hot path.
+
     def __lt__(self, other: "ExtReal") -> bool:
-        if self.kind != other.kind:
-            return self.kind < other.kind
+        try:
+            ok = other.kind
+        except AttributeError:
+            return NotImplemented
+        if self.kind != ok:
+            return self.kind < ok
         return self.kind == _FIN and self.frac < other.frac
 
     def __le__(self, other: "ExtReal") -> bool:
-        return self == other or self < other
+        try:
+            ok = other.kind
+        except AttributeError:
+            return NotImplemented
+        if self.kind != ok:
+            return self.kind < ok
+        return self.kind != _FIN or self.frac <= other.frac
 
     def __gt__(self, other: "ExtReal") -> bool:
-        return other < self
+        try:
+            ok = other.kind
+        except AttributeError:
+            return NotImplemented
+        if self.kind != ok:
+            return self.kind > ok
+        return self.kind == _FIN and self.frac > other.frac
 
     def __ge__(self, other: "ExtReal") -> bool:
-        return other <= self
+        try:
+            ok = other.kind
+        except AttributeError:
+            return NotImplemented
+        if self.kind != ok:
+            return self.kind > ok
+        return self.kind != _FIN or self.frac >= other.frac
 
     # -- arithmetic --------------------------------------------------------
 

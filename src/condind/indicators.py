@@ -22,11 +22,12 @@ from .errors import (
     MixedTargetsError,
     NotMonotoneError,
 )
-from .extreal import POS_INF, ZERO, ExtReal, ext
+from .extreal import ZERO, ExtReal
 from .space import (
     Partition,
     RandomVariable,
     _require_same_space,
+    cell_mean,
     patch,
 )
 
@@ -114,22 +115,6 @@ def essinf_cond(X: RandomVariable, H: Partition) -> RandomVariable:
 # -- extended conditional expectation (closed form) ---------------------------
 
 
-def _cell_half_mean(X: RandomVariable, cell: tuple[int, ...], positive: bool) -> ExtReal:
-    # Mean of the positive (or negative) part over one cell; an infinite
-    # atom forces +inf because its mass is positive.
-    probs = X.space.probs
-    total = Fraction(0)
-    mass = Fraction(0)
-    for i in cell:
-        v = X.values[i]
-        h = v.pos_part() if positive else v.neg_part()
-        if h.is_pos_inf:
-            return POS_INF
-        mass += probs[i]
-        total += probs[i] * h.frac
-    return ext(total / mass)
-
-
 def ext_cond_expectation_closed_form(X: RandomVariable, H: Partition) -> RandomVariable:
     """E(X+|H) - E(X-|H) with convention arithmetic; total on finite spaces.
 
@@ -139,7 +124,7 @@ def ext_cond_expectation_closed_form(X: RandomVariable, H: Partition) -> RandomV
     _require_same_space(X, H)
     out: list[ExtReal] = [ZERO] * X.space.size
     for cell in H.cells:
-        val = _cell_half_mean(X, cell, True) - _cell_half_mean(X, cell, False)
+        val = cell_mean(X, cell)
         for i in cell:
             out[i] = val
     return RandomVariable(X.space, tuple(out))

@@ -4,8 +4,11 @@ correspondence between indicator flags and risk-measure axioms.
 
 rho is never computed by materializing the acceptance set. When the source
 indicator is translation invariant the answer is -I(X) exactly; otherwise a
-per-cell monotone bisection brackets the least cellwise cash amount, valid
-because regularity decouples the cells.
+monotone bisection brackets the least cash amount of every cell. All cells
+are bisected together, one indicator evaluation per step: the probe adds a
+measurable M that holds each cell's own midpoint, and regularity (the
+locality of conditional risk measures, Detlefsen & Scandolo 2005, Finance
+Stoch. 9) makes I(X + M) on a cell depend only on that cell's midpoint.
 """
 
 from __future__ import annotations
@@ -84,10 +87,14 @@ def rho(
     """Least measurable cash addition making X acceptable, cell by cell.
 
     Translation-invariant indicators give the exact closed form -I(X). The
-    general path bisects per cell inside the bracket
+    general path bisects each cell inside the bracket
     [-cellmax(X), -cellmin(X)]: below it the sandwich axiom forbids
-    acceptability, at the top it forces it. Cells with no finite solution
-    come back +inf (empty acceptance intersection convention).
+    acceptability, at the top it forces it. The cells are bisected together,
+    one evaluation of I per step (the lo and hi probes are one each): a cell
+    whose bracket is within tol stops moving, and by regularity every cell
+    sees the same midpoints, and returns the same value, as when bisected
+    alone. Cells with no finite solution come back +inf (empty acceptance
+    intersection convention).
     """
     if not I.has(Flag.INCREASING):
         raise NotIncreasingError(f"{I.name}: rho needs the increasing flag")
@@ -101,36 +108,54 @@ def rho(
     if tol <= 0:
         raise ValidationError("tol must be positive")
 
+    cells = H.cells
     hi_rv = esssup_cond(X, H)
     lo_rv = essinf_cond(X, H)
-    out: list[ExtReal] = [ZERO] * X.space.size
+    lo = [-hi_rv.values[cell[0]].frac for cell in cells]  # g(lo) < 0 unless lo is optimal
+    hi = [-lo_rv.values[cell[0]].frac for cell in cells]  # g(hi) >= 0 by the sandwich axiom
 
-    def image_at(y: Fraction, atom: int) -> ExtReal:
-        shifted = X.shift(y)
+    def image(levels: list[Fraction]) -> list[ExtReal]:
+        # One evaluation at X + M, M holding levels[c] on cell c; regularity
+        # gives I(X + M) = I(X + levels[c]) on cell c, so every cell reads its
+        # own probe from one call.
+        m: list[ExtReal] = [ZERO] * X.space.size
+        for cell, y in zip(cells, levels):
+            v = ext(y)
+            for i in cell:
+                m[i] = v
+        shifted = X + RandomVariable(X.space, tuple(m))
         if not I.in_domain(shifted):
             raise DomainViolationError(f"{I.name}: shifted position left the domain")
-        return I(shifted).values[atom]
+        img = I(shifted).values
+        return [img[cell[0]] for cell in cells]
 
-    for cell in H.cells:
-        a = cell[0]
-        lo = -hi_rv.values[a].frac  # g(lo) < 0 unless lo is already optimal
-        hi = -lo_rv.values[a].frac  # g(hi) >= 0 by the sandwich axiom
-        if image_at(lo, a) >= ZERO:
-            val = ext(lo)
-        elif image_at(hi, a) < ZERO:
-            val = POS_INF  # no finite cash level is acceptable on this cell
-        else:
-            width = hi - lo
-            while width > tol:
-                mid = (lo + hi) / 2
-                if image_at(mid, a) >= ZERO:
-                    hi = mid
-                else:
-                    lo = mid
-                width = hi - lo
-            val = ext(hi)
+    val: list[ExtReal | None] = [None] * len(cells)
+    for c, g in enumerate(image(lo)):
+        if g >= ZERO:
+            val[c] = ext(lo[c])
+    if None in val:
+        for c, g in enumerate(image(hi)):
+            if val[c] is None and g < ZERO:
+                val[c] = POS_INF  # no finite cash level is acceptable on this cell
+    # open cells probe their midpoints and settled ones sit at hi, so each
+    # cell sees the midpoints a bisection of that cell alone would see
+    todo = [c for c, v in enumerate(val) if v is None and hi[c] - lo[c] > tol]
+    while todo:
+        probe = list(hi)
+        for c in todo:
+            probe[c] = (lo[c] + hi[c]) / 2
+        img = image(probe)
+        for c in todo:
+            if img[c] >= ZERO:
+                hi[c] = probe[c]
+            else:
+                lo[c] = probe[c]
+        todo = [c for c in todo if hi[c] - lo[c] > tol]
+    out: list[ExtReal] = [ZERO] * X.space.size
+    for c, cell in enumerate(cells):
+        v = val[c] if val[c] is not None else ext(hi[c])
         for i in cell:
-            out[i] = val
+            out[i] = v
     return RandomVariable(X.space, tuple(out))
 
 

@@ -4,16 +4,22 @@ Atoms all carry strictly positive rational mass, so "almost surely" is
 "everywhere" and every equality in the package is exact. A sub-sigma-algebra
 is a partition of the atom set; refinement of partitions models inclusion of
 sigma-algebras. Random variables are atom-indexed ExtReal vectors.
+
+Each space also keeps integer atom weights: with D the least common
+denominator of the probabilities, atom i weighs ``probs[i] * D``. Means are
+weight sums over ints, so a cell mean costs one ``Fraction`` normalisation
+instead of one per atom, and the value is the same exact rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, SpaceMismatchError, ValidationError
-from .extreal import POS_INF, ZERO, ExtReal, ext
+from .extreal import _FIN, NEG_INF, POS_INF, ZERO, ExtReal, ext
 
 DEFAULT_EVENT_CAP = 20
 
@@ -35,8 +41,15 @@ class FiniteProbabilitySpace:
         for label, p in zip(self.atoms, self.probs):
             if p <= 0:
                 raise ValidationError(f"null atom {label!r}: probabilities must be > 0")
-        if sum(self.probs, Fraction(0)) != 1:
+        try:
+            D = lcm(*(p.denominator for p in self.probs))
+        except AttributeError:
+            raise ValidationError("probabilities must be exact rationals") from None
+        weights = tuple(p.numerator * (D // p.denominator) for p in self.probs)
+        if sum(weights) != D:
             raise ValidationError("probabilities must sum to exactly 1")
+        # integer atom weights probs[i] * D, read by `cell_mean`
+        object.__setattr__(self, "_weights", weights)
 
     @staticmethod
     def uniform(labels: Sequence[str]) -> "FiniteProbabilitySpace":
@@ -368,18 +381,45 @@ def patch(X: RandomVariable, event: Event, Y: RandomVariable) -> RandomVariable:
     )
 
 
+def cell_mean(X: RandomVariable, cell: Iterable[int]) -> ExtReal:
+    """E(X+|C) - E(X-|C) on the atoms of one cell, convention arithmetic.
+
+    An infinite atom makes its half-mean +inf because its mass is positive,
+    so a cell holding both infinities is inf - inf = 0, one holding only
+    +inf (-inf) is +inf (-inf), and an all-finite cell is the weighted mean
+    sum(w_i v_i) / sum(w_i), accumulated in ints over the running common
+    denominator of the values and normalised once.
+    """
+    values = X.values
+    weights = X.space._weights  # type: ignore[attr-defined]
+    num = 0
+    den = 1
+    mass = 0
+    pos_inf = neg_inf = False
+    for i in cell:
+        v = values[i]
+        if v.kind != _FIN:
+            if v.kind > 0:
+                pos_inf = True
+            else:
+                neg_inf = True
+            continue
+        f = v.frac
+        d = f.denominator
+        w = weights[i]
+        mass += w
+        if den % d:
+            common = lcm(den, d)
+            num *= common // den
+            den = common
+        num += w * f.numerator * (den // d)
+    if pos_inf:
+        return ZERO if neg_inf else POS_INF
+    if neg_inf:
+        return NEG_INF
+    return ExtReal(Fraction(num, den * mass), _kind=_FIN)
+
+
 def expectation(X: RandomVariable) -> ExtReal:
-    """E(X) = E(X+) - E(X-) under the base measure, convention arithmetic."""
-    pos = _half_expectation(X.pos())
-    neg = _half_expectation(X.neg())
-    return pos - neg
-
-
-def _half_expectation(X: RandomVariable) -> ExtReal:
-    # X >= 0 here; a +inf atom with positive mass forces +inf.
-    if any(v.is_pos_inf for v in X.values):
-        return POS_INF
-    total = Fraction(0)
-    for p, v in zip(X.space.probs, X.values):
-        total += p * v.frac
-    return ext(total)
+    """E(X) = E(X+) - E(X-) under the base measure: the cell mean of the whole space."""
+    return cell_mean(X, range(X.space.size))

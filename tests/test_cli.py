@@ -122,6 +122,27 @@ def test_malformed_scenario_exits_2_with_json_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# inputs outside the scenario: argparse conversions and the env cap
+BAD_INVOCATIONS = {
+    "tol-text": (["--tol", "abc"], {}),
+    "tol-zero-denominator": (["--tol", "1/0"], {}),
+    "cap-env-text": ([], {"CONDIND_CAP": "abc"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_invocation_exits_2_without_traceback(case, monkeypatch, capsys):
+    extra, env = BAD_INVOCATIONS[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = run(["apply", "--indicator", "esssup", "--sigma", "H", "--var", "X", *extra])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION, err
+    assert "Traceback" not in err
+    if env:  # past argument parsing, errors are JSON
+        assert "error" in json.loads(err)
+
+
 def test_round_trip(tmp_path):
     s = canonical_scenario()
     out = tmp_path / "echo.json"

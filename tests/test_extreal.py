@@ -108,6 +108,15 @@ def test_total_order():
     assert sorted([POS_INF, ZERO, NEG_INF, FIN]) == [NEG_INF, ZERO, FIN, POS_INF]
 
 
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_ordering_against_a_non_extreal_is_a_type_error(op):
+    compare = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+               ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}[op]
+    for a, b in ((ext(1), 3), (3, ext(1)), (POS_INF, 0), (0, NEG_INF)):
+        with pytest.raises(TypeError):
+            compare(a, b)
+
+
 def test_parsing_and_rendering():
     assert ext("inf").is_pos_inf
     assert ext("-inf").is_neg_inf

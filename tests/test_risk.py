@@ -1,10 +1,13 @@
 """Acceptance sets, rho, risk-measure axioms, and flag correspondence."""
 
 import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from condind import (
     DEFAULT_TOL,
+    FiniteProbabilitySpace,
     Flag,
     IndicatorSpec,
     RandomVariable,
@@ -21,12 +24,14 @@ from condind import (
     condexp_ext_indicator,
     condexp_indicator,
     essinf_indicator,
+    esssup_cond,
     esssup_indicator,
     rho,
     rho_from_indicator,
 )
 from condind.errors import NotIncreasingError, NotRegularError, ValidationError
-from condind.extreal import ext
+from condind.extreal import POS_INF, ZERO, ext
+from condind.space import Partition
 from condind.sampling import derive_rng, sample_rv
 from conftest import rv
 
@@ -99,6 +104,94 @@ def test_rho_bisection_soundness(space4, H):
         shaved = I(X + Y - eps)
         for cell in H.cells:
             assert any(shaved.values[i] < ext(0) for i in cell)
+
+
+def reference_rho(I: IndicatorSpec, X: RandomVariable, tol: Fraction) -> tuple[RandomVariable, list[int]]:
+    # the per-cell bisection: each probe of each cell is one evaluation of
+    # I(X + y); returns the result and the evaluations spent on each cell
+    out = [ZERO] * X.space.size
+    spent = []
+    for cell in I.target.cells:
+        evals = 0
+
+        def g(y):
+            nonlocal evals
+            evals += 1
+            return I(X.shift(y)).values[cell[0]]
+
+        vals = [X.values[i].frac for i in cell]
+        lo, hi = -max(vals), -min(vals)
+        if g(lo) >= ZERO:
+            val = ext(lo)
+        elif g(hi) < ZERO:
+            val = POS_INF
+        else:
+            while hi - lo > tol:
+                mid = (lo + hi) / 2
+                if g(mid) >= ZERO:
+                    hi = mid
+                else:
+                    lo = mid
+            val = ext(hi)
+        for i in cell:
+            out[i] = val
+        spent.append(evals)
+    return RandomVariable(X.space, tuple(out)), spent
+
+
+def counting(I: IndicatorSpec) -> tuple[IndicatorSpec, list[int]]:
+    calls = [0]
+
+    def ev(X):
+        calls[0] += 1
+        return I.eval_fn(X)
+
+    return dataclasses.replace(I, eval_fn=ev), calls
+
+
+def bisected_indicators(H: Partition) -> list[IndicatorSpec]:
+    # condexp-ext, the three translation-invariant built-ins forced onto the
+    # bisection path, and esssup - 1, which no finite cash level makes
+    # acceptable on a cell of range below 1
+    forced = [
+        strip_flags(make(H), Flag.TRANSLATION_INVARIANT)
+        for make in (esssup_indicator, essinf_indicator, condexp_indicator)
+    ]
+    sup_minus_one = IndicatorSpec(
+        "esssup-1", H, lambda X: esssup_cond(X, H).shift(-1),
+        flags=frozenset({Flag.INCREASING, Flag.REGULAR}),
+    )
+    return [condexp_ext_indicator(H), *forced, sup_minus_one]
+
+
+def test_rho_bisection_equals_per_cell_reference(space4, H):
+    # 12 atoms in 4 cells of unequal mass; X is constant on the last cell, so
+    # its lo probe is already optimal
+    weights = (1, 2, 3, 1, 1, 4, 2, 5, 1, 3, 2, 3)
+    space12 = FiniteProbabilitySpace(
+        tuple(f"s{i}" for i in range(12)), tuple(Fraction(w, 28) for w in weights)
+    )
+    H12 = Partition.from_cells(space12, [(0, 1), (2, 3, 4, 5, 6), (7, 8, 9), (10, 11)])
+    rng = derive_rng(3, "rho-reference")
+    cases = [(space4, H, rv(space4, 1, 3, 2, 6)), (space4, H, rv(space4, 0, 0, 5, 5))]
+    cases += [(space4, H, sample_rv(space4, rng, allow_inf=False)) for _ in range(6)]
+    for _ in range(6):
+        X = sample_rv(space12, rng, allow_inf=False)
+        X = RandomVariable(space12, X.values[:10] + (ext("7/3"),) * 2)
+        cases.append((space12, H12, X))
+    bisected = infinite = 0
+    for space, part, X in cases:
+        for I in bisected_indicators(part):
+            for tol in (DEFAULT_TOL, Fraction(1, 8)):
+                want, spent = reference_rho(I, X, tol)
+                counted, calls = counting(I)
+                assert rho(counted, X, tol) == want
+                # one evaluation per step for all cells: as many as the
+                # costliest cell alone
+                assert calls[0] == max(spent)
+                bisected += max(spent) > 2
+                infinite += POS_INF in want.values
+    assert bisected > 0 and infinite > 0
 
 
 def test_rho_from_indicator_sides(space4, H):

@@ -1,5 +1,6 @@
 """Spaces, partitions, events, random variables, filtrations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,14 @@ from condind import (
     RandomVariable,
     enumerate_events,
     expectation,
+    ext_cond_expectation_closed_form,
     is_measurable,
     is_refinement,
     patch,
     restrict,
 )
 from condind.errors import CapExceededError, SpaceMismatchError, ValidationError
-from condind.extreal import NEG_INF, POS_INF, ext
+from condind.extreal import NEG_INF, POS_INF, ZERO, ext
 
 from conftest import all_partitions, rv
 
@@ -154,6 +156,47 @@ def test_expectation_convention(space4):
     assert expectation(RandomVariable(space4, (POS_INF, ext(0), ext(0), ext(0)))) == POS_INF
     both = RandomVariable(space4, (POS_INF, NEG_INF, ext(0), ext(0)))
     assert expectation(both) == ext(0)  # E(X+) - E(X-) = inf - inf
+
+
+def reference_half_mean(X: RandomVariable, cell, positive: bool):
+    # the two-half Fraction loop the integer kernel replaced: an infinite atom
+    # forces +inf because its mass is positive
+    total = mass = Fraction(0)
+    for i in cell:
+        v = X.values[i]
+        h = v.pos_part() if positive else v.neg_part()
+        if h.is_pos_inf:
+            return POS_INF
+        p = X.space.probs[i]
+        mass += p
+        total += p * h.frac
+    return ext(total / mass)
+
+
+def reference_cell_mean(X: RandomVariable, cell):
+    return reference_half_mean(X, cell, True) - reference_half_mean(X, cell, False)
+
+
+def test_cell_mean_kernel_matches_two_half_reference():
+    space = FiniteProbabilitySpace(
+        ("a", "b", "c"), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    )
+    grid = (NEG_INF, ext(-2), ext("-1/3"), ZERO, ext("1/2"), ext(3), POS_INF)
+    partitions = all_partitions(space)
+    assert len(partitions) == 5
+    doubly_infinite = 0
+    for values in itertools.product(grid, repeat=3):
+        X = RandomVariable(space, values)
+        assert expectation(X) == reference_cell_mean(X, range(3))
+        for H in partitions:
+            want = [ZERO] * 3
+            for cell in H.cells:
+                m = reference_cell_mean(X, cell)
+                for i in cell:
+                    want[i] = m
+                doubly_infinite += {POS_INF, NEG_INF} <= {values[i] for i in cell}
+            assert ext_cond_expectation_closed_form(X, H).values == tuple(want)
+    assert doubly_infinite > 0
 
 
 def test_filtration_checks_refinement(space4, H):
