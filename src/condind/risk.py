@@ -114,16 +114,18 @@ def rho(
     lo = [-hi_rv.values[cell[0]].frac for cell in cells]  # g(lo) < 0 unless lo is optimal
     hi = [-lo_rv.values[cell[0]].frac for cell in cells]  # g(hi) >= 0 by the sandwich axiom
 
+    def on_cells(per_cell: list[ExtReal]) -> RandomVariable:
+        out: list[ExtReal] = [ZERO] * X.space.size
+        for cell, v in zip(cells, per_cell):
+            for i in cell:
+                out[i] = v
+        return RandomVariable(X.space, tuple(out))
+
     def image(levels: list[Fraction]) -> list[ExtReal]:
         # One evaluation at X + M, M holding levels[c] on cell c; regularity
         # gives I(X + M) = I(X + levels[c]) on cell c, so every cell reads its
         # own probe from one call.
-        m: list[ExtReal] = [ZERO] * X.space.size
-        for cell, y in zip(cells, levels):
-            v = ext(y)
-            for i in cell:
-                m[i] = v
-        shifted = X + RandomVariable(X.space, tuple(m))
+        shifted = X + on_cells([ext(y) for y in levels])
         if not I.in_domain(shifted):
             raise DomainViolationError(f"{I.name}: shifted position left the domain")
         img = I(shifted).values
@@ -151,12 +153,7 @@ def rho(
             else:
                 lo[c] = probe[c]
         todo = [c for c in todo if hi[c] - lo[c] > tol]
-    out: list[ExtReal] = [ZERO] * X.space.size
-    for c, cell in enumerate(cells):
-        v = val[c] if val[c] is not None else ext(hi[c])
-        for i in cell:
-            out[i] = v
-    return RandomVariable(X.space, tuple(out))
+    return on_cells([ext(h) if v is None else v for v, h in zip(val, hi)])
 
 
 def rho_from_indicator(I: IndicatorSpec, side: RhoSide) -> RiskMeasureSpec:
