@@ -67,7 +67,6 @@ from .stochastic import (
 )
 from .risk import (
     DEFAULT_TOL,
-    Provenance,
     RhoSide,
     RiskMeasureSpec,
     acceptance_contains,

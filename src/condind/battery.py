@@ -21,6 +21,8 @@ from .checks import (
     check_regular,
     check_structural,
     falsify,
+    scaling_trials,
+    self_duality_trials,
 )
 from .errors import HypothesisFailedError
 from .expectation_ext import (
@@ -203,42 +205,6 @@ def _extension_duality(I, samples, seed) -> CheckReport:
             lhs = -upper_extension(I, anchors, -X)
             rhs = lower_extension(star, flipped, X)
             yield lhs == rhs, dict(step="upper-lower", X=X, lhs=lhs, rhs=rhs)
-
-    return falsify(prop, trials())
-
-
-def _mix_self_duality(I, samples, seed) -> CheckReport:
-    prop = f"mix-self-dual:{I.name}"
-    rng = derive_rng(seed, prop)
-    T = mix_self_dual(I)
-    Tstar = dual(T)
-
-    def trials():
-        for X in iter_cases(I.target.space, rng, samples):
-            if T.in_domain(X) and Tstar.in_domain(X):
-                lhs, rhs = T(X), Tstar(X)
-                yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
-
-    return falsify(prop, trials())
-
-
-def _linear_scaling_selfdual(I, samples, seed) -> CheckReport:
-    # additive + self-dual collapses to exact rational scaling on a finite space
-    prop = f"linear-scaling:{I.name}"
-    rng = derive_rng(seed, prop)
-    space = I.target.space
-
-    def trials():
-        for X in iter_cases(space, rng, samples, allow_inf=False):
-            if not I.in_domain(X):
-                continue
-            coeffs = [RandomVariable.constant(space, a) for a in ALPHA_GRID]
-            coeffs.append(sample_measurable(I.target, rng, allow_inf=False))
-            for A in coeffs:
-                AX = A * X
-                if I.in_domain(AX):
-                    lhs, rhs = I(AX), A * I(X)
-                    yield lhs == rhs, dict(X=X, alpha=A, lhs=lhs, rhs=rhs)
 
     return falsify(prop, trials())
 
@@ -475,7 +441,9 @@ def verify_all(
         if I.has(Flag.INCREASING):
             reports.append(_extension_sandwich(I, samples, seed))
             reports.append(_extension_duality(I, samples, seed))
-        reports.append(_mix_self_duality(I, samples, seed))
+        prop = f"mix-self-dual:{name}"
+        trials = self_duality_trials(mix_self_dual(I), derive_rng(seed, prop), samples)
+        reports.append(falsify(prop, trials))
         reports.append(
             replace(check_hplus_decomposition(I, samples, seed), prop=f"sign-split:{name}")
         )
@@ -492,7 +460,11 @@ def verify_all(
             )
         )
 
-    reports.append(_linear_scaling_selfdual(builtin_indicator("condexp", main), samples, seed))
+    # additive + self-dual collapses to exact rational scaling on a finite space
+    prop = "linear-scaling:condexp"
+    condexp = builtin_indicator("condexp", main)
+    trials = scaling_trials(condexp, derive_rng(seed, prop), samples, ALPHA_GRID, allow_inf=False)
+    reports.append(falsify(prop, trials))
     reports.append(
         replace(check_lemm_cond_exp(main, samples, seed, cap), prop="condexp-ext-identities")
     )

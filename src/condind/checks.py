@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from fractions import Fraction
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceededError
 from .indicators import Flag, IndicatorSpec, essinf_cond, esssup_cond
@@ -91,6 +92,59 @@ def falsify(prop: str, trials: Iterable[Trial], notes: tuple[str, ...] = ()) -> 
         if not ok:
             return CheckReport.counterexample(prop, witness, cases, notes=notes)
     return CheckReport.verified(prop, cases, notes=notes)
+
+
+# -- shared laws -----------------------------------------------------------------
+#
+# The laws an indicator may or may not share with the conditional expectation,
+# each written once. A checker passes its own rng, so the draws, and with
+# them the reports, are those of the checker that owns the stream.
+
+
+def additivity_trials(
+    F,
+    rng,
+    samples: int,
+    holds: Callable[[RandomVariable, RandomVariable], bool],
+    allow_inf: bool = True,
+) -> Iterator[Trial]:
+    """holds(F(X+Y), F(X)+F(Y)); F is an indicator or a risk measure."""
+    space = F.target.space
+    for X in iter_cases(space, rng, samples, allow_inf=allow_inf):
+        Y = sample_rv(space, rng, allow_inf=allow_inf)
+        if F.in_domain(X) and F.in_domain(Y) and F.in_domain(X + Y):
+            lhs, rhs = F(X + Y), F(X) + F(Y)
+            yield holds(lhs, rhs), dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
+
+
+def self_duality_trials(
+    I: IndicatorSpec, rng, samples: int, allow_inf: bool = True
+) -> Iterator[Trial]:
+    """I(X) = -I(-X)."""
+    for X in iter_cases(I.target.space, rng, samples, allow_inf=allow_inf):
+        if I.in_domain(X) and I.in_domain(-X):
+            lhs, rhs = I(X), -I(-X)
+            yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
+
+
+def scaling_trials(
+    I: IndicatorSpec, rng, samples: int, grid: Sequence[Fraction], allow_inf: bool = True
+) -> Iterator[Trial]:
+    """I(AX) = A I(X) for the constants of the grid and one sampled finite
+    measurable A, which is nonnegative exactly when the grid is."""
+    H = I.target
+    nonneg = all(a >= 0 for a in grid)
+    for X in iter_cases(H.space, rng, samples, allow_inf=allow_inf):
+        if not I.in_domain(X):
+            continue
+        IX = I(X)
+        coeffs = [RandomVariable.constant(H.space, a) for a in grid]
+        coeffs.append(sample_measurable(H, rng, nonneg=nonneg))
+        for A in coeffs:
+            AX = A * X
+            if I.in_domain(AX):
+                lhs, rhs = I(AX), A * IX
+                yield lhs == rhs, dict(X=X, alpha=A, lhs=lhs, rhs=rhs)
 
 
 # -- core axioms ---------------------------------------------------------------
@@ -216,10 +270,7 @@ def check_structural(
 
     def trials():
         if flag is Flag.SELF_DUAL:
-            for X in iter_cases(space, rng, samples):
-                if I.in_domain(X) and I.in_domain(-X):
-                    lhs, rhs = I(X), -I(-X)
-                    yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
+            yield from self_duality_trials(I, rng, samples)
 
         elif flag is Flag.INCREASING:
             for _ in range(samples):
@@ -239,16 +290,7 @@ def check_structural(
                     yield lhs == rhs, dict(X=X, alpha=M, lhs=lhs, rhs=rhs)
 
         elif flag is Flag.POS_HOMOGENEOUS:
-            for X in iter_cases(space, rng, samples):
-                if not I.in_domain(X):
-                    continue
-                alphas = [RandomVariable.constant(space, a) for a in NONNEG_ALPHA_GRID]
-                alphas.append(sample_measurable(H, rng, nonneg=True))
-                for A in alphas:
-                    AX = A * X
-                    if I.in_domain(AX):
-                        lhs, rhs = I(AX), A * I(X)
-                        yield lhs == rhs, dict(X=X, alpha=A, lhs=lhs, rhs=rhs)
+            yield from scaling_trials(I, rng, samples, NONNEG_ALPHA_GRID)
 
         elif flag is Flag.LINEAR:
             for X in iter_cases(space, rng, samples):
@@ -263,12 +305,8 @@ def check_structural(
                         yield lhs == rhs, dict(X=X, Y=Y, alpha=coeff, lhs=lhs, rhs=rhs)
 
         elif flag in (Flag.SUBADDITIVE, Flag.SUPERADDITIVE):
-            for X in iter_cases(space, rng, samples):
-                Y = sample_rv(space, rng)
-                if I.in_domain(X) and I.in_domain(Y) and I.in_domain(X + Y):
-                    lhs, rhs = I(X + Y), I(X) + I(Y)
-                    ok = lhs.le(rhs) if flag is Flag.SUBADDITIVE else lhs.ge(rhs)
-                    yield ok, dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
+            holds = RandomVariable.le if flag is Flag.SUBADDITIVE else RandomVariable.ge
+            yield from additivity_trials(I, rng, samples, holds)
 
         elif flag is Flag.CONVEX:
             for X in iter_cases(space, rng, samples):

@@ -64,7 +64,7 @@ from .risk import (
     rho,
     rho_from_indicator,
 )
-from .scenario import Scenario, canonical_scenario, load_scenario
+from .scenario import Scenario, _literal, canonical_scenario, load_scenario
 from .space import DEFAULT_EVENT_CAP, Event, Partition, RandomVariable
 from .stochastic import (
     AdaptedProcess,
@@ -72,19 +72,6 @@ from .stochastic import (
     backward_envelope,
     check_tower,
     projection_solve,
-)
-
-COMMANDS = (
-    "apply",
-    "check",
-    "tower",
-    "project",
-    "envelope",
-    "risk",
-    "condexp-ext",
-    "additivity-set",
-    "recover-density",
-    "verify-all",
 )
 
 EXIT_OK = 0
@@ -268,7 +255,7 @@ def dispatch(args: argparse.Namespace, scenario: Scenario) -> RunReport:
         I0 = resolve_indicator(args.i0, scenario, F0)
         X = scenario.variable(args.var)
         Ft = filtration.at(args.time)
-        grid: list[ExtReal] = [ext(v) for v in (args.grid.split(",") if args.grid else [])]
+        grid = [_literal(v, "--grid") for v in (args.grid.split(",") if args.grid else [])]
         if not grid:
             grid = sorted({*X.values, ext(0)}, key=lambda v: (v.kind, v.frac))
         solutions = projection_solve(I0, X, Ft, grid, cap=cap)
@@ -362,11 +349,14 @@ def dispatch(args: argparse.Namespace, scenario: Scenario) -> RunReport:
 
 
 def _fraction(text: str) -> Fraction:
+    # argparse reports only ValueError/TypeError/ArgumentTypeError as usage errors
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        # argparse reports only ValueError/TypeError/ArgumentTypeError as usage errors
-        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
+        value = _literal(text, "tol")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not value.is_finite:
+        raise argparse.ArgumentTypeError(f"--tol must be finite, got {text!r}")
+    return value.frac
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,16 +463,18 @@ def run(argv: Sequence[str] | None = None) -> int:
                 raise ValidationError(f"CONDIND_CAP must be an integer, got {env_cap!r}") from None
         scenario = load_scenario(args.scenario) if args.scenario else canonical_scenario()
         report = dispatch(args, scenario)
+        if args.format == "json":
+            text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        else:
+            text = _render_text(report)
     except CondIndError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - the contract maps unknowns to 3
         print(json.dumps({"internal-error": repr(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_INTERNAL
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(_render_text(report))
+    print(text)
+    if args.format == "text":
         print(f"timing: {report.timing_ms:.1f} ms", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE if report.failed() else EXIT_OK
 

@@ -10,10 +10,11 @@ density of an absolutely continuous measure, exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import CheckReport, Verdict, falsify
+from .checks import CheckReport, Verdict, additivity_trials, falsify, self_duality_trials
 from .errors import BadDensityError, CapExceededError, HypothesisFailedError
 from .extreal import ONE, ZERO, ExtReal, ext
 from .indicators import Flag, IndicatorSpec, ext_cond_expectation_closed_form
@@ -25,7 +26,6 @@ from .sampling import (
     exhaustive_grid_rvs,
     iter_cases,
     sample_measurable,
-    sample_rv,
 )
 from .space import (
     DEFAULT_EVENT_CAP,
@@ -214,24 +214,11 @@ def _hypothesis_reports(
     I: IndicatorSpec, samples: int, seed: int
 ) -> tuple[CheckReport, CheckReport]:
     rng = derive_rng(seed, f"recover:{I.name}")
-    space = I.target.space
-
-    def additivity():
-        for X in iter_cases(space, rng, samples, allow_inf=False):
-            Y = sample_rv(space, rng, allow_inf=False)
-            if I.in_domain(X) and I.in_domain(Y) and I.in_domain(X + Y):
-                lhs, rhs = I(X + Y), I(X) + I(Y)
-                yield lhs == rhs, dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
-
-    def self_duality():
-        for X in iter_cases(space, rng, samples, allow_inf=False):
-            if I.in_domain(X) and I.in_domain(-X):
-                lhs, rhs = I(X), -I(-X)
-                yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
-
     # consumed in order: the self-duality draws follow the additivity draws
-    add = falsify(f"additivity:{I.name}", additivity())
-    return add, falsify(f"self-dual:{I.name}", self_duality())
+    add = additivity_trials(I, rng, samples, operator.eq, allow_inf=False)
+    add_rep = falsify(f"additivity:{I.name}", add)
+    self_dual = self_duality_trials(I, rng, samples, allow_inf=False)
+    return add_rep, falsify(f"self-dual:{I.name}", self_dual)
 
 
 def recover_density(

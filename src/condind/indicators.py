@@ -122,12 +122,7 @@ def ext_cond_expectation_closed_form(X: RandomVariable, H: Partition) -> RandomV
     inf - inf = 0 convention.
     """
     _require_same_space(X, H)
-    out: list[ExtReal] = [ZERO] * X.space.size
-    for cell in H.cells:
-        val = cell_mean(X, cell)
-        for i in cell:
-            out[i] = val
-    return RandomVariable(X.space, tuple(out))
+    return RandomVariable.from_cells(H, [cell_mean(X, cell) for cell in H.cells])
 
 
 # -- built-in indicators ------------------------------------------------------
@@ -371,7 +366,7 @@ def _extension(
     qualifies, improves = (operator.le, operator.gt) if lower else (operator.ge, operator.lt)
     H = I.target
     base = essinf_cond(X, H) if lower else esssup_cond(X, H)
-    out: list[ExtReal] = [ZERO] * X.space.size
+    per_cell: list[ExtReal] = []
     for ci, cell in enumerate(H.cells):
         best = base.values[cell[0]]
         event = H.cell_event(ci)
@@ -383,9 +378,8 @@ def _extension(
                     v = I.eval_fn(cand).values[cell[0]]
                     if improves(v, best):
                         best = v
-        for i in cell:
-            out[i] = best
-    return RandomVariable(X.space, tuple(out))
+        per_cell.append(best)
+    return RandomVariable.from_cells(H, per_cell)
 
 
 def lower_extension(

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .checks import CheckReport, Verdict, falsify
+from .checks import CheckReport, Verdict, additivity_trials, falsify
 from .errors import (
     DomainViolationError,
     NotIncreasingError,
@@ -47,21 +47,12 @@ class RhoSide(str, Enum):
     NEG_VALUE = "-I(X)"
 
 
-class Provenance(str, Enum):
-    FROM_INDICATOR_ACCEPTANCE = "from_indicator_acceptance"
-    FROM_INDICATOR_NEG = "from_indicator_neg"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class RiskMeasureSpec:
     name: str
     target: Partition
     eval_fn: Callable[[RandomVariable], RandomVariable]
     domain_fn: Callable[[RandomVariable], bool] | None = None
-    provenance: Provenance = Provenance.CUSTOM
-    source: IndicatorSpec | None = None
-    side: RhoSide | None = None
 
     def in_domain(self, X: RandomVariable) -> bool:
         if not X.is_finite():
@@ -114,18 +105,11 @@ def rho(
     lo = [-hi_rv.values[cell[0]].frac for cell in cells]  # g(lo) < 0 unless lo is optimal
     hi = [-lo_rv.values[cell[0]].frac for cell in cells]  # g(hi) >= 0 by the sandwich axiom
 
-    def on_cells(per_cell: list[ExtReal]) -> RandomVariable:
-        out: list[ExtReal] = [ZERO] * X.space.size
-        for cell, v in zip(cells, per_cell):
-            for i in cell:
-                out[i] = v
-        return RandomVariable(X.space, tuple(out))
-
     def image(levels: list[Fraction]) -> list[ExtReal]:
         # One evaluation at X + M, M holding levels[c] on cell c; regularity
         # gives I(X + M) = I(X + levels[c]) on cell c, so every cell reads its
         # own probe from one call.
-        shifted = X + on_cells([ext(y) for y in levels])
+        shifted = X + RandomVariable.from_cells(H, [ext(y) for y in levels])
         if not I.in_domain(shifted):
             raise DomainViolationError(f"{I.name}: shifted position left the domain")
         img = I(shifted).values
@@ -153,7 +137,7 @@ def rho(
             else:
                 lo[c] = probe[c]
         todo = [c for c in todo if hi[c] - lo[c] > tol]
-    return on_cells([ext(h) if v is None else v for v, h in zip(val, hi)])
+    return RandomVariable.from_cells(H, [ext(h) if v is None else v for v, h in zip(val, hi)])
 
 
 def rho_from_indicator(I: IndicatorSpec, side: RhoSide) -> RiskMeasureSpec:
@@ -169,9 +153,6 @@ def rho_from_indicator(I: IndicatorSpec, side: RhoSide) -> RiskMeasureSpec:
         target=I.target,
         eval_fn=ev,
         domain_fn=dom,
-        provenance=Provenance.FROM_INDICATOR_NEG,
-        source=I,
-        side=side,
     )
 
 
@@ -181,8 +162,6 @@ def rho_from_acceptance(I: IndicatorSpec, tol: Fraction = DEFAULT_TOL) -> RiskMe
         name=f"rho[acceptance]:{I.name}",
         target=I.target,
         eval_fn=lambda X: rho(I, X, tol),
-        provenance=Provenance.FROM_INDICATOR_ACCEPTANCE,
-        source=I,
     )
 
 
@@ -382,17 +361,10 @@ def check_prop_rm(
         notes.append("pos-hom inheritance skipped (flag absent)")
     if I.has(Flag.SUPERADDITIVE):
         rng = derive_rng(seed, prop + ":subadd")
-        space = I.target.space
-        slack = RandomVariable.constant(space, axiom_tol + axiom_tol)
-
-        def subadd_trials():
-            for X in iter_cases(space, rng, samples, allow_inf=False):
-                Y = sample_rv(space, rng, allow_inf=False)
-                if rm.in_domain(X) and rm.in_domain(Y) and rm.in_domain(X + Y):
-                    lhs, rhs = rm(X + Y), rm(X) + rm(Y)
-                    yield lhs.le(rhs + slack), dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
-
-        reports.append(falsify(prop + ":subadd", subadd_trials()))
+        slack = RandomVariable.constant(I.target.space, axiom_tol + axiom_tol)
+        holds = lambda lhs, rhs: lhs.le(rhs + slack)
+        trials = additivity_trials(rm, rng, samples, holds, allow_inf=False)
+        reports.append(falsify(prop + ":subadd", trials))
     else:
         notes.append("subadditivity inheritance skipped (superadditive flag absent)")
     cases = sum(r.cases for r in reports)

@@ -91,12 +91,8 @@ def sample_measurable(
     allow_inf: bool = False,
     nonneg: bool = False,
 ) -> RandomVariable:
-    vals = [None] * partition.space.size
-    for cell in partition.cells:
-        v = sample_value(rng, allow_inf, nonneg)
-        for i in cell:
-            vals[i] = v
-    return RandomVariable(partition.space, tuple(vals))
+    per_cell = [sample_value(rng, allow_inf, nonneg) for _ in partition.cells]
+    return RandomVariable.from_cells(partition, per_cell)
 
 
 def sample_dominating_pair(

@@ -2,15 +2,17 @@
 an optional filtration (by partition name), and named variables.
 
 Values parse exactly: "p/q", decimal strings, "inf"/"-inf", or JSON
-numbers (booleans are not numbers). Validation is eager with precise
-diagnostics: every malformed document or unreadable file raises a
-ValidationError or ParseError, and a scenario that loads is structurally
-sound.
+numbers (booleans are not numbers), at most MAX_LITERAL_DIGITS digits
+long; the CLI parses its own numbers the same way. Validation is eager
+with precise diagnostics: every malformed document or unreadable file
+raises a ValidationError or ParseError, and a scenario that loads is
+structurally sound.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,9 +41,33 @@ class Scenario:
         return self.variables[name]
 
 
+# The most digits a literal may spell: its length plus the digits a decimal
+# exponent adds ("1e5000" is a 5,001-digit integer). Checked before Fraction
+# expands the text, which takes over a second for "1e2000000" alone; it also
+# keeps values far below the interpreter's 4,300-digit int-to-str limit,
+# which a report meets when it renders them.
+MAX_LITERAL_DIGITS = 100
+
+_EXPONENT = re.compile(r"e([+-]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
+
+
+def _digits(raw) -> int:
+    if isinstance(raw, int):
+        return raw.bit_length() * 30103 // 100000 + 1  # log10(2) = 0.30103
+    text = repr(raw) if isinstance(raw, float) else raw
+    if not isinstance(text, str):
+        return 0  # not a literal at all; parse_ext rejects it
+    exponent = _EXPONENT.search(text)
+    if exponent is None or len(text) > MAX_LITERAL_DIGITS:
+        return len(text)
+    return len(text) + abs(int(exponent.group(1)))
+
+
 def _literal(raw, where: str) -> ExtReal:
     if isinstance(raw, bool):
         raise ValidationError(f"{where}: {raw!r} is not a number")
+    if _digits(raw) > MAX_LITERAL_DIGITS:
+        raise ValidationError(f"{where}: literal longer than {MAX_LITERAL_DIGITS} digits")
     try:
         return parse_ext(raw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -129,6 +155,8 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # past the interpreter's digit or nesting limit
+        raise ValidationError(f"scenario {str(path)!r}: {exc}") from None
     return parse_scenario(doc)
 
 

@@ -129,8 +129,8 @@ class Partition:
         for cell in self.cells:
             if not cell:
                 raise ValidationError("partition cells must be nonempty")
-            if list(cell) != sorted(cell):
-                raise ValidationError("cell indices must be sorted ascending")
+            if list(cell) != sorted(set(cell)):
+                raise ValidationError("cell indices must be distinct and sorted ascending")
             if seen & set(cell):
                 raise ValidationError("partition cells must be disjoint")
             seen.update(cell)
@@ -208,6 +208,12 @@ class RandomVariable:
     @staticmethod
     def constant(space: FiniteProbabilitySpace, value) -> "RandomVariable":
         return RandomVariable(space, (ext(value),) * space.size)
+
+    @staticmethod
+    def from_cells(partition: Partition, per_cell: Sequence[ExtReal]) -> "RandomVariable":
+        """The measurable variable holding per_cell[c] on cell c of the partition."""
+        cell_of = partition._cell_of  # type: ignore[attr-defined]
+        return RandomVariable(partition.space, tuple([per_cell[c] for c in cell_of]))
 
     @staticmethod
     def indicator(event: Event) -> "RandomVariable":

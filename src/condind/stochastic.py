@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checks import CheckReport, falsify
+from .checks import CheckReport, Verdict, additivity_trials, falsify
 from .errors import (
     CapExceededError,
     GridTooLargeError,
@@ -27,7 +27,7 @@ from .indicators import (
     builtin_indicator,
     esssup_cond,
 )
-from .sampling import DEFAULT_SAMPLES, derive_rng, iter_cases, sample_event, sample_rv
+from .sampling import DEFAULT_SAMPLES, derive_rng, iter_cases, sample_event
 from .space import (
     DEFAULT_EVENT_CAP,
     Event,
@@ -65,9 +65,6 @@ class StochasticIndicator:
             tuple(builtin_indicator(name, p) for p in filtration.partitions),
         )
 
-    def at(self, time: str) -> IndicatorSpec:
-        return self.indicators[self.filtration.index_of(time)]
-
 
 @dataclass(frozen=True)
 class AdaptedProcess:
@@ -84,9 +81,6 @@ class AdaptedProcess:
                 raise SpaceMismatchError("process variables must live on the filtration's space")
             if not is_measurable(rv, part):
                 raise ValidationError("process value not measurable at its time")
-
-    def at(self, time: str) -> RandomVariable:
-        return self.values[self.filtration.index_of(time)]
 
 
 def check_tower(
@@ -194,10 +188,7 @@ def projection_solve(
         target = I0(x_cell)
         kept = []
         for v in candidates:
-            z_cell = RandomVariable(
-                X.space,
-                tuple(v if i in ev.members else ZERO for i in range(X.space.size)),
-            )
+            z_cell = restrict(RandomVariable.constant(X.space, v), ev)
             if I0.in_domain(z_cell) and I0(z_cell) == target:
                 kept.append(v)
         survivors_per_cell.append(sorted(kept))
@@ -212,13 +203,8 @@ def projection_solve(
 
     solutions: list[RandomVariable] = []
     for combo in itertools.product(*survivors_per_cell):
-        vals: list[ExtReal] = [ZERO] * X.space.size
-        for v, cell in zip(combo, Ft.cells):
-            for i in cell:
-                vals[i] = v
-        Z = RandomVariable(X.space, tuple(vals))
-        report = check_projection(I0, Z, X, Ft, cap=cap)
-        if report.ok and report.verdict.value == "verified":
+        Z = RandomVariable.from_cells(Ft, combo)
+        if check_projection(I0, Z, X, Ft, cap=cap).verdict is Verdict.VERIFIED:
             solutions.append(Z)
     solutions.sort(key=lambda rv: tuple((v.kind, v.frac) for v in rv.values))
     return solutions
@@ -238,11 +224,8 @@ def check_projection_uniqueness_premises(
 
     def trials():
         if superadditive:
-            for X in iter_cases(space, rng, samples):
-                Y = sample_rv(space, rng)
-                if I0.in_domain(X) and I0.in_domain(Y) and I0.in_domain(X + Y):
-                    lhs, rhs = I0(X + Y), I0(X) + I0(Y)
-                    yield lhs.ge(rhs), dict(premise="superadditivity", X=X, Y=Y, lhs=lhs, rhs=rhs)
+            for ok, witness in additivity_trials(I0, rng, samples, RandomVariable.ge):
+                yield ok, dict(witness, premise="superadditivity")
         for Y in iter_cases(space, rng, samples, nonneg=True):
             if I0.in_domain(Y):
                 value = I0(Y)

@@ -1,5 +1,9 @@
 """Checker battery against built-ins and constructed violators."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from condind import (
@@ -14,6 +18,8 @@ from condind import (
     check_convex_implies_regular,
     check_hplus_decomposition,
     check_regular,
+    check_projection_uniqueness_premises,
+    check_prop_rm,
     check_structural,
     condexp_ext_indicator,
     condexp_indicator,
@@ -21,8 +27,14 @@ from condind import (
     esssup_cond,
     esssup_indicator,
     expectation,
+    recover_density,
 )
+from condind.checks import falsify, scaling_trials
+from condind.cli import jsonable
+from condind.errors import HypothesisFailedError
+from condind.expectation_ext import _hypothesis_reports
 from condind.extreal import ZERO
+from condind.sampling import ALPHA_GRID, derive_rng
 from conftest import rv
 
 
@@ -179,3 +191,67 @@ def test_checkreport_helpers():
     assert not bad.ok and bad.alarm
     skip = CheckReport.skipped("p", "why")
     assert skip.ok and skip.reason == "why"
+
+
+def _declaring(I, flag):
+    return replace(I, flags=I.flags | {flag})
+
+
+def _density_hypothesis_reports(I, seed):
+    with pytest.raises(HypothesisFailedError) as err:
+        recover_density(I, samples=40, seed=seed)
+    return err.value.reports
+
+
+# Counterexample paths of the shared additivity, self-duality and scaling
+# laws: the verify-all digests only cover verified reports. The digests are
+# those of the hand-written loops the shared laws replaced, on the same inputs.
+COUNTEREXAMPLE_PATHS = {
+    "superadditive:esssup": lambda H, seed: check_structural(
+        esssup_indicator(H), Flag.SUPERADDITIVE, 40, seed),
+    "self-dual:esssup": lambda H, seed: check_structural(
+        esssup_indicator(H), Flag.SELF_DUAL, 40, seed),
+    "subadditive:essinf": lambda H, seed: check_structural(
+        essinf_indicator(H), Flag.SUBADDITIVE, 40, seed),
+    "pos-homogeneous:esssup+1": lambda H, seed: check_structural(
+        shifted_esssup(H.space, H), Flag.POS_HOMOGENEOUS, 40, seed),
+    "uniqueness-premises:essinf": lambda H, seed: check_projection_uniqueness_premises(
+        essinf_indicator(H), 40, seed),
+    "uniqueness-premises:esssup-declared-superadditive": lambda H, seed: (
+        check_projection_uniqueness_premises(_declaring(esssup_indicator(H), Flag.SUPERADDITIVE), 40, seed)),
+    "prop-rm:esssup-declared-superadditive": lambda H, seed: check_prop_rm(
+        _declaring(esssup_indicator(H), Flag.SUPERADDITIVE), 40, seed),
+    "recover-density:esssup": lambda H, seed: _density_hypothesis_reports(esssup_indicator(H), seed),
+    # global-mean scales with every constant but with no cell-varying coefficient
+    "pos-homogeneous:global-mean": lambda H, seed: check_structural(
+        global_mean_indicator(H.space, H), Flag.POS_HOMOGENEOUS, 40, seed),
+    "linear-scaling:global-mean": lambda H, seed: falsify(
+        "linear-scaling:global-mean",
+        scaling_trials(global_mean_indicator(H.space, H), derive_rng(seed, "linear-scaling:global-mean"),
+                       40, ALPHA_GRID, allow_inf=False)),
+    # verified, but condexp's domain makes the case counts depend on the draws
+    "recover-density-hypotheses:condexp": lambda H, seed: _hypothesis_reports(condexp_indicator(H), 40, seed),
+}
+
+# sha256 of the JSON of each path's reports for seeds 0-4
+COUNTEREXAMPLE_DIGESTS = {
+    "pos-homogeneous:esssup+1": "8b0153f2a119982adb1a2836dc0250cdccf29d636e346752ceb8d7b5623414dd",
+    "prop-rm:esssup-declared-superadditive": "55705323fb0560849fad3b1c57f176edd4e5e0c53f4cbdc90658d686b834b5db",
+    "recover-density:esssup": "0820d58ad246e679d36a4696ff4ae193187c7156af3812fd54f08c44467bd36e",
+    "self-dual:esssup": "ae0e2434e3d9ddc0d44ea25378ac069311cfc8f68e8fc5c07c16dc13c1a4e276",
+    "subadditive:essinf": "2d76472be6e6bd79d0acc62ef6324dfbe904ef5a10b8b0fae4f73ae7ce151fcc",
+    "superadditive:esssup": "2d42c29f35535aaa5e4eba6ff031140afcac5b79e44bab1a8174ef3c32331628",
+    "uniqueness-premises:essinf": "24c4bd8b8923418495a44d4ff53c0ad287dfac409c19bb32eae5bff938bf38fc",
+    "uniqueness-premises:esssup-declared-superadditive":
+        "2282c9b506708593b40b311e307895e5c8957e8f35a4c2466e4c576779ab2025",
+    "pos-homogeneous:global-mean": "c3aec3ca6069ad3a636a21b96197b8ae2bccbf5177ce19153fb845dff9d70f6b",
+    "linear-scaling:global-mean": "10d7ccd3c4a63e021789887c18c51753941e1e087be28062ace14eefa78e77d3",
+    "recover-density-hypotheses:condexp": "061d6fcf58bd40cc9c2c1f13653d62054f4286aef90e4b5584972fbe779ea7b6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTEREXAMPLE_PATHS))
+def test_counterexample_paths_pinned(case, H):
+    reports = [jsonable(COUNTEREXAMPLE_PATHS[case](H, seed)) for seed in range(5)]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == COUNTEREXAMPLE_DIGESTS[case]

@@ -2,13 +2,17 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from condind.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_VALIDATION, run
+from condind.cli import EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, run
 from condind.errors import ParseError, ValidationError
 from condind.scenario import (
     CANONICAL_DOC,
@@ -108,6 +112,9 @@ MALFORMED_SCENARIOS = {
     "cells-string": dict(_TWO_ATOMS, partitions={"H": "ab"}),
     "filtration-string": mutated_doc(filtration="H"),
     "missing-file": None,
+    "cell-repeats-atom": dict(_TWO_ATOMS, partitions={"H": [["a", "a", "b"]]}),
+    "value-oversized-exponent": _with_value("1e5000"),
+    "value-oversized-integer": _with_value(10**200),
 }
 
 
@@ -127,6 +134,7 @@ BAD_INVOCATIONS = {
     "tol-text": (["--tol", "abc"], {}),
     "tol-zero-denominator": (["--tol", "1/0"], {}),
     "cap-env-text": ([], {"CONDIND_CAP": "abc"}),
+    "tol-oversized-exponent": (["--tol", "1e2000000"], {}),
 }
 
 
@@ -141,6 +149,55 @@ def test_bad_invocation_exits_2_without_traceback(case, monkeypatch, capsys):
     assert "Traceback" not in err
     if env:  # past argument parsing, errors are JSON
         assert "error" in json.loads(err)
+
+
+BAD_GRIDS = {
+    "grid-text": "abc",
+    "grid-zero-denominator": "1/0",
+    "grid-oversized-exponent": "1e5000",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+def test_bad_project_grid_exits_2_with_json_error(case, capsys):
+    code = run(["project", "--var", "X", "--time", "H", "--grid", BAD_GRIDS[case]])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION, err
+    assert "error" in json.loads(err)
+    assert "Traceback" not in err
+
+
+# JSON texts that json.loads itself refuses with other errors than a decode error
+RAW_SCENARIO_TEXTS = {
+    "integer-past-digit-limit":
+        '{"atoms": [{"label": "a", "prob": 1}], "variables": {"X": {"a": %s}}}' % ("9" * 5000),
+    "nesting-past-recursion-limit": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_SCENARIO_TEXTS))
+def test_json_past_interpreter_limits_exits_2(case, tmp_path, capsys):
+    p = tmp_path / "s.json"
+    p.write_text(RAW_SCENARIO_TEXTS[case])
+    code = run(["apply", "--scenario", str(p), "--indicator", "esssup", "--var", "X"])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION, err
+    assert "error" in json.loads(err)
+
+
+def test_unrenderable_result_exits_3_with_json_error(tmp_path, capsys):
+    # every literal is within the digit bound, but the mean of 50 values whose
+    # 91-digit denominators share few factors has more digits than str() may print
+    labels = [f"w{i}" for i in range(50)]
+    doc = {
+        "atoms": [{"label": a, "prob": "1/50"} for a in labels],
+        "variables": {"X": {a: f"1/{10**90 + i}" for i, a in enumerate(labels)}},
+    }
+    code = run(["condexp-ext", "--scenario", write_scenario(tmp_path, doc), "--var", "X"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL, captured.err
+    assert "internal-error" in json.loads(captured.err)
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_round_trip(tmp_path):
@@ -297,3 +354,101 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["value"]["d"] == "4"
+
+
+# -- fuzzed input contract ----------------------------------------------------
+
+_LABELS = ("a", "b", "c")
+_VALID_LITERALS = st.one_of(
+    st.fractions(max_denominator=6, min_value=-9, max_value=9).map(str),
+    st.integers(-9, 9),
+    st.sampled_from(["inf", "-inf", "0.5", " 1/3 "]),
+)
+_ANY_LITERALS = st.one_of(
+    _VALID_LITERALS,
+    st.sampled_from(["abc", "1/0", "", "1e5000", "1e-5000", "1e2000000", "nan", "1_0"]),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-10**7, 10**7)),
+    st.integers(4300, 10**7).map("1e{}".format),  # past the int-to-str limit once expanded
+    st.text(alphabet="0123456789/.-+eE_ ", max_size=8),
+    st.integers(min_value=10**90, max_value=10**4000),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+_JSON_JUNK = st.recursive(
+    st.one_of(_ANY_LITERALS, st.sampled_from(_LABELS)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(_LABELS), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _scenario_docs(draw):
+    """A valid scenario, or one with a bad value, probability or section."""
+    labels = list(_LABELS[: draw(st.integers(1, 3))])
+    doc = {
+        "atoms": [{"label": a, "prob": f"1/{len(labels)}"} for a in labels],
+        "partitions": {
+            "F0": [labels],
+            "H": draw(st.sampled_from([[labels[:1], labels[1:]] if labels[1:] else [labels], [labels]])),
+            "F2": [[a] for a in labels],
+        },
+        "filtration": draw(st.sampled_from([["F0", "H", "F2"]] * 3 + [["F0", "F2"], ["H", "F0"], []])),
+        "variables": {v: {a: draw(_VALID_LITERALS) for a in labels} for v in ("X", "Y")},
+    }
+    fault = draw(st.sampled_from(["none", "none", "value", "prob", "section"]))
+    if fault == "value":
+        doc["variables"][draw(st.sampled_from(["X", "Y"]))][labels[-1]] = draw(_ANY_LITERALS)
+    elif fault == "prob":
+        doc["atoms"][0]["prob"] = draw(_ANY_LITERALS)
+    elif fault == "section":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON_JUNK)
+    return doc
+
+
+_INDICATORS = st.sampled_from([
+    "esssup", "essinf", "condexp", "condexp-ext", "dual:esssup", "mix:condexp",
+    "famsup:esssup,essinf", "weighted:X", "lowext:esssup:Y", "upext:condexp:X,Y", "nope",
+])
+_NAMES = st.sampled_from(["X", "Y"] * 3 + ["nope"])
+_PARTS = st.sampled_from(["F0", "H", "F2"] * 2 + ["nope"])
+_FAMILIES = st.sampled_from(["esssup", "essinf", "condexp", "condexp-ext"])
+_TEXT = _ANY_LITERALS.map(str)
+_TOLS = st.fractions(min_value=Fraction(1, 64), max_value=1, max_denominator=64).map(str)
+_ARGVS = st.one_of(
+    st.tuples(_INDICATORS, _PARTS, _NAMES).map(
+        lambda t: ["apply", "--indicator", t[0], "--sigma", t[1], "--var", t[2]]),
+    st.tuples(_INDICATORS, st.sampled_from(["axioms", "regular", "hplus", "linear", "self_dual",
+                                            "fatou", "nope"])).map(
+        lambda t: ["check", "--indicator", t[0], "--sigma", "H", "--property", t[1], "--samples", "3"]),
+    st.tuples(_FAMILIES, _PARTS, _PARTS).map(
+        lambda t: ["tower", "--family", t[0], "--s", t[1], "--t", t[2], "--samples", "3"]),
+    st.tuples(_NAMES, _PARTS, st.lists(_TEXT, max_size=3)).map(
+        lambda t: ["project", "--var", t[0], "--time", t[1], "--grid=" + ",".join(t[2])]),
+    st.tuples(_FAMILIES, _NAMES).map(lambda t: ["envelope", "--family", t[0], "--payoff", t[1]]),
+    st.tuples(_INDICATORS, _NAMES, st.one_of(_TOLS, _TEXT)).map(
+        lambda t: ["risk", "--indicator", t[0], "--var", t[1], "--tol=" + t[2]]),
+    st.tuples(_NAMES, _PARTS).map(lambda t: ["condexp-ext", "--var", t[0], "--sigma", t[1]]),
+    st.tuples(_NAMES, _NAMES).map(lambda t: ["additivity-set", "--x", t[0], "--y", t[1]]),
+    _INDICATORS.map(lambda i: ["recover-density", "--indicator", i, "--samples", "3"]),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(doc=_scenario_docs(), argv=_ARGVS)
+def test_fuzzed_input_exits_0_1_or_2_without_traceback(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([*argv, "--scenario", path])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_VALIDATION), err
+    assert "Traceback" not in err
+    if code == EXIT_VALIDATION and not err.startswith("usage:"):  # argparse rejects argv in text
+        assert "error" in json.loads(err)
