@@ -359,12 +359,19 @@ def _fraction(text: str) -> Fraction:
     return value.frac
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they exit 2 with a JSON error."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="condind",
         description="Exact conditional-indicator calculus over JSON scenario trees.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario", help="path to a scenario JSON (default: built-in 4-atom tree)")
@@ -449,12 +456,8 @@ def _render_text(report: RunReport) -> str:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         if args.cap is None:
             env_cap = os.environ.get("CONDIND_CAP", str(DEFAULT_EVENT_CAP))
             try:
@@ -467,6 +470,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         else:
             text = _render_text(report)
+    except SystemExit:  # --help printed its text; usage errors raise ValidationError
+        return EXIT_OK
     except CondIndError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return EXIT_VALIDATION

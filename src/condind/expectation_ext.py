@@ -13,11 +13,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .checks import CheckReport, Verdict, additivity_trials, falsify, self_duality_trials
 from .errors import BadDensityError, CapExceededError, HypothesisFailedError
 from .extreal import ONE, ZERO, ExtReal, ext
-from .indicators import Flag, IndicatorSpec, ext_cond_expectation_closed_form
+from .indicators import EvalFn, Flag, IndicatorSpec, ext_cond_expectation_closed_form
 from .sampling import (
     ALPHA_GRID,
     DEFAULT_SAMPLES,
@@ -33,6 +34,7 @@ from .space import (
     Partition,
     RandomVariable,
     _require_same_space,
+    cell_mean,
     enumerate_events,
     expectation,
     restrict,
@@ -182,12 +184,35 @@ def _validate_density(density: RandomVariable, H: Partition) -> None:
         raise BadDensityError("density must have conditional mean 1")
 
 
+def _weighted_cell_means(H: Partition, density: RandomVariable) -> EvalFn:
+    """X -> E(density * X | H) as cell means under Q = density * P.
+
+    Q's integer atom weights are q_i = w_i * rho_i * L, with w the space's
+    weights and L the lcm of rho's denominators. A validated density has
+    E(rho|C) = 1 on every cell C, so sum_C q_i = L * D * P(C) (D = sum(w))
+    and sum_C q_i x_i / sum_C q_i is E(rho X|C) as the same rational; q_i > 0
+    exactly when rho_i > 0, so infinite atoms give the same tags, and no
+    product rho * X is formed.
+    """
+    fracs = [v.frac for v in density.values]
+    L = lcm(*(f.denominator for f in fracs))
+    weights = density.space._weights  # type: ignore[attr-defined]
+    q = tuple(w * f.numerator * (L // f.denominator) for w, f in zip(weights, fracs))
+    cells = H.cells
+
+    def means(X: RandomVariable) -> RandomVariable:
+        _require_same_space(X, H)
+        return RandomVariable.from_cells(H, [cell_mean(X, cell, q) for cell in cells])
+
+    return means
+
+
 def weighted_expectation(
     X: RandomVariable, H: Partition, density: RandomVariable
 ) -> RandomVariable:
     """E(rho X | H) for a normalized density rho (finite, >= 0, both means 1)."""
     _validate_density(density, H)
-    return ext_cond_expectation_closed_form(density * X, H)
+    return _weighted_cell_means(H, density)(X)
 
 
 def weighted_indicator(H: Partition, density: RandomVariable, label: str = "weighted") -> IndicatorSpec:
@@ -195,7 +220,7 @@ def weighted_indicator(H: Partition, density: RandomVariable, label: str = "weig
     return IndicatorSpec(
         name=label,
         target=H,
-        eval_fn=lambda X: ext_cond_expectation_closed_form(density * X, H),
+        eval_fn=_weighted_cell_means(H, density),
         flags=frozenset(
             {Flag.INCREASING, Flag.POS_HOMOGENEOUS, Flag.REGULAR, Flag.SELF_DUAL}
         ),
@@ -271,6 +296,7 @@ def recover_density(
         for X in trial:
             if not I.in_domain(X):
                 continue
+            # the product rho * X, not the weighted kernel: an independent route
             if I(X) != ext_cond_expectation_closed_form(density * X, H):
                 mismatch = X
                 break

@@ -387,7 +387,9 @@ def patch(X: RandomVariable, event: Event, Y: RandomVariable) -> RandomVariable:
     )
 
 
-def cell_mean(X: RandomVariable, cell: Iterable[int]) -> ExtReal:
+def cell_mean(
+    X: RandomVariable, cell: Iterable[int], weights: Sequence[int] | None = None
+) -> ExtReal:
     """E(X+|C) - E(X-|C) on the atoms of one cell, convention arithmetic.
 
     An infinite atom makes its half-mean +inf because its mass is positive,
@@ -395,9 +397,14 @@ def cell_mean(X: RandomVariable, cell: Iterable[int]) -> ExtReal:
     +inf (-inf) is +inf (-inf), and an all-finite cell is the weighted mean
     sum(w_i v_i) / sum(w_i), accumulated in ints over the running common
     denominator of the values and normalised once.
+
+    ``weights`` are integer atom weights of another measure on the space
+    (default: the space's own). An infinite atom of weight 0 contributes
+    0 * inf = 0 and is skipped; the cell's total weight must be positive.
     """
     values = X.values
-    weights = X.space._weights  # type: ignore[attr-defined]
+    if weights is None:
+        weights = X.space._weights  # type: ignore[attr-defined]
     num = 0
     den = 1
     mass = 0
@@ -405,6 +412,8 @@ def cell_mean(X: RandomVariable, cell: Iterable[int]) -> ExtReal:
     for i in cell:
         v = values[i]
         if v.kind != _FIN:
+            if not weights[i]:
+                continue
             if v.kind > 0:
                 pos_inf = True
             else:

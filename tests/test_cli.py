@@ -147,8 +147,7 @@ def test_bad_invocation_exits_2_without_traceback(case, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION, err
     assert "Traceback" not in err
-    if env:  # past argument parsing, errors are JSON
-        assert "error" in json.loads(err)
+    assert "error" in json.loads(err)
 
 
 BAD_GRIDS = {
@@ -386,24 +385,36 @@ _JSON_JUNK = st.recursive(
 
 
 @st.composite
-def _scenario_docs(draw):
-    """A valid scenario, or one with a bad value, probability or section."""
+def _valid_scenario_docs(draw):
+    """A scenario document that loads: 1-3 atoms with drawn masses, three
+    nested partitions, a filtration over some of them and two variables."""
     labels = list(_LABELS[: draw(st.integers(1, 3))])
-    doc = {
-        "atoms": [{"label": a, "prob": f"1/{len(labels)}"} for a in labels],
+    masses = [draw(st.integers(1, 9)) for _ in labels]
+    return {
+        "atoms": [{"label": a, "prob": f"{m}/{sum(masses)}"} for a, m in zip(labels, masses)],
         "partitions": {
             "F0": [labels],
             "H": draw(st.sampled_from([[labels[:1], labels[1:]] if labels[1:] else [labels], [labels]])),
             "F2": [[a] for a in labels],
         },
-        "filtration": draw(st.sampled_from([["F0", "H", "F2"]] * 3 + [["F0", "F2"], ["H", "F0"], []])),
+        "filtration": draw(st.sampled_from([["F0", "H", "F2"]] * 3 + [["F0", "F2"], ["H", "F2"], []])),
         "variables": {v: {a: draw(_VALID_LITERALS) for a in labels} for v in ("X", "Y")},
     }
-    fault = draw(st.sampled_from(["none", "none", "value", "prob", "section"]))
+
+
+@st.composite
+def _scenario_docs(draw):
+    """A valid scenario, or one with a bad value, probability, filtration
+    order or section."""
+    doc = draw(_valid_scenario_docs())
+    labels = [atom["label"] for atom in doc["atoms"]]
+    fault = draw(st.sampled_from(["none", "none", "value", "prob", "filtration", "section"]))
     if fault == "value":
         doc["variables"][draw(st.sampled_from(["X", "Y"]))][labels[-1]] = draw(_ANY_LITERALS)
     elif fault == "prob":
         doc["atoms"][0]["prob"] = draw(_ANY_LITERALS)
+    elif fault == "filtration":
+        doc["filtration"] = ["F2", "F0"]
     elif fault == "section":
         doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON_JUNK)
     return doc
@@ -450,5 +461,16 @@ def test_fuzzed_input_exits_0_1_or_2_without_traceback(doc, argv):
     err = err.getvalue()
     assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_VALIDATION), err
     assert "Traceback" not in err
-    if code == EXIT_VALIDATION and not err.startswith("usage:"):  # argparse rejects argv in text
+    if code == EXIT_VALIDATION:
         assert "error" in json.loads(err)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(doc=_valid_scenario_docs())
+def test_scenario_to_dict_round_trips_exactly(doc):
+    s = parse_scenario(doc)
+    back = parse_scenario(scenario_to_dict(s))
+    assert back.space == s.space
+    assert back.partitions == s.partitions
+    assert back.filtration_names == s.filtration_names and back.filtration == s.filtration
+    assert back.variables == s.variables

@@ -1,6 +1,9 @@
 """Extended conditional expectation: identities, additivity classes,
 weighted expectations, and density recovery."""
 
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,7 +27,9 @@ from condind import (
     weighted_indicator,
 )
 from condind.battery import sample_normalized_density
+from condind.cli import jsonable
 from condind.errors import BadDensityError, HypothesisFailedError
+from condind.indicators import IndicatorSpec
 from condind.extreal import NEG_INF, POS_INF, ext
 from condind.sampling import derive_rng, sample_rv
 from condind.space import expectation, is_refinement
@@ -228,3 +233,87 @@ def test_scalar_identity_holds_even_with_negative_coefficients(space4, H):
     for a in (-2, Fraction(-1, 2), 0, Fraction(1, 2), 3):
         A = RandomVariable.constant(space4, a)
         assert cond_exp_extended(A * X, H) == A * cond_exp_extended(X, H)
+
+
+def _normalized(H: Partition, raw) -> RandomVariable:
+    """The density proportional to the nonnegative `raw` on each cell, with
+    conditional mean 1."""
+    space = H.space
+    vals = [Fraction(0)] * space.size
+    for cell in H.cells:
+        mass = sum(space.probs[i] for i in cell)
+        weighted = sum(Fraction(raw[i]) * space.probs[i] for i in cell)
+        for i in cell:
+            vals[i] = Fraction(raw[i]) * mass / weighted
+    return RandomVariable(space, tuple(ext(v) for v in vals))
+
+
+def test_weighted_kernel_matches_product_reference():
+    # every vector over the grid, with infinities landing on zero-density
+    # atoms, against the closed form of the product rho * X
+    space = FiniteProbabilitySpace(("a", "b", "c"), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+    grid = [NEG_INF, ext(-2), ext(Fraction(-1, 3)), ext(0), ext(Fraction(1, 2)), ext(3), POS_INF]
+    inputs = [RandomVariable(space, vals) for vals in itertools.product(grid, repeat=space.size)]
+    cases = 0
+    for H in all_partitions(space):
+        densities = [RandomVariable.constant(space, 1)]
+        for cell in H.cells:
+            if len(cell) >= 2:
+                raw = [1] * space.size
+                raw[cell[0]] = 0
+                raw[cell[-1]] = 2
+                densities.append(_normalized(H, raw))
+        for rho0 in densities:
+            I = weighted_indicator(H, rho0)
+            for X in inputs:
+                expected = cond_exp_extended(rho0 * X, H)
+                assert I(X) == expected, (H.cells, rho0.values, X.values)
+                assert weighted_expectation(X, H, rho0) == expected
+                cases += 1
+    assert cases == 3087
+
+
+def _space12():
+    space = FiniteProbabilitySpace(
+        tuple("abcdefghijkl"), tuple(Fraction(k, 78) for k in (5, 1, 9, 2, 12, 3, 7, 11, 4, 8, 6, 10))
+    )
+    H = Partition.from_cells(space, [(0, 3, 6, 9), (1, 4, 7, 10), (2, 5, 8, 11)])
+    rho0 = _normalized(H, [0, 3, 1, 2, 1, 4, 5, 0, 2, 1, 2, 3])
+    return H, rho0
+
+
+# DensityReports (density, both flags, mismatch witness) of weighted and
+# plain conditional expectations on a 4-atom and a 12-atom space
+DENSITY_PATHS = {
+    "weighted:space4": lambda H, seed: recover_density(
+        weighted_indicator(H, rv(H.space, "1/2", "3/2", 1, 1)), samples=40, seed=seed),
+    "condexp:space4": lambda H, seed: recover_density(condexp_indicator(H), samples=40, seed=seed),
+    "weighted:space12": lambda H, seed: recover_density(
+        weighted_indicator(*_space12()), samples=20, seed=seed),
+    "condexp:space12": lambda H, seed: recover_density(
+        condexp_indicator(_space12()[0]), samples=20, seed=seed),
+    # additive and self-dual but not local: the replay finds a mismatch witness
+    "global-mean:space4": lambda H, seed: recover_density(IndicatorSpec(
+        "global-mean", H, lambda X: RandomVariable.constant(H.space, expectation(X))),
+        samples=40, seed=seed),
+    # twice a conditional expectation: the recovered measure has mass 2
+    "doubled:space4": lambda H, seed: recover_density(IndicatorSpec(
+        "doubled", H, lambda X: cond_exp_extended(X.scale(2), H)), samples=40, seed=seed),
+}
+
+# sha256 of the JSON of each path's reports for seeds 0-4
+DENSITY_DIGESTS = {
+    "condexp:space12": "4ee99afd639a630db1db4724572c8652cdade4958cc0e495f24cffc6480613d7",
+    "condexp:space4": "70714e2f393ac68cf7d87662e4d51d9265c174099cea5cb1e3918e6164217cff",
+    "doubled:space4": "1325fef83c9d80fdad3e3940403a33f468806e101c8486e5831b410ee4d240a9",
+    "global-mean:space4": "9227b429c62f8c73ec42115989e7ae7384a9875e73abd8eb40727ece6789352a",
+    "weighted:space12": "8fe3d6e9da430ae7574d0cff53d2c0053c9a8c5f926bd7586c4e6daa15d2fa07",
+    "weighted:space4": "3852c6c4decde4690cc93065a5dcf33958818da2683710cdbefcee8b9e95741b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_PATHS))
+def test_recover_density_reports_pinned(case, H):
+    reports = [jsonable(DENSITY_PATHS[case](H, seed)) for seed in range(5)]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == DENSITY_DIGESTS[case]
