@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .checks import CheckReport, Verdict, additivity_trials, falsify, self_duality_trials
 from .errors import BadDensityError, CapExceededError, HypothesisFailedError
@@ -34,7 +33,7 @@ from .space import (
     Partition,
     RandomVariable,
     _require_same_space,
-    cell_mean,
+    cell_means,
     enumerate_events,
     expectation,
     restrict,
@@ -48,8 +47,8 @@ cond_exp_extended = ext_cond_expectation_closed_form
 def _infinite_halves(X: RandomVariable, cell: tuple[int, ...]) -> tuple[bool, bool]:
     # Whether E(X+|cell) and E(X-|cell) are +inf: a +inf (resp. -inf) atom
     # carries positive mass, and no finite atom can make a half-mean infinite.
-    vals = [X.values[i] for i in cell]
-    return any(v.is_pos_inf for v in vals), any(v.is_neg_inf for v in vals)
+    kinds = [X.kinds[i] for i in cell]
+    return 1 in kinds, -1 in kinds
 
 
 def check_lemm_cond_exp(
@@ -188,21 +187,18 @@ def _weighted_cell_means(H: Partition, density: RandomVariable) -> EvalFn:
     """X -> E(density * X | H) as cell means under Q = density * P.
 
     Q's integer atom weights are q_i = w_i * rho_i * L, with w the space's
-    weights and L the lcm of rho's denominators. A validated density has
-    E(rho|C) = 1 on every cell C, so sum_C q_i = L * D * P(C) (D = sum(w))
-    and sum_C q_i x_i / sum_C q_i is E(rho X|C) as the same rational; q_i > 0
-    exactly when rho_i > 0, so infinite atoms give the same tags, and no
-    product rho * X is formed.
+    weights and L = density.den, so rho_i * L is density.nums[i]. A
+    validated density has E(rho|C) = 1 on every cell C, so sum_C q_i =
+    L * D * P(C) (D = sum(w)) and sum_C q_i x_i / sum_C q_i is E(rho X|C)
+    as the same rational; q_i > 0 exactly when rho_i > 0, so infinite
+    atoms give the same tags, and no product rho * X is formed.
     """
-    fracs = [v.frac for v in density.values]
-    L = lcm(*(f.denominator for f in fracs))
     weights = density.space._weights  # type: ignore[attr-defined]
-    q = tuple(w * f.numerator * (L // f.denominator) for w, f in zip(weights, fracs))
-    cells = H.cells
+    q = tuple(w * n for w, n in zip(weights, density.nums))
 
     def means(X: RandomVariable) -> RandomVariable:
         _require_same_space(X, H)
-        return RandomVariable.from_cells(H, [cell_mean(X, cell, q) for cell in cells])
+        return cell_means(X, H, q)
 
     return means
 
@@ -342,4 +338,4 @@ def check_contractive(
 
 
 def abs_rv(X: RandomVariable) -> RandomVariable:
-    return RandomVariable(X.space, tuple(abs(v) for v in X.values))
+    return X.max_with(-X)

@@ -22,12 +22,13 @@ from .errors import (
     MixedTargetsError,
     NotMonotoneError,
 )
-from .extreal import ZERO, ExtReal
+from .extreal import ExtReal
 from .space import (
     Partition,
     RandomVariable,
+    _from_keys,
     _require_same_space,
-    cell_mean,
+    cell_means,
     patch,
 )
 
@@ -83,33 +84,33 @@ def esssup_cond(X: RandomVariable, H: Partition) -> RandomVariable:
     a null set.
     """
     _require_same_space(X, H)
-    vals = X.values
-    out: list[ExtReal] = [ZERO] * len(vals)
+    keys, finite = X._keys()
+    out = list(keys)
     for cell in H.cells:
-        m = vals[cell[0]]
+        m = keys[cell[0]]
         for i in cell[1:]:
-            v = vals[i]
+            v = keys[i]
             if v > m:
                 m = v
         for i in cell:
             out[i] = m
-    return RandomVariable(X.space, tuple(out))
+    return _from_keys(X.space, out, X.den, finite)
 
 
 def essinf_cond(X: RandomVariable, H: Partition) -> RandomVariable:
     """Greatest H-measurable minorant of X: the per-cell minimum."""
     _require_same_space(X, H)
-    vals = X.values
-    out: list[ExtReal] = [ZERO] * len(vals)
+    keys, finite = X._keys()
+    out = list(keys)
     for cell in H.cells:
-        m = vals[cell[0]]
+        m = keys[cell[0]]
         for i in cell[1:]:
-            v = vals[i]
+            v = keys[i]
             if v < m:
                 m = v
         for i in cell:
             out[i] = m
-    return RandomVariable(X.space, tuple(out))
+    return _from_keys(X.space, out, X.den, finite)
 
 
 # -- extended conditional expectation (closed form) ---------------------------
@@ -122,7 +123,7 @@ def ext_cond_expectation_closed_form(X: RandomVariable, H: Partition) -> RandomV
     inf - inf = 0 convention.
     """
     _require_same_space(X, H)
-    return RandomVariable.from_cells(H, [cell_mean(X, cell) for cell in H.cells])
+    return cell_means(X, H)
 
 
 # -- built-in indicators ------------------------------------------------------
@@ -167,15 +168,10 @@ def _cellwise_finite_or_constant(H: Partition) -> DomainPredicate:
     # Integrable-or-measurable, cell by cell: closed under adding extended
     # measurable variables and under patching along events of H.
     def dom(X: RandomVariable) -> bool:
+        kinds, nums = X.kinds, X.nums
         for cell in H.cells:
-            first = X.values[cell[0]]
-            finite = first.is_finite
-            constant = True
-            for i in cell[1:]:
-                v = X.values[i]
-                finite = finite and v.is_finite
-                constant = constant and v == first
-            if not (finite or constant):
+            k, n = kinds[cell[0]], nums[cell[0]]
+            if any(kinds[i] for i in cell) and any(kinds[i] != k or nums[i] != n for i in cell):
                 return False
         return True
 
@@ -366,13 +362,14 @@ def _extension(
     qualifies, improves = (operator.le, operator.gt) if lower else (operator.ge, operator.lt)
     H = I.target
     base = essinf_cond(X, H) if lower else esssup_cond(X, H)
+    # each anchor's and X's order keys over their common denominator
+    keyed = [Y._aligned(X)[:2] for Y in E_list]
     per_cell: list[ExtReal] = []
     for ci, cell in enumerate(H.cells):
         best = base.values[cell[0]]
         event = H.cell_event(ci)
-        for Y in E_list:
-            _require_same_space(Y, X)
-            if all(qualifies(Y.values[i], X.values[i]) for i in cell):
+        for Y, (y, x) in zip(E_list, keyed):
+            if all(qualifies(y[i], x[i]) for i in cell):
                 cand = patch(Y, event, base)
                 if I.in_domain(cand):
                     v = I.eval_fn(cand).values[cell[0]]

@@ -12,10 +12,11 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .extreal import NEG_INF, POS_INF, ExtReal, ext
-from .space import Event, FiniteProbabilitySpace, Partition, RandomVariable
+from .space import Event, FiniteProbabilitySpace, Partition, RandomVariable, _packed
 
 DEFAULT_SAMPLES = 500
 
@@ -57,21 +58,22 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def sample_fraction(rng: random.Random) -> Fraction:
+def _draw(rng: random.Random, allow_inf: bool, nonneg: bool) -> tuple[int, int, int]:
+    # one value as (tag, numerator, denominator), tag -1/0/+1 for -inf/finite/+inf
+    if allow_inf and rng.random() < 0.12:
+        if nonneg:
+            return 1, 0, 1
+        return (1 if rng.random() < 0.5 else -1), 0, 1
     num = rng.randint(-8, 8)
     den = rng.choice((1, 1, 2, 3, 4))
-    return Fraction(num, den)
+    return 0, abs(num) if nonneg else num, den
 
 
 def sample_value(rng: random.Random, allow_inf: bool = True, nonneg: bool = False) -> ExtReal:
-    if allow_inf and rng.random() < 0.12:
-        if nonneg:
-            return POS_INF
-        return POS_INF if rng.random() < 0.5 else NEG_INF
-    f = sample_fraction(rng)
-    if nonneg:
-        f = abs(f)
-    return ext(f)
+    kind, num, den = _draw(rng, allow_inf, nonneg)
+    if kind:
+        return POS_INF if kind > 0 else NEG_INF
+    return ext(Fraction(num, den))
 
 
 def sample_rv(
@@ -80,9 +82,9 @@ def sample_rv(
     allow_inf: bool = True,
     nonneg: bool = False,
 ) -> RandomVariable:
-    return RandomVariable(
-        space, tuple(sample_value(rng, allow_inf, nonneg) for _ in space.atoms)
-    )
+    draws = [_draw(rng, allow_inf, nonneg) for _ in space.atoms]
+    den = lcm(*[d for _, _, d in draws])
+    return _packed(space, [k for k, _, _ in draws], [n * (den // d) for _, n, d in draws], den)
 
 
 def sample_measurable(
@@ -111,17 +113,11 @@ def corner_rvs(space: FiniteProbabilitySpace, allow_inf: bool = True) -> list[Ra
         RandomVariable.constant(space, 1),
         RandomVariable.constant(space, -1),
     ]
-    for i in range(n):
-        unit = [ext(0)] * n
-        unit[i] = ext(1)
-        out.append(RandomVariable(space, tuple(unit)))
+    out.extend(RandomVariable.indicator(Event(space, frozenset({i}))) for i in range(n))
     if allow_inf and n >= 2:
-        spike = [ext(0)] * n
-        spike[0] = POS_INF
-        out.append(RandomVariable(space, tuple(spike)))
-        mixed = [ext(1)] * n
-        mixed[0], mixed[1] = POS_INF, NEG_INF
-        out.append(RandomVariable(space, tuple(mixed)))
+        finite = (0,) * (n - 2)
+        out.append(_packed(space, (1, 0) + finite, (0,) * n, 1))  # +inf, then 0s
+        out.append(_packed(space, (1, -1) + finite, (0, 0) + (1,) * (n - 2), 1))  # +inf, -inf, then 1s
     return out
 
 

@@ -3,19 +3,25 @@
 Atoms all carry strictly positive rational mass, so "almost surely" is
 "everywhere" and every equality in the package is exact. A sub-sigma-algebra
 is a partition of the atom set; refinement of partitions models inclusion of
-sigma-algebras. Random variables are atom-indexed ExtReal vectors.
+sigma-algebras. Random variables are atom-indexed extended rationals, stored
+as infinity tags and integer numerators over one shared denominator, so
+pointwise arithmetic and order run on ints; ExtReal scalars are built only
+when ``values`` is read.
 
 Each space also keeps integer atom weights: with D the least common
 denominator of the probabilities, atom i weighs ``probs[i] * D``. Means are
-weight sums over ints, so a cell mean costs one ``Fraction`` normalisation
-instead of one per atom, and the value is the same exact rational.
+weight sums over ints, normalised once per variable instead of once per
+atom, and the value is the same exact rational.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import repeat
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, SpaceMismatchError, ValidationError
@@ -48,8 +54,10 @@ class FiniteProbabilitySpace:
         weights = tuple(p.numerator * (D // p.denominator) for p in self.probs)
         if sum(weights) != D:
             raise ValidationError("probabilities must sum to exactly 1")
-        # integer atom weights probs[i] * D, read by `cell_mean`
+        # integer atom weights probs[i] * D, read by `cell_means`
         object.__setattr__(self, "_weights", weights)
+        # the tags of every all-finite RandomVariable on the space
+        object.__setattr__(self, "_finite_kinds", (0,) * len(self.atoms))
 
     @staticmethod
     def uniform(labels: Sequence[str]) -> "FiniteProbabilitySpace":
@@ -68,7 +76,7 @@ class FiniteProbabilitySpace:
 
 
 def _require_same_space(a, b) -> None:
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError("objects live on different probability spaces")
 
 
@@ -182,16 +190,127 @@ class Partition:
         return [[self.space.atoms[i] for i in cell] for cell in self.cells]
 
 
-@dataclass(frozen=True)
-class RandomVariable:
-    """One ExtReal per atom. Equality is exact (no null atoms exist)."""
+def _tag_table(op) -> dict[tuple[int, int], int]:
+    # The tag of `op`'s result for each pair of atom codes 2*kind + sign
+    # (-2/+2 for -inf/+inf, -1/0/+1 for a finite value's sign), read once off
+    # ExtReal's convention table: with an infinite side the result is +-inf
+    # or 0, whatever the finite magnitude.
+    reps = {-2: NEG_INF, -1: ExtReal(-1), 0: ZERO, 1: ExtReal(1), 2: POS_INF}
+    return {(a, b): op(x, y).kind for a, x in reps.items() for b, y in reps.items()}
 
-    space: FiniteProbabilitySpace
-    values: tuple[ExtReal, ...]
+
+_ADD_TAGS = _tag_table(operator.add)
+_SUB_TAGS = _tag_table(operator.sub)
+_MUL_TAGS = _tag_table(operator.mul)
+
+
+@lru_cache(maxsize=256)
+def _finite(num: int, den: int) -> ExtReal:
+    # shared: the `values` of many variables hold the same few scalars
+    return ExtReal(Fraction(num, den), _kind=_FIN)
+
+
+_INFINITE = {1: POS_INF, -1: NEG_INF}
+
+
+def _pack(values: Sequence[ExtReal]) -> tuple[tuple[int, ...], list[int], int]:
+    fracs = [v.frac for v in values]
+    den = lcm(*[f.denominator for f in fracs])
+    return tuple([v.kind for v in values]), [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+class _Unsealed:
+    # RandomVariable's storage without its guard against assignment: `_packed`
+    # fills one and then seals it by switching its class, which is cheaper
+    # than going through object.__setattr__ once per field.
+    __slots__ = ("space", "kinds", "nums", "den", "_values")
+
+
+def _packed(space, kinds, nums, den: int, values=None) -> "RandomVariable":
+    """The one constructor of RandomVariable: tags `kinds`, values
+    nums[i] / den on finite atoms, reduced to the unique packed form."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    finite = space._finite_kinds
+    if kinds is not finite and not any(kinds):
+        kinds = finite
+    rv = object.__new__(_Unsealed)
+    rv.space = space
+    rv.kinds = tuple(kinds)
+    rv.nums = tuple(nums)
+    rv.den = den
+    rv._values = values
+    rv.__class__ = RandomVariable
+    rv.__post_init__()
+    return rv
+
+
+def _from_keys(space, keys, den: int, finite: bool) -> "RandomVariable":
+    # the variable of order keys over `den`, see `RandomVariable._keys`
+    if finite:
+        return _packed(space, space._finite_kinds, keys, den)
+    kinds, nums = zip(*keys)
+    return _packed(space, kinds, nums, den)
+
+
+def _repeat(space, v: ExtReal) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    n = space.size
+    kinds = (v.kind,) * n if v.kind else space._finite_kinds
+    return kinds, (v.frac.numerator,) * n, v.frac.denominator
+
+
+class RandomVariable(_Unsealed):
+    """One ExtReal per atom. Equality is exact (no null atoms exist).
+
+    Stored packed: ``kinds`` tags each atom -1/0/+1 (-inf, finite, +inf),
+    ``nums`` holds integer numerators (0 on infinite atoms) and ``den`` is
+    the one denominator, the lcm of the finite values' reduced denominators.
+    The form is unique, so ``==`` and ``hash`` compare it directly. An
+    all-finite variable shares its space's tuple of 0 tags. ``values``, the
+    ExtReal tuple, is built on first use and kept.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, space: FiniteProbabilitySpace, values: Sequence[ExtReal]):
+        values = tuple(values)
+        return _packed(space, *_pack(values), values)
 
     def __post_init__(self):
-        if len(self.values) != self.space.size:
+        if len(self.nums) != len(self.space.atoms):
             raise ValidationError("value vector length must equal atom count")
+
+    @property
+    def values(self) -> tuple[ExtReal, ...]:
+        vals = self._values
+        if vals is None:
+            finite = map(_finite, self.nums, repeat(self.den))
+            vals = tuple([_INFINITE[k] if k else v for k, v in zip(self.kinds, finite)])
+            object.__setattr__(self, "_values", vals)
+        return vals
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RandomVariable is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RandomVariable):
+            return NotImplemented
+        return (
+            (self.space is other.space or self.space == other.space)
+            and self.den == other.den
+            and self.nums == other.nums
+            and self.kinds == other.kinds
+        )
+
+    def __hash__(self):
+        return hash((self.kinds, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"RandomVariable(space={self.space!r}, values={self.values!r})"
 
     @staticmethod
     def of(space: FiniteProbabilitySpace, values: Sequence | Mapping[str, object]) -> "RandomVariable":
@@ -207,79 +326,119 @@ class RandomVariable:
 
     @staticmethod
     def constant(space: FiniteProbabilitySpace, value) -> "RandomVariable":
-        return RandomVariable(space, (ext(value),) * space.size)
+        return _packed(space, *_repeat(space, ext(value)))
 
     @staticmethod
     def from_cells(partition: Partition, per_cell: Sequence[ExtReal]) -> "RandomVariable":
         """The measurable variable holding per_cell[c] on cell c of the partition."""
+        kinds, nums, den = _pack(per_cell)
         cell_of = partition._cell_of  # type: ignore[attr-defined]
-        return RandomVariable(partition.space, tuple([per_cell[c] for c in cell_of]))
+        return _packed(partition.space, [kinds[c] for c in cell_of], [nums[c] for c in cell_of], den)
 
     @staticmethod
     def indicator(event: Event) -> "RandomVariable":
-        one, zero = ext(1), ZERO
-        return RandomVariable(
-            event.space,
-            tuple(one if i in event.members else zero for i in range(event.space.size)),
-        )
+        nums = [0] * event.space.size
+        for i in event.members:
+            nums[i] = 1
+        return _packed(event.space, event.space._finite_kinds, nums, 1)
 
     # -- pointwise algebra (convention arithmetic throughout) ---------------
 
+    def _arith(self, kinds, nums, den: int, tags: dict) -> "RandomVariable":
+        # self OP other atomwise, other given packed and OP named by its tag
+        # table: finite atoms combine as ints over one denominator, an atom
+        # with an infinite side takes the table's tag and numerator 0 (the
+        # formula already gives 0 where the tag is 0: inf - inf, 0 * inf).
+        na, da = self.nums, self.den
+        if tags is _MUL_TAGS:
+            d = da * den
+            out = [x * y for x, y in zip(na, nums)]
+        else:
+            d = lcm(da, den)
+            s, t = d // da, d // den
+            if tags is _SUB_TAGS:
+                t = -t
+            out = [x * s + y * t for x, y in zip(na, nums)]
+        finite = self.space._finite_kinds
+        if self.kinds is finite and kinds is finite:
+            return _packed(self.space, finite, out, d)
+        tagged = [
+            tags[2 * a + (x > 0) - (x < 0), 2 * b + (y > 0) - (y < 0)]
+            for a, x, b, y in zip(self.kinds, na, kinds, nums)
+        ]
+        return _packed(self.space, tagged, [0 if k else n for k, n in zip(tagged, out)], d)
+
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         _require_same_space(self, other)
-        return RandomVariable(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._arith(other.kinds, other.nums, other.den, _ADD_TAGS)
 
     def __sub__(self, other: "RandomVariable") -> "RandomVariable":
         _require_same_space(self, other)
-        return RandomVariable(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._arith(other.kinds, other.nums, other.den, _SUB_TAGS)
 
     def __mul__(self, other: "RandomVariable") -> "RandomVariable":
         _require_same_space(self, other)
-        return RandomVariable(self.space, tuple(a * b for a, b in zip(self.values, other.values)))
+        return self._arith(other.kinds, other.nums, other.den, _MUL_TAGS)
 
     def __neg__(self) -> "RandomVariable":
-        return RandomVariable(self.space, tuple(-a for a in self.values))
+        kinds = self.kinds
+        if kinds is not self.space._finite_kinds:
+            kinds = [-k for k in kinds]
+        return _packed(self.space, kinds, [-n for n in self.nums], self.den)
 
     def scale(self, alpha) -> "RandomVariable":
-        a = ext(alpha)
-        return RandomVariable(self.space, tuple(a * v for v in self.values))
+        return self._arith(*_repeat(self.space, ext(alpha)), _MUL_TAGS)
 
     def shift(self, alpha) -> "RandomVariable":
-        a = ext(alpha)
-        return RandomVariable(self.space, tuple(v + a for v in self.values))
+        return self._arith(*_repeat(self.space, ext(alpha)), _ADD_TAGS)
 
     def pos(self) -> "RandomVariable":
-        return RandomVariable(self.space, tuple(v.pos_part() for v in self.values))
+        kinds = [k if k > 0 else 0 for k in self.kinds]
+        return _packed(self.space, kinds, [n if n > 0 else 0 for n in self.nums], self.den)
 
     def neg(self) -> "RandomVariable":
-        return RandomVariable(self.space, tuple(v.neg_part() for v in self.values))
+        kinds = [1 if k < 0 else 0 for k in self.kinds]
+        return _packed(self.space, kinds, [-n if n < 0 else 0 for n in self.nums], self.den)
+
+    def _keys(self) -> tuple[list | tuple, bool]:
+        """Order keys of the atoms over ``den``, and whether X is finite:
+        the numerators when it is, else (tag, numerator) pairs."""
+        if self.kinds is self.space._finite_kinds:
+            return self.nums, True
+        return list(zip(self.kinds, self.nums)), False
+
+    def _aligned(self, other: "RandomVariable") -> tuple[list, list, int, bool]:
+        """Both variables' order keys over one common denominator d."""
+        _require_same_space(self, other)
+        d = lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        a = [n * s for n in self.nums]
+        b = [n * t for n in other.nums]
+        finite = self.space._finite_kinds
+        if self.kinds is finite and other.kinds is finite:
+            return a, b, d, True
+        return list(zip(self.kinds, a)), list(zip(other.kinds, b)), d, False
 
     def max_with(self, other: "RandomVariable") -> "RandomVariable":
-        _require_same_space(self, other)
-        return RandomVariable(
-            self.space,
-            tuple(a if a >= b else b for a, b in zip(self.values, other.values)),
-        )
+        a, b, d, finite = self._aligned(other)
+        return _from_keys(self.space, [x if x >= y else y for x, y in zip(a, b)], d, finite)
 
     def min_with(self, other: "RandomVariable") -> "RandomVariable":
-        _require_same_space(self, other)
-        return RandomVariable(
-            self.space,
-            tuple(a if a <= b else b for a, b in zip(self.values, other.values)),
-        )
+        a, b, d, finite = self._aligned(other)
+        return _from_keys(self.space, [x if x <= y else y for x, y in zip(a, b)], d, finite)
 
     def le(self, other: "RandomVariable") -> bool:
-        _require_same_space(self, other)
-        return all(a <= b for a, b in zip(self.values, other.values))
+        a, b, _, _ = self._aligned(other)
+        return all(map(operator.le, a, b))
 
     def ge(self, other: "RandomVariable") -> bool:
         return other.le(self)
 
     def is_nonnegative(self) -> bool:
-        return all(v >= ZERO for v in self.values)
+        return -1 not in self.kinds and min(self.nums) >= 0
 
     def is_finite(self) -> bool:
-        return all(v.is_finite for v in self.values)
+        return not any(self.kinds)
 
     def as_mapping(self) -> dict[str, str]:
         return {a: str(v) for a, v in zip(self.space.atoms, self.values)}
@@ -358,9 +517,10 @@ def enumerate_events(partition: Partition, cap: int = DEFAULT_EVENT_CAP) -> list
 def is_measurable(X: RandomVariable, partition: Partition) -> bool:
     """True iff X is constant on every cell of the partition."""
     _require_same_space(X, partition)
+    keys, _ = X._keys()
     for cell in partition.cells:
-        first = X.values[cell[0]]
-        if any(X.values[i] != first for i in cell[1:]):
+        first = keys[cell[0]]
+        if any(keys[i] != first for i in cell[1:]):
             return False
     return True
 
@@ -368,73 +528,65 @@ def is_measurable(X: RandomVariable, partition: Partition) -> bool:
 def restrict(X: RandomVariable, event: Event) -> RandomVariable:
     """X on the event's atoms, exact 0 elsewhere (X * 1_H with 0*inf = 0)."""
     _require_same_space(X, event)
-    return RandomVariable(
-        X.space,
-        tuple(v if i in event.members else ZERO for i, v in enumerate(X.values)),
-    )
+    m = event.members
+    kinds = X.kinds
+    if kinds is not X.space._finite_kinds:
+        kinds = [k if i in m else 0 for i, k in enumerate(kinds)]
+    return _packed(X.space, kinds, [n if i in m else 0 for i, n in enumerate(X.nums)], X.den)
 
 
 def patch(X: RandomVariable, event: Event, Y: RandomVariable) -> RandomVariable:
     """X on the event, Y off it: X*1_H + Y*1_{H^c} as a single exact splice."""
     _require_same_space(X, event)
-    _require_same_space(X, Y)
-    return RandomVariable(
-        X.space,
-        tuple(
-            X.values[i] if i in event.members else Y.values[i]
-            for i in range(X.space.size)
-        ),
-    )
+    a, b, d, finite = X._aligned(Y)
+    m = event.members
+    return _from_keys(X.space, [x if i in m else y for i, (x, y) in enumerate(zip(a, b))], d, finite)
 
 
-def cell_mean(
-    X: RandomVariable, cell: Iterable[int], weights: Sequence[int] | None = None
-) -> ExtReal:
-    """E(X+|C) - E(X-|C) on the atoms of one cell, convention arithmetic.
+def _cell_means(
+    X: RandomVariable, cells: Iterable[Iterable[int]], weights: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    # Each cell's mean as a tag and a numerator over one common denominator:
+    # X.den times the lcm of the all-finite cells' integer masses.
+    kinds, nums = X.kinds, X.nums
+    means = []
+    for cell in cells:
+        s = m = 0
+        pos_inf = neg_inf = False
+        for i in cell:
+            if not kinds[i]:
+                s += weights[i] * nums[i]
+                m += weights[i]
+            elif weights[i]:
+                pos_inf = pos_inf or kinds[i] > 0
+                neg_inf = neg_inf or kinds[i] < 0
+        means.append((pos_inf - neg_inf, 0, 1) if pos_inf or neg_inf else (0, s, m))
+    L = lcm(*[m for _, _, m in means])
+    return [t for t, _, _ in means], [s * (L // m) for _, s, m in means], X.den * L
+
+
+def cell_means(
+    X: RandomVariable, partition: Partition, weights: Sequence[int] | None = None
+) -> RandomVariable:
+    """E(X+|C) - E(X-|C) on each cell C of the partition, convention arithmetic.
 
     An infinite atom makes its half-mean +inf because its mass is positive,
     so a cell holding both infinities is inf - inf = 0, one holding only
     +inf (-inf) is +inf (-inf), and an all-finite cell is the weighted mean
-    sum(w_i v_i) / sum(w_i), accumulated in ints over the running common
-    denominator of the values and normalised once.
+    sum(w_i v_i) / sum(w_i), summed in ints over X's denominator.
 
     ``weights`` are integer atom weights of another measure on the space
     (default: the space's own). An infinite atom of weight 0 contributes
-    0 * inf = 0 and is skipped; the cell's total weight must be positive.
+    0 * inf = 0 and is skipped; each cell's total weight must be positive.
     """
-    values = X.values
     if weights is None:
         weights = X.space._weights  # type: ignore[attr-defined]
-    num = 0
-    den = 1
-    mass = 0
-    pos_inf = neg_inf = False
-    for i in cell:
-        v = values[i]
-        if v.kind != _FIN:
-            if not weights[i]:
-                continue
-            if v.kind > 0:
-                pos_inf = True
-            else:
-                neg_inf = True
-            continue
-        f = v.frac
-        d = f.denominator
-        w = weights[i]
-        mass += w
-        if den % d:
-            common = lcm(den, d)
-            num *= common // den
-            den = common
-        num += w * f.numerator * (den // d)
-    if pos_inf:
-        return ZERO if neg_inf else POS_INF
-    if neg_inf:
-        return NEG_INF
-    return ExtReal(Fraction(num, den * mass), _kind=_FIN)
+    tags, nums, den = _cell_means(X, partition.cells, weights)
+    cell_of = partition._cell_of  # type: ignore[attr-defined]
+    return _packed(X.space, [tags[c] for c in cell_of], [nums[c] for c in cell_of], den)
 
 
 def expectation(X: RandomVariable) -> ExtReal:
-    """E(X) = E(X+) - E(X-) under the base measure: the cell mean of the whole space."""
-    return cell_mean(X, range(X.space.size))
+    """E(X) = E(X+) - E(X-) under the base measure: the mean of the one cell."""
+    (tag,), (num,), den = _cell_means(X, (range(X.space.size),), X.space._weights)  # type: ignore[attr-defined]
+    return _INFINITE[tag] if tag else _finite(num, den)

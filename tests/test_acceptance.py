@@ -43,7 +43,6 @@ from conftest import (
     ge_table,
     le_table,
     oracle_greatest_minorant,
-    oracle_least_dominator,
     rv,
 )
 
@@ -93,28 +92,67 @@ def test_criterion_01_convention_table():
         assert ext_mul(zero, pos) == zero and ext_mul(zero, neg) == zero
 
 
-def test_criterion_02_esssup_oracle_equivalence():
-    ge = ge_table()
+def memo_least_dominator(ge: list[list[bool]]):
+    """`conftest.oracle_least_dominator`'s ascending ge_table scan for one
+    cell, memoised on the set of grid indices the cell holds (a bitmask):
+    up to 5 atoms over the 8-value grid give only 218 distinct sets."""
+    memo: dict[int, int] = {}
+
+    def least(member_idx: list[int]) -> int:
+        mask = 0
+        for i in member_idx:
+            mask |= 1 << i
+        j = memo.get(mask)
+        if j is None:
+            j = 0
+            while not all(ge[j][i] for i in member_idx):
+                j += 1
+            memo[mask] = j
+        return j
+
+    return least
+
+
+def assert_esssup_matches_oracles(esssup, sizes) -> None:
+    """`esssup` against the least-dominator oracle on every grid variable and
+    partition of each size; essinf_cond against its mirror up to 4 atoms."""
+    least = memo_least_dominator(ge_table())
     le = le_table()
     grid = GRID_VALUES
-    with criterion(2, "esssup-least-dominator-oracle", 30.0):
-        for n in range(1, 6):
-            space = FiniteProbabilitySpace.uniform([chr(97 + i) for i in range(n)])
-            parts = all_partitions(space)
-            cells_of = [p.cells for p in parts]
-            mirror = n <= 4  # greatest-minorant mirror at the smaller sizes
-            for combo in itertools.product(range(len(grid)), repeat=n):
-                X = RandomVariable(space, tuple(grid[i] for i in combo))
-                for p, cells in zip(parts, cells_of):
-                    got = esssup_cond(X, p)
-                    want = oracle_least_dominator(combo, cells, ge)
+    for n in sizes:
+        space = FiniteProbabilitySpace.uniform([chr(97 + i) for i in range(n)])
+        parts = all_partitions(space)
+        cells_of = [p.cells for p in parts]
+        mirror = n <= 4  # greatest-minorant mirror at the smaller sizes
+        for combo in itertools.product(range(len(grid)), repeat=n):
+            X = RandomVariable(space, tuple(grid[i] for i in combo))
+            for p, cells in zip(parts, cells_of):
+                got = esssup(X, p).values
+                for cell in cells:
+                    assert got[cell[0]] == grid[least([combo[i] for i in cell])]
+                if mirror:
+                    got_inf = essinf_cond(X, p)
+                    want_inf = oracle_greatest_minorant(combo, cells, le)
                     for cell in cells:
-                        assert got.values[cell[0]] == want[cell[0]]
-                    if mirror:
-                        got_inf = essinf_cond(X, p)
-                        want_inf = oracle_greatest_minorant(combo, cells, le)
-                        for cell in cells:
-                            assert got_inf.values[cell[0]] == want_inf[cell[0]]
+                        assert got_inf.values[cell[0]] == want_inf[cell[0]]
+
+
+def test_criterion_02_esssup_oracle_equivalence():
+    with criterion(2, "esssup-least-dominator-oracle", 30.0):
+        assert_esssup_matches_oracles(esssup_cond, range(1, 6))
+
+
+def test_criterion_02_oracle_catches_second_largest():
+    def second_largest(X, H):
+        vals = list(X.values)
+        for cell in H.cells:
+            ranked = sorted(X.values[i] for i in cell)
+            for i in cell:
+                vals[i] = ranked[-2] if len(ranked) > 1 else ranked[0]
+        return RandomVariable(X.space, tuple(vals))
+
+    with pytest.raises(AssertionError):
+        assert_esssup_matches_oracles(second_largest, range(1, 3))
 
 
 def test_criterion_03_lemma_battery():

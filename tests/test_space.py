@@ -1,6 +1,7 @@
 """Spaces, partitions, events, random variables, filtrations."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from condind import (
     Partition,
     RandomVariable,
     enumerate_events,
+    essinf_cond,
+    esssup_cond,
     expectation,
     ext_cond_expectation_closed_form,
     is_measurable,
@@ -21,6 +24,7 @@ from condind import (
 )
 from condind.errors import CapExceededError, SpaceMismatchError, ValidationError
 from condind.extreal import NEG_INF, POS_INF, ZERO, ext
+from condind.sampling import ALPHA_GRID
 
 from conftest import all_partitions, rv
 
@@ -209,3 +213,73 @@ def test_filtration_checks_refinement(space4, H):
 
 def test_event_prob(space4):
     assert Event.from_labels(space4, ["a", "b"]).prob() == Fraction(1, 2)
+
+
+PACKED_GRID = (NEG_INF, ext(-2), ext("-1/3"), ZERO, ext("1/2"), ext(3), POS_INF)
+
+
+def assert_packed(got: RandomVariable, want) -> None:
+    # equal to the variable packed from the reference values, hash included
+    ref = RandomVariable(got.space, tuple(want))
+    assert got == ref and hash(got) == hash(ref)
+    assert got.values == ref.values
+
+
+def test_packed_ops_match_extreal_reference():
+    # every packed op against elementwise ExtReal arithmetic on the grid
+    two = FiniteProbabilitySpace(("a", "b"), (Fraction(1, 3), Fraction(2, 3)))
+    pairs = [RandomVariable(two, v) for v in itertools.product(PACKED_GRID, repeat=2)]
+    events2 = enumerate_events(Partition.discrete(two))
+    for X in pairs:
+        for Y in pairs:
+            xy = list(zip(X.values, Y.values))
+            for op in (operator.add, operator.sub, operator.mul):
+                assert_packed(op(X, Y), [op(a, b) for a, b in xy])
+            assert X.le(Y) == all(a <= b for a, b in xy)
+            assert_packed(X.max_with(Y), [a if a >= b else b for a, b in xy])
+            assert_packed(X.min_with(Y), [a if a <= b else b for a, b in xy])
+            for ev in events2:
+                assert_packed(patch(X, ev, Y), [a if i in ev.members else b for i, (a, b) in enumerate(xy)])
+
+    space = FiniteProbabilitySpace(("a", "b", "c"), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+    partitions = all_partitions(space)
+    assert len(partitions) == 5
+    for values in itertools.product(PACKED_GRID, repeat=3):
+        X = RandomVariable(space, values)
+        assert_packed(-X, [-v for v in values])
+        assert_packed(X.pos(), [v.pos_part() for v in values])
+        assert_packed(X.neg(), [v.neg_part() for v in values])
+        assert X.is_nonnegative() == all(v >= ZERO for v in values)
+        assert X.is_finite() == all(v.is_finite for v in values)
+        for alpha in ALPHA_GRID:
+            a = ext(alpha)
+            assert_packed(X.scale(alpha), [a * v for v in values])
+            assert_packed(X.shift(alpha), [v + a for v in values])
+        for H in partitions:
+            sup, inf = list(values), list(values)
+            for cell in H.cells:
+                for i in cell:
+                    sup[i] = max(values[j] for j in cell)
+                    inf[i] = min(values[j] for j in cell)
+            assert_packed(esssup_cond(X, H), sup)
+            assert_packed(essinf_cond(X, H), inf)
+            assert is_measurable(X, H) == (sup == inf)
+            for ev in enumerate_events(H):
+                assert_packed(restrict(X, ev), [v if i in ev.members else ZERO for i, v in enumerate(values)])
+
+    # equal values reached by different routes are equal and hash alike
+    X = RandomVariable(space, (ext("1/2"), ext("3/2"), ext(3)))
+    Y = RandomVariable(space, (ext("1/2"), ext("1/2"), ext("-1/3")))
+    routes = [
+        X + Y - Y,
+        X.scale(6).scale(Fraction(1, 6)),
+        X.shift("1/3").shift("-1/3"),
+        -(-X),
+        RandomVariable.of(space, ["2/4", "3/2", "9/3"]),
+        RandomVariable.from_cells(Partition.discrete(space), list(X.values)),
+        patch(X, Event.full(space), Y),
+    ]
+    for other in routes:
+        assert other == X and hash(other) == hash(X)
+    assert X + Y == RandomVariable.of(space, [1, 2, "8/3"])
+    assert hash(X + Y) == hash(RandomVariable.of(space, [1, 2, "8/3"]))
