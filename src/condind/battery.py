@@ -1,8 +1,11 @@
 """The full seeded verification battery behind `verify-all`.
 
-Each property produces one CheckReport; the battery is deterministic given
-(scenario, seed, samples) and a run is considered failing iff some report is
-a counterexample or carries a contradiction alarm.
+`properties` is the battery as a table: one `(name, run)` row per property,
+in report order, where `run()` returns that property's CheckReport and
+depends on no other row. `verify_all` runs every row and names each report.
+The battery is deterministic given (scenario, seed, samples) and a run is
+considered failing iff some report is a counterexample or carries a
+contradiction alarm.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import operator
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
+from typing import Callable, Iterator
 
 from .checks import (
     CheckReport,
@@ -20,6 +25,7 @@ from .checks import (
     check_hplus_decomposition,
     check_regular,
     check_structural,
+    enumerate_or_sample,
     falsify,
     scaling_trials,
     self_duality_trials,
@@ -65,7 +71,6 @@ from .space import (
     Event,
     Partition,
     RandomVariable,
-    enumerate_events,
     restrict,
 )
 from .stochastic import (
@@ -82,7 +87,7 @@ from .stochastic import (
 _EPS_GRID = (0, Fraction(1, 4), Fraction(1, 2), 1, 2, 3)
 
 
-def _convention_table_report() -> CheckReport:
+def _convention_table(prop: str) -> CheckReport:
     two = ext(2)
     pos, neg = POS_INF, NEG_INF
     add_table = {
@@ -117,11 +122,10 @@ def _convention_table_report() -> CheckReport:
         for ok, label in zero_rules:
             yield ok, dict(op=label)
 
-    return falsify("conv-table", trials())
+    return falsify(prop, trials())
 
 
-def _dual_involution(I, samples, seed) -> CheckReport:
-    prop = f"dual-involution:{I.name}"
+def _dual_involution(prop, I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     star = dual(I)
     double = dual(star)
@@ -140,10 +144,9 @@ def _dual_involution(I, samples, seed) -> CheckReport:
     return falsify(prop, trials())
 
 
-def _averaging(I, samples, seed, cap) -> CheckReport:
-    prop = f"averaging:{I.name}"
+def _averaging(prop, I, samples, seed, cap) -> CheckReport:
     rng = derive_rng(seed, prop)
-    events = enumerate_events(I.target, cap)
+    events, notes = enumerate_or_sample(I.target, cap, rng, min(samples, 64))
     zero = RandomVariable.constant(I.target.space, 0)
 
     def trials():
@@ -156,11 +159,10 @@ def _averaging(I, samples, seed, cap) -> CheckReport:
                     IXH = I(XH)
                     yield restrict(IXH, ev.complement()) == zero, dict(X=X, H=ev, value=IXH)
 
-    return falsify(prop, trials())
+    return falsify(prop, trials(), notes=notes)
 
 
-def _extension_sandwich(I, samples, seed) -> CheckReport:
-    prop = f"extension-sandwich:{I.name}"
+def _extension_sandwich(prop, I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     space = I.target.space
 
@@ -189,8 +191,7 @@ def _extension_sandwich(I, samples, seed) -> CheckReport:
     return falsify(prop, trials())
 
 
-def _extension_duality(I, samples, seed) -> CheckReport:
-    prop = f"extension-duality:{I.name}"
+def _extension_duality(prop, I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     space = I.target.space
     star = dual(I)
@@ -209,8 +210,17 @@ def _extension_duality(I, samples, seed) -> CheckReport:
     return falsify(prop, trials())
 
 
-def _projection_property(SI, t_index, samples, seed, cap) -> CheckReport:
-    prop = f"projection:{SI.indicators[0].name}"
+def _mix_self_dual(prop, I, samples, seed) -> CheckReport:
+    return falsify(prop, self_duality_trials(mix_self_dual(I), derive_rng(seed, prop), samples))
+
+
+def _linear_scaling(prop, I, samples, seed) -> CheckReport:
+    # additive + self-dual collapses to exact rational scaling on a finite space
+    rng = derive_rng(seed, prop)
+    return falsify(prop, scaling_trials(I, rng, samples, ALPHA_GRID, allow_inf=False))
+
+
+def _projection_property(prop, SI, t_index, samples, seed, cap) -> CheckReport:
     rng = derive_rng(seed, prop)
     filtration = SI.filtration
     I0 = SI.indicators[0]
@@ -226,8 +236,7 @@ def _projection_property(SI, t_index, samples, seed, cap) -> CheckReport:
     return falsify(prop, trials())
 
 
-def _martingale_property(SI, samples, seed) -> CheckReport:
-    prop = f"martingale:{SI.indicators[0].name}"
+def _martingale_property(prop, SI, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     filtration = SI.filtration
 
@@ -242,8 +251,7 @@ def _martingale_property(SI, samples, seed) -> CheckReport:
     return falsify(prop, trials())
 
 
-def _envelope_tower(SI, samples, seed) -> CheckReport:
-    prop = f"envelope-tower:{SI.indicators[0].name}"
+def _envelope_tower(prop, SI, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     filtration = SI.filtration
 
@@ -264,8 +272,7 @@ def _envelope_tower(SI, samples, seed) -> CheckReport:
     return falsify(prop, trials())
 
 
-def _shift_rigidity(filtration, samples, seed) -> CheckReport:
-    prop = "esssup-shift-rigidity"
+def _shift_rigidity(prop, filtration, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     F0 = filtration.partitions[0]
     finest = filtration.partitions[-1]
@@ -312,8 +319,7 @@ def sample_normalized_density(H: Partition, rng) -> RandomVariable:
     return RandomVariable(space, tuple(ext(v) for v in vals))
 
 
-def _density_roundtrip(H, samples, seed) -> CheckReport:
-    prop = "density-roundtrip"
+def _density_roundtrip(prop, H, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     inner = max(8, samples // 50)
 
@@ -332,8 +338,7 @@ def _density_roundtrip(H, samples, seed) -> CheckReport:
     return falsify(prop, trials())
 
 
-def _density_hypothesis_failure(H, seed) -> CheckReport:
-    prop = "density-hypofail:esssup"
+def _density_hypothesis_failure(prop, H, seed) -> CheckReport:
     if all(len(c) == 1 for c in H.cells):
         # over the discrete algebra the supremum is the identity, which is a
         # genuine conditional expectation; nothing should fail there
@@ -350,8 +355,8 @@ def _density_hypothesis_failure(H, seed) -> CheckReport:
     )
 
 
-def _engineered_additivity(space, partition, seed) -> CheckReport:
-    prop = "additivity-sets"
+def _engineered_additivity(prop, partition) -> CheckReport:
+    space = partition.space
     cell = next((c for c in partition.cells if len(c) >= 2), None)
     if cell is None:
         return CheckReport.skipped(prop, "needs a partition cell with at least 2 atoms")
@@ -394,15 +399,23 @@ def _engineered_additivity(space, partition, seed) -> CheckReport:
     return falsify(prop, trials())
 
 
-def verify_all(
-    scenario: Scenario,
-    seed: int = 7,
-    samples: int = DEFAULT_SAMPLES,
-    cap: int = DEFAULT_EVENT_CAP,
-    tol: Fraction = DEFAULT_TOL,
-) -> list[CheckReport]:
-    """Run the whole lemma battery against one scenario."""
-    reports: list[CheckReport] = [_convention_table_report()]
+Row = tuple[str, Callable[[], CheckReport]]
+
+
+def _named(prop: str, checker: Callable[..., CheckReport], *args) -> Row:
+    """The row of a checker that takes its property name first: the name is
+    both its report name and the label of its random stream."""
+    return prop, partial(checker, prop, *args)
+
+
+def properties(
+    scenario: Scenario, seed: int, samples: int, cap: int, tol: Fraction
+) -> Iterator[Row]:
+    """The battery's rows in report order. Each row is built when the
+    generator reaches it and runs alone: every checker draws from its own
+    `derive_rng(seed, label)` stream, so a row's report does not depend on
+    which rows ran before it."""
+    yield _named("conv-table", _convention_table)
     space = scenario.space
 
     part_items = sorted(scenario.partitions.items())
@@ -416,110 +429,79 @@ def verify_all(
 
     light = min(samples, max(50, samples // 2))
     few = max(20, light // 5)
-    # library checkers are renamed to the battery's property names; the
-    # battery's own checkers (the underscored ones) already report under them
     for pname, partition in part_items:
         n = samples if partition == main else light
         for name in BUILTIN_NAMES:
             I = builtin_indicator(name, partition)
-            reports.append(replace(check_axioms(I, n, seed), prop=f"axioms:{name}@{pname}"))
-            reports.append(replace(check_regular(I, n, seed, cap), prop=f"locality:{name}@{pname}"))
+            yield f"axioms:{name}@{pname}", partial(check_axioms, I, n, seed)
+            yield f"locality:{name}@{pname}", partial(check_regular, I, n, seed, cap)
 
     for name in BUILTIN_NAMES:
         I = builtin_indicator(name, main)
-        reports.append(_averaging(I, samples, seed, cap))
-        reports.append(_dual_involution(I, samples, seed))
-        for flag in sorted(I.flags, key=lambda fl: fl.value):
-            if flag is Flag.REGULAR:
-                continue
-            reports.append(
-                replace(
-                    check_structural(I, flag, samples, seed),
-                    prop=f"structural:{name}:{flag.value}",
-                )
-            )
+        yield _named(f"averaging:{name}", _averaging, I, samples, seed, cap)
+        yield _named(f"dual-involution:{name}", _dual_involution, I, samples, seed)
+        for flag in sorted(I.flags - {Flag.REGULAR}, key=lambda fl: fl.value):
+            yield f"structural:{name}:{flag.value}", partial(check_structural, I, flag, samples, seed)
         if I.has(Flag.INCREASING):
-            reports.append(_extension_sandwich(I, samples, seed))
-            reports.append(_extension_duality(I, samples, seed))
-        prop = f"mix-self-dual:{name}"
-        trials = self_duality_trials(mix_self_dual(I), derive_rng(seed, prop), samples)
-        reports.append(falsify(prop, trials))
-        reports.append(
-            replace(check_hplus_decomposition(I, samples, seed), prop=f"sign-split:{name}")
-        )
-        reports.append(
-            replace(
-                check_convex_implies_regular(I, light, seed),
-                prop=f"convex-implies-regular:{name}",
-            )
-        )
-        reports.append(
-            replace(
-                check_additive_implies_regular(I, light, seed),
-                prop=f"additive-implies-regular:{name}",
-            )
-        )
+            yield _named(f"extension-sandwich:{name}", _extension_sandwich, I, samples, seed)
+            yield _named(f"extension-duality:{name}", _extension_duality, I, samples, seed)
+        yield _named(f"mix-self-dual:{name}", _mix_self_dual, I, samples, seed)
+        yield f"sign-split:{name}", partial(check_hplus_decomposition, I, samples, seed)
+        yield f"convex-implies-regular:{name}", partial(check_convex_implies_regular, I, light, seed, cap)
+        yield f"additive-implies-regular:{name}", partial(check_additive_implies_regular, I, light, seed, cap)
 
-    # additive + self-dual collapses to exact rational scaling on a finite space
-    prop = "linear-scaling:condexp"
     condexp = builtin_indicator("condexp", main)
-    trials = scaling_trials(condexp, derive_rng(seed, prop), samples, ALPHA_GRID, allow_inf=False)
-    reports.append(falsify(prop, trials))
-    reports.append(
-        replace(check_lemm_cond_exp(main, samples, seed, cap), prop="condexp-ext-identities")
-    )
+    yield _named("linear-scaling:condexp", _linear_scaling, condexp, samples, seed)
+    yield "condexp-ext-identities", partial(check_lemm_cond_exp, main, samples, seed, cap)
 
     for name in ("esssup", "essinf", "condexp"):
         I = builtin_indicator(name, main)
-        reports.append(replace(check_prop_rm(I, light, seed, tol), prop=f"risk:prop-rm:{name}"))
-        reports.append(
-            replace(check_dom_closure(I, few, seed, tol), prop=f"risk:dom-closure:{name}")
-        )
+        yield f"risk:prop-rm:{name}", partial(check_prop_rm, I, light, seed, tol)
+        yield f"risk:dom-closure:{name}", partial(check_dom_closure, I, few, seed, tol)
     sup = builtin_indicator("esssup", main)
-    reports.append(
-        replace(
-            check_rho_correspondence(sup, RhoSide.NEG_VALUE, light, seed),
-            prop="risk:rho-iff:esssup",
-        )
-    )
+    yield "risk:rho-iff:esssup", partial(check_rho_correspondence, sup, RhoSide.NEG_VALUE, light, seed)
 
-    reports.append(_density_roundtrip(main, max(20, samples // 10), seed))
-    reports.append(_density_hypothesis_failure(main, seed))
-    reports.append(_engineered_additivity(space, main, seed))
+    yield _named("density-roundtrip", _density_roundtrip, main, max(20, samples // 10), seed)
+    yield _named("density-hypofail:esssup", _density_hypothesis_failure, main, seed)
+    yield _named("additivity-sets", _engineered_additivity, main)
 
     filtration = scenario.filtration
-    if filtration is not None and len(filtration.times) >= 2:
-        times = filtration.times
-        for name in ("esssup", "essinf", "condexp"):
-            SI = StochasticIndicator.from_builtin(filtration, name)
-            for si in range(len(times)):
-                for ti in range(si + 1, len(times)):
-                    reports.append(
-                        replace(
-                            check_tower(SI, times[si], times[ti], samples, seed),
-                            prop=f"tower:{name}:{times[si]}<={times[ti]}",
-                        )
-                    )
-        sup_family = StochasticIndicator.from_builtin(filtration, "esssup")
-        mid = min(1, len(times) - 1)
-        reports.append(_projection_property(sup_family, mid, few, seed, cap))
-        reports.append(
-            replace(
-                check_projection_uniqueness_premises(sup_family.indicators[0], light, seed),
-                prop="uniqueness-premises:esssup",
-            )
-        )
-        for name in ("esssup", "condexp"):
-            SI = StochasticIndicator.from_builtin(filtration, name)
-            reports.append(_martingale_property(SI, few, seed))
-            reports.append(_envelope_tower(SI, few, seed))
-        reports.append(_shift_rigidity(filtration, light, seed))
-    else:
-        reports.append(
-            CheckReport.skipped("tower", "scenario provides no filtration with >= 2 times")
-        )
+    if filtration is None or len(filtration.times) < 2:
+        yield _named("tower", CheckReport.skipped, "scenario provides no filtration with >= 2 times")
+        return
+    times = filtration.times
+    for name in ("esssup", "essinf", "condexp"):
+        SI = StochasticIndicator.from_builtin(filtration, name)
+        for si in range(len(times)):
+            for ti in range(si + 1, len(times)):
+                yield (
+                    f"tower:{name}:{times[si]}<={times[ti]}",
+                    partial(check_tower, SI, times[si], times[ti], samples, seed),
+                )
+    sup_family = StochasticIndicator.from_builtin(filtration, "esssup")
+    mid = min(1, len(times) - 1)
+    yield _named("projection:esssup", _projection_property, sup_family, mid, few, seed, cap)
+    yield (
+        "uniqueness-premises:esssup",
+        partial(check_projection_uniqueness_premises, sup_family.indicators[0], light, seed),
+    )
+    for name in ("esssup", "condexp"):
+        SI = StochasticIndicator.from_builtin(filtration, name)
+        yield _named(f"martingale:{name}", _martingale_property, SI, few, seed)
+        yield _named(f"envelope-tower:{name}", _envelope_tower, SI, few, seed)
+    yield _named("esssup-shift-rigidity", _shift_rigidity, filtration, light, seed)
 
-    return reports
+
+def verify_all(
+    scenario: Scenario,
+    seed: int = 7,
+    samples: int = DEFAULT_SAMPLES,
+    cap: int = DEFAULT_EVENT_CAP,
+    tol: Fraction = DEFAULT_TOL,
+) -> list[CheckReport]:
+    """Run the whole lemma battery against one scenario; the runner names
+    every report after its row."""
+    return [replace(run(), prop=name) for name, run in properties(scenario, seed, samples, cap, tol)]
 
 
 def battery_failed(reports: list[CheckReport]) -> bool:

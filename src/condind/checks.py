@@ -32,6 +32,8 @@ from .sampling import (
 )
 from .space import (
     DEFAULT_EVENT_CAP,
+    Event,
+    Partition,
     RandomVariable,
     enumerate_events,
     is_measurable,
@@ -182,6 +184,21 @@ def check_axioms(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
     return falsify(f"axioms:{I.name}", trials())
 
 
+# -- events of a partition, within the enumeration cap ---------------------------
+
+
+def enumerate_or_sample(
+    H: Partition, cap: int, rng, count: int
+) -> tuple[list[Event], tuple[str, ...]]:
+    """Every event of H, or past the cap `count` events drawn from rng and
+    the note saying so; a check never claims events it did not see."""
+    try:
+        return enumerate_events(H, cap), ()
+    except CapExceededError:
+        events = [sample_event(H, rng) for _ in range(count)]
+        return events, (f"partial: 2^{H.cell_count} events exceed cap {cap}; sampled {len(events)}",)
+
+
 # -- regularity (cell locality) -----------------------------------------------
 
 
@@ -204,12 +221,8 @@ def check_regular(
     rng = derive_rng(seed, f"regular:{I.name}")
     H = I.target
     space = H.space
-    notes: list[str] = []
-    try:
-        events = enumerate_events(H, cap)
-    except CapExceededError:
-        events = [sample_event(H, rng) for _ in range(min(samples, 64))]
-        notes.append(f"partial: 2^{H.cell_count} events exceed cap {cap}; sampled {len(events)}")
+    events, partial = enumerate_or_sample(H, cap, rng, min(samples, 64))
+    notes = list(partial)
     zero = RandomVariable.constant(space, 0)
     failed: set[str] = set()
 
@@ -369,8 +382,15 @@ def check_hplus_decomposition(
 # -- implication guards (must never fire) ----------------------------------------
 
 
+def _partial(report: CheckReport) -> tuple[str, ...]:
+    return tuple(n for n in report.notes if n.startswith("partial:"))
+
+
 def check_convex_implies_regular(
-    I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
+    I: IndicatorSpec,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    cap: int = DEFAULT_EVENT_CAP,
 ) -> CheckReport:
     """Conditional convexity forces regularity; a verified premise with a
     falsified conclusion is a contradiction alarm."""
@@ -380,18 +400,22 @@ def check_convex_implies_regular(
         return CheckReport.verified(
             prop, premise.cases, notes=("premise falsified or skipped; implication vacuous",)
         )
-    conclusion = check_regular(I, samples, seed)
+    conclusion = check_regular(I, samples, seed, cap)
     if conclusion.verdict is Verdict.COUNTEREXAMPLE:
         return CheckReport.counterexample(
             prop, conclusion.witness or {}, premise.cases + conclusion.cases,
-            notes=("contradiction alarm: convexity verified but regularity falsified",),
+            notes=("contradiction alarm: convexity verified but regularity falsified",
+                   *_partial(conclusion)),
             alarm=True,
         )
-    return CheckReport.verified(prop, premise.cases + conclusion.cases)
+    return CheckReport.verified(prop, premise.cases + conclusion.cases, notes=_partial(conclusion))
 
 
 def check_additive_implies_regular(
-    I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
+    I: IndicatorSpec,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    cap: int = DEFAULT_EVENT_CAP,
 ) -> CheckReport:
     """Additivity forces regularity; subadditivity alone still gives the
     one-sided bound 1_H I(X) <= I(1_H X)."""
@@ -399,21 +423,19 @@ def check_additive_implies_regular(
     sub = check_structural(I, Flag.SUBADDITIVE, samples, seed)
     sup = check_structural(I, Flag.SUPERADDITIVE, samples, seed)
     if sub.verdict is Verdict.VERIFIED and sup.verdict is Verdict.VERIFIED:
-        conclusion = check_regular(I, samples, seed)
+        conclusion = check_regular(I, samples, seed, cap)
         if conclusion.verdict is Verdict.COUNTEREXAMPLE:
             return CheckReport.counterexample(
                 prop, conclusion.witness or {}, conclusion.cases,
-                notes=("contradiction alarm: additivity verified but regularity falsified",),
+                notes=("contradiction alarm: additivity verified but regularity falsified",
+                   *_partial(conclusion)),
                 alarm=True,
             )
-        return CheckReport.verified(prop, sub.cases + sup.cases + conclusion.cases)
+        return CheckReport.verified(prop, sub.cases + sup.cases + conclusion.cases, notes=_partial(conclusion))
     if sub.verdict is Verdict.VERIFIED:
         rng = derive_rng(seed, prop)
         H = I.target
-        try:
-            events = enumerate_events(H)
-        except CapExceededError:
-            events = [sample_event(H, rng) for _ in range(32)]
+        events, partial = enumerate_or_sample(H, cap, rng, 32)
 
         def trials():
             for X in iter_cases(H.space, rng, samples):
@@ -426,5 +448,5 @@ def check_additive_implies_regular(
                         lhs, rhs = restrict(IX, ev), I(XH)
                         yield lhs.le(rhs), dict(X=X, H=ev, lhs=lhs, rhs=rhs)
 
-        return falsify(prop, trials(), notes=("subadditive only: checked the half inequality",))
+        return falsify(prop, trials(), notes=("subadditive only: checked the half inequality", *partial))
     return CheckReport.verified(prop, sub.cases + sup.cases, notes=("premise falsified; implication vacuous",))

@@ -204,8 +204,8 @@ _CHECK_DISPATCH = {
     "axioms": lambda I, n, s, cap: check_axioms(I, n, s),
     "regular": lambda I, n, s, cap: check_regular(I, n, s, cap),
     "hplus": lambda I, n, s, cap: check_hplus_decomposition(I, n, s),
-    "convex-implies-regular": lambda I, n, s, cap: check_convex_implies_regular(I, n, s),
-    "additive-implies-regular": lambda I, n, s, cap: check_additive_implies_regular(I, n, s),
+    "convex-implies-regular": lambda I, n, s, cap: check_convex_implies_regular(I, n, s, cap),
+    "additive-implies-regular": lambda I, n, s, cap: check_additive_implies_regular(I, n, s, cap),
 }
 
 

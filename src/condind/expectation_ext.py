@@ -14,8 +14,15 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checks import CheckReport, Verdict, additivity_trials, falsify, self_duality_trials
-from .errors import BadDensityError, CapExceededError, HypothesisFailedError
+from .checks import (
+    CheckReport,
+    Verdict,
+    additivity_trials,
+    enumerate_or_sample,
+    falsify,
+    self_duality_trials,
+)
+from .errors import BadDensityError, HypothesisFailedError
 from .extreal import ONE, ZERO, ExtReal, ext
 from .indicators import EvalFn, Flag, IndicatorSpec, ext_cond_expectation_closed_form
 from .sampling import (
@@ -34,7 +41,6 @@ from .space import (
     RandomVariable,
     _require_same_space,
     cell_means,
-    enumerate_events,
     expectation,
     restrict,
 )
@@ -63,12 +69,9 @@ def check_lemm_cond_exp(
     {E(X+|H) = E(X-|H) = +inf} and is checked atomwise there.
     """
     prop = "condexp-ext-identities"
-    k = H.cell_count
-    if k > cap:
-        raise CapExceededError(k, cap)
     rng = derive_rng(seed, prop)
     space = H.space
-    events = enumerate_events(H, cap)
+    events, notes = enumerate_or_sample(H, cap, rng, min(samples, 64))
 
     def I(X: RandomVariable) -> RandomVariable:
         return ext_cond_expectation_closed_form(X, H)
@@ -98,10 +101,7 @@ def check_lemm_cond_exp(
             )
             yield ok, dict(identity="shift", X=X, alpha=M, lhs=shifted, rhs=expected)
 
-    return falsify(prop, trials())
-
-
-ADDITIVITY_TAGS = ("F1", "F2", "F3", "F4", "F5")
+    return falsify(prop, trials(), notes=notes)
 
 
 def additivity_set(

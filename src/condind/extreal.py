@@ -88,7 +88,10 @@ class ExtReal:
             return True
         if not isinstance(other, ExtReal):
             return NotImplemented
-        return self.kind == other.kind and self.frac == other.frac
+        # every frac is a reduced Fraction, so equal values have equal terms;
+        # comparing them skips Fraction.__eq__ and its numbers.Rational check
+        a, b = self.frac, other.frac
+        return self.kind == other.kind and a.numerator == b.numerator and a.denominator == b.denominator
 
     def __hash__(self):
         return hash((self.kind, self.frac))
@@ -169,9 +172,6 @@ class ExtReal:
     def neg_part(self) -> "ExtReal":
         return -self if self < ZERO else ZERO
 
-    def __abs__(self) -> "ExtReal":
-        return -self if self < ZERO else self
-
     # -- rendering ---------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -183,13 +183,6 @@ class ExtReal:
         if self.kind == _NEG:
             return "-inf"
         return str(self.frac)
-
-    def __float__(self) -> float:
-        if self.kind == _POS:
-            return float("inf")
-        if self.kind == _NEG:
-            return float("-inf")
-        return float(self.frac)
 
 
 POS_INF = ExtReal(_ZERO_FRAC, _kind=_POS)

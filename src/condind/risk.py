@@ -290,7 +290,7 @@ def check_dom_closure(
     notes: list[str] = []
 
     def in_dom(X: RandomVariable) -> bool:
-        return all(v.is_finite for v in rho(I, X, tol).values)
+        return rho(I, X, tol).is_finite()
 
     members = [
         X for X in iter_cases(space, rng, max(8, samples // 4), allow_inf=False)

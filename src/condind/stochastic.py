@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checks import CheckReport, Verdict, additivity_trials, falsify
+from .checks import CheckReport, Verdict, additivity_trials, enumerate_or_sample, falsify
 from .errors import (
-    CapExceededError,
     GridTooLargeError,
     SpaceMismatchError,
     ValidationError,
@@ -27,7 +26,7 @@ from .indicators import (
     builtin_indicator,
     esssup_cond,
 )
-from .sampling import DEFAULT_SAMPLES, derive_rng, iter_cases, sample_event
+from .sampling import DEFAULT_SAMPLES, derive_rng, iter_cases
 from .space import (
     DEFAULT_EVENT_CAP,
     Event,
@@ -131,13 +130,7 @@ def check_projection(
     if not is_measurable(Z, Ft):
         raise ValidationError("Z must be measurable w.r.t. the time-t partition")
     prop = f"projection:{I0.name}"
-    notes: list[str] = []
-    try:
-        events = enumerate_events(Ft, cap)
-    except CapExceededError:
-        rng = derive_rng(seed, prop)
-        events = [sample_event(Ft, rng) for _ in range(min(samples, 256))]
-        notes.append(f"partial: 2^{Ft.cell_count} events exceed cap {cap}; sampled {len(events)}")
+    events, notes = enumerate_or_sample(Ft, cap, derive_rng(seed, prop), min(samples, 256))
 
     def trials():
         for ev in events:
@@ -146,7 +139,7 @@ def check_projection(
                 lhs, rhs = I0(lhs_arg), I0(rhs_arg)
                 yield lhs == rhs, dict(F=ev, lhs=lhs, rhs=rhs)
 
-    return falsify(prop, trials(), notes=tuple(notes))
+    return falsify(prop, trials(), notes=notes)
 
 
 def projection_solve(

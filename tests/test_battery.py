@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,10 @@ from condind import (
     mix_self_dual,
     verify_all,
 )
-from condind.cli import run
+from condind.risk import DEFAULT_TOL
+from condind.space import DEFAULT_EVENT_CAP
+from condind.battery import properties
+from condind.cli import jsonable, run
 from condind.errors import EmptyDomainError
 from condind.indicators import BUILTIN_NAMES, IndicatorSpec
 from condind.sampling import GRID_VALUES
@@ -146,3 +150,16 @@ def test_verify_all_bytes_pinned(extra, digest):
         code = run(["verify-all", "--seed", "7", *extra])
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, samples", [(7, 10), (3, 30)])
+def test_every_property_runs_alone(seed, samples):
+    # each row of the table, run by itself and in reverse order, reproduces its
+    # report from the full run: a property can be rerun without the others
+    scenario = canonical_scenario()
+    full = [jsonable(r) for r in verify_all(scenario, seed, samples)]
+    rows = list(properties(scenario, seed, samples, DEFAULT_EVENT_CAP, DEFAULT_TOL))
+    names = [name for name, _ in rows]
+    assert len(names) == len(set(names))
+    alone = [jsonable(replace(check(), prop=name)) for name, check in reversed(rows)]
+    assert alone[::-1] == full

@@ -338,6 +338,27 @@ def test_scenario_flag_and_env_cap(tmp_path, monkeypatch):
     assert any("exceed cap 1" in n for n in doc["checks"][0].get("notes", []))
 
 
+def test_verify_all_past_the_cap_samples_events_and_says_so():
+    # every property that enumerates events samples them past the cap
+    code, out = capture(["verify-all", "--cap", "1", "--samples", "10"])
+    assert code == EXIT_OK
+    notes = {c["property"]: c.get("notes", []) for c in json.loads(out)["checks"]}
+    for prop in ("locality:esssup@H", "averaging:esssup", "condexp-ext-identities",
+                 "convex-implies-regular:esssup", "additive-implies-regular:condexp"):
+        assert "partial: 2^2 events exceed cap 1; sampled 10" in notes[prop], prop
+
+
+@pytest.mark.parametrize("prop, sampled",
+                         [("additive-implies-regular", 32), ("convex-implies-regular", 20)])
+def test_implication_guards_honour_the_env_cap(prop, sampled, monkeypatch):
+    monkeypatch.setenv("CONDIND_CAP", "1")
+    code, out = capture(["check", "--indicator", "esssup", "--sigma", "H",
+                         "--property", prop, "--samples", "20"])
+    assert code == EXIT_OK
+    (check,) = json.loads(out)["checks"]
+    assert f"partial: 2^2 events exceed cap 1; sampled {sampled}" in check["notes"]
+
+
 def test_text_format():
     code, out = capture(["apply", "--indicator", "esssup", "--sigma", "H",
                          "--var", "X", "--format", "text"])

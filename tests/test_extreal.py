@@ -149,3 +149,19 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         a.kind = 2
     assert len({ext(1), ext("1"), ext(Fraction(2, 2))}) == 1
+
+
+def test_equality_of_unreduced_literals_and_across_kinds():
+    # equal values compare and hash equal however they were written
+    for text, reduced in (("6/4", Fraction(3, 2)), ("-10/20", Fraction(-1, 2)), ("0/7", Fraction(0)),
+                          ("2.50", Fraction(5, 2)), ("9/3", Fraction(3))):
+        assert ext(text) == ext(reduced) and hash(ext(text)) == hash(ext(reduced))
+    assert ext("6/4") != ext("5/4") and ext("3/2") != ext("3/4")
+    # an infinity carries frac 0, so only the kind tells it from zero
+    values = [NEG_INF, ZERO, POS_INF]
+    for a in values:
+        for b in values:
+            assert (a == b) is (a is b)
+            assert (a != b) is (a is not b)
+    assert ext("inf") == POS_INF and ext("-inf") == NEG_INF
+    assert ext(1) != 1 and not ext(0) == 0
