@@ -225,15 +225,17 @@ def _projection_property(prop, SI, t_index, samples, seed, cap) -> CheckReport:
     filtration = SI.filtration
     I0 = SI.indicators[0]
     Ft = filtration.partitions[t_index]
+    inner_notes: dict[str, None] = {}  # past the cap, each inner check's `partial:` note
 
     def trials():
         for _ in range(samples):
             X = sample_rv(filtration.space, rng, allow_inf=False, nonneg=True)
             Z = SI.indicators[t_index](X)
             rep = check_projection(I0, Z, X, Ft, cap=cap)
+            inner_notes.update(dict.fromkeys(rep.notes))
             yield rep.verdict is Verdict.VERIFIED, dict(X=X, Z=Z, inner=rep.witness)
 
-    return falsify(prop, trials())
+    return replace(falsify(prop, trials()), notes=tuple(inner_notes))
 
 
 def _martingale_property(prop, SI, samples, seed) -> CheckReport:

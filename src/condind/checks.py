@@ -190,12 +190,13 @@ def check_axioms(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
 def enumerate_or_sample(
     H: Partition, cap: int, rng, count: int
 ) -> tuple[list[Event], tuple[str, ...]]:
-    """Every event of H, or past the cap `count` events drawn from rng and
-    the note saying so; a check never claims events it did not see."""
+    """Every event of H, or past the cap the distinct events among `count`
+    draws from rng, in first-drawn order, and the note saying how many; a
+    check never claims events it did not see."""
     try:
         return enumerate_events(H, cap), ()
     except CapExceededError:
-        events = [sample_event(H, rng) for _ in range(count)]
+        events = list(dict.fromkeys(sample_event(H, rng) for _ in range(count)))
         return events, (f"partial: 2^{H.cell_count} events exceed cap {cap}; sampled {len(events)}",)
 
 

@@ -28,12 +28,7 @@ from .checks import (
     check_regular,
     check_structural,
 )
-from .errors import (
-    CondIndError,
-    UnknownCommandError,
-    UnknownNameError,
-    ValidationError,
-)
+from .errors import CondIndError, UnknownNameError, ValidationError
 from .expectation_ext import (
     DensityReport,
     additivity_set,
@@ -65,7 +60,7 @@ from .risk import (
     rho_from_indicator,
 )
 from .scenario import Scenario, _literal, canonical_scenario, load_scenario
-from .space import DEFAULT_EVENT_CAP, Event, Partition, RandomVariable
+from .space import DEFAULT_EVENT_CAP, Event, Filtration, Partition, RandomVariable
 from .stochastic import (
     AdaptedProcess,
     StochasticIndicator,
@@ -209,143 +204,132 @@ _CHECK_DISPATCH = {
 }
 
 
-def dispatch(args: argparse.Namespace, scenario: Scenario) -> RunReport:
-    started = time.perf_counter()
-    command = args.command
-    seed, samples, cap, tol = args.seed, args.samples, args.cap, args.tol
-    results: dict = {}
-    checks: list[CheckReport] = []
+def _indicator(args: argparse.Namespace, scenario: Scenario) -> IndicatorSpec:
+    return resolve_indicator(args.indicator, scenario, _sigma(scenario, args.sigma))
 
-    if command == "apply":
-        sigma = _sigma(scenario, args.sigma)
-        I = resolve_indicator(args.indicator, scenario, sigma)
-        X = scenario.variable(args.var)
-        results = {"indicator": I.name, "sigma": sigma, "value": I(X)}
 
-    elif command == "check":
-        sigma = _sigma(scenario, args.sigma)
-        I = resolve_indicator(args.indicator, scenario, sigma)
-        prop = args.property
-        if prop in _CHECK_DISPATCH:
-            checks = [_CHECK_DISPATCH[prop](I, samples, seed, cap)]
-        else:
-            if prop != "fatou":
-                try:
-                    Flag(prop)
-                except ValueError:
-                    raise UnknownNameError(
-                        f"unknown property {prop!r}; pick a structural flag, 'fatou', "
-                        f"or one of {sorted(_CHECK_DISPATCH)}"
-                    ) from None
-            checks = [check_structural(I, prop, samples, seed)]
-        results = {"indicator": I.name, "property": prop}
+def _filtration(args: argparse.Namespace, scenario: Scenario) -> Filtration:
+    if scenario.filtration is None:
+        raise ValidationError(f"{args.command} needs a scenario filtration")
+    return scenario.filtration
 
-    elif command == "tower":
-        if scenario.filtration is None:
-            raise ValidationError("tower needs a scenario filtration")
-        SI = StochasticIndicator.from_builtin(scenario.filtration, args.family)
-        checks = [check_tower(SI, args.s, args.t, samples, seed)]
-        results = {"family": args.family, "s": args.s, "t": args.t}
 
-    elif command == "project":
-        if scenario.filtration is None:
-            raise ValidationError("project needs a scenario filtration")
-        filtration = scenario.filtration
-        F0 = filtration.partitions[0]
-        I0 = resolve_indicator(args.i0, scenario, F0)
-        X = scenario.variable(args.var)
-        Ft = filtration.at(args.time)
-        grid = [_literal(v, "--grid") for v in (args.grid.split(",") if args.grid else [])]
-        if not grid:
-            grid = sorted({*X.values, ext(0)}, key=lambda v: (v.kind, v.frac))
-        solutions = projection_solve(I0, X, Ft, grid, cap=cap)
-        results = {
-            "i0": I0.name,
-            "time": args.time,
-            "grid": grid,
-            "solutions": solutions,
-            "count": len(solutions),
-        }
+# Each handler maps (args, scenario) to the report's (results, checks).
 
-    elif command == "envelope":
-        if scenario.filtration is None:
-            raise ValidationError("envelope needs a scenario filtration")
-        filtration = scenario.filtration
-        SI = StochasticIndicator.from_builtin(filtration, args.family)
-        payoff = scenario.variable(args.payoff)
-        american = None
-        if args.american:
-            by_time: dict[str, RandomVariable] = {}
-            for chunk in args.american.split(","):
-                t, _, var = chunk.partition("=")
-                if not var:
-                    raise ValidationError("--american expects time=var[,time=var...]")
-                by_time[t] = scenario.variable(var)
-            lowest = RandomVariable.constant(scenario.space, "-inf")
-            values = tuple(
-                by_time[t] if t in by_time else lowest for t in filtration.times
-            )
-            american = AdaptedProcess(filtration, values)
-        V = backward_envelope(SI, payoff, american)
-        results = {"V": {t: v for t, v in zip(filtration.times, V.values)}}
 
-    elif command == "risk":
-        sigma = _sigma(scenario, args.sigma)
-        I = resolve_indicator(args.indicator, scenario, sigma)
-        X = scenario.variable(args.var)
-        value = rho(I, X, tol)
-        results = {"indicator": I.name, "rho": value}
-        if args.axioms:
-            rm = rho_from_indicator(I, RhoSide.NEG_VALUE)
-            checks = [check_rm_axioms(rm, samples, seed), check_rm_coherent(rm, samples, seed)]
+def _apply(args, scenario):
+    sigma = _sigma(scenario, args.sigma)
+    I = resolve_indicator(args.indicator, scenario, sigma)
+    X = scenario.variable(args.var)
+    return {"indicator": I.name, "sigma": sigma, "value": I(X)}, []
 
-    elif command == "condexp-ext":
-        sigma = _sigma(scenario, args.sigma)
-        X = scenario.variable(args.var)
-        results = {"sigma": sigma, "value": ext_cond_expectation_closed_form(X, sigma)}
 
-    elif command == "additivity-set":
-        sigma = _sigma(scenario, args.sigma)
-        X = scenario.variable(args.x)
-        Y = scenario.variable(args.y)
-        F, tags = additivity_set(X, Y, sigma)
-        checks = [check_additivity_on_F(X, Y, sigma)]
-        results = {
-            "F": F,
-            "tags": {str(ci): tag for ci, tag in sorted(tags.items())},
-        }
-
-    elif command == "recover-density":
-        sigma = _sigma(scenario, args.sigma)
-        I = resolve_indicator(args.indicator, scenario, sigma)
-        try:
-            report = recover_density(I, samples=samples, seed=seed)
-            results = {"indicator": I.name, "report": report}
-        except HypothesisFailedError as exc:
-            results = {"indicator": I.name, "hypothesis_failed": list(exc.failed)}
-
-    elif command == "verify-all":
-        checks = battery.verify_all(scenario, seed=seed, samples=samples, cap=cap, tol=tol)
-        tallies = {"verified": 0, "counterexample": 0, "skipped": 0}
-        for c in checks:
-            tallies[c.verdict.value] += 1
-        results = {"properties": len(checks), "tallies": tallies}
-
+def _check(args, scenario):
+    I = _indicator(args, scenario)
+    prop = args.property
+    if prop in _CHECK_DISPATCH:
+        report = _CHECK_DISPATCH[prop](I, args.samples, args.seed, args.cap)
     else:
-        raise UnknownCommandError(f"unknown command {command!r}")
+        if prop != "fatou":
+            try:
+                Flag(prop)
+            except ValueError:
+                raise UnknownNameError(
+                    f"unknown property {prop!r}; pick a structural flag, 'fatou', "
+                    f"or one of {sorted(_CHECK_DISPATCH)}"
+                ) from None
+        report = check_structural(I, prop, args.samples, args.seed)
+    return {"indicator": I.name, "property": prop}, [report]
 
-    elapsed = (time.perf_counter() - started) * 1000
-    return RunReport(
-        command=command,
-        seed=seed,
-        samples=samples,
-        results=results,
-        checks=checks,
-        timing_ms=elapsed,
-    )
+
+def _tower(args, scenario):
+    SI = StochasticIndicator.from_builtin(_filtration(args, scenario), args.family)
+    checks = [check_tower(SI, args.s, args.t, args.samples, args.seed)]
+    return {"family": args.family, "s": args.s, "t": args.t}, checks
 
 
-# -- argument parsing -----------------------------------------------------------
+def _project(args, scenario):
+    filtration = _filtration(args, scenario)
+    I0 = resolve_indicator(args.i0, scenario, filtration.partitions[0])
+    X = scenario.variable(args.var)
+    Ft = filtration.at(args.time)
+    grid = [_literal(v, "--grid") for v in (args.grid.split(",") if args.grid else [])]
+    if not grid:
+        grid = sorted({*X.values, ext(0)}, key=lambda v: (v.kind, v.frac))
+    solutions = projection_solve(I0, X, Ft, grid, cap=args.cap)
+    results = {
+        "i0": I0.name,
+        "time": args.time,
+        "grid": grid,
+        "solutions": solutions,
+        "count": len(solutions),
+    }
+    return results, []
+
+
+def _envelope(args, scenario):
+    filtration = _filtration(args, scenario)
+    SI = StochasticIndicator.from_builtin(filtration, args.family)
+    payoff = scenario.variable(args.payoff)
+    american = None
+    if args.american:
+        by_time: dict[str, RandomVariable] = {}
+        for chunk in args.american.split(","):
+            t, _, var = chunk.partition("=")
+            if not var:
+                raise ValidationError("--american expects time=var[,time=var...]")
+            by_time[t] = scenario.variable(var)
+        lowest = RandomVariable.constant(scenario.space, "-inf")
+        values = tuple(by_time[t] if t in by_time else lowest for t in filtration.times)
+        american = AdaptedProcess(filtration, values)
+    V = backward_envelope(SI, payoff, american)
+    return {"V": {t: v for t, v in zip(filtration.times, V.values)}}, []
+
+
+def _risk(args, scenario):
+    I = _indicator(args, scenario)
+    results = {"indicator": I.name, "rho": rho(I, scenario.variable(args.var), args.tol)}
+    if not args.axioms:
+        return results, []
+    rm = rho_from_indicator(I, RhoSide.NEG_VALUE)
+    return results, [check_rm_axioms(rm, args.samples, args.seed),
+                     check_rm_coherent(rm, args.samples, args.seed)]
+
+
+def _condexp_ext(args, scenario):
+    sigma = _sigma(scenario, args.sigma)
+    X = scenario.variable(args.var)
+    return {"sigma": sigma, "value": ext_cond_expectation_closed_form(X, sigma)}, []
+
+
+def _additivity_set(args, scenario):
+    sigma = _sigma(scenario, args.sigma)
+    X = scenario.variable(args.x)
+    Y = scenario.variable(args.y)
+    F, tags = additivity_set(X, Y, sigma)
+    checks = [check_additivity_on_F(X, Y, sigma)]
+    return {"F": F, "tags": {str(ci): tag for ci, tag in sorted(tags.items())}}, checks
+
+
+def _recover_density(args, scenario):
+    I = _indicator(args, scenario)
+    try:
+        report = recover_density(I, samples=args.samples, seed=args.seed)
+    except HypothesisFailedError as exc:
+        return {"indicator": I.name, "hypothesis_failed": list(exc.failed)}, []
+    return {"indicator": I.name, "report": report}, []
+
+
+def _verify_all(args, scenario):
+    checks = battery.verify_all(scenario, seed=args.seed, samples=args.samples,
+                                cap=args.cap, tol=args.tol)
+    tallies = {"verified": 0, "counterexample": 0, "skipped": 0}
+    for c in checks:
+        tallies[c.verdict.value] += 1
+    return {"properties": len(checks), "tallies": tallies}, checks
+
+
+# -- the verb table ------------------------------------------------------------
 
 
 def _fraction(text: str) -> Fraction:
@@ -357,6 +341,61 @@ def _fraction(text: str) -> Fraction:
     if not value.is_finite:
         raise argparse.ArgumentTypeError(f"--tol must be finite, got {text!r}")
     return value.frac
+
+
+_REQUIRED = {"required": True}
+_FAMILY = {"required": True, "choices": BUILTIN_NAMES}
+_COMMON = {
+    "--scenario": {"help": "path to a scenario JSON (default: built-in 4-atom tree)"},
+    "--seed": {"type": int, "default": 7},
+    "--samples": {"type": int, "default": 500},
+    "--cap": {"type": int,
+              "help": f"event-enumeration cap (default {DEFAULT_EVENT_CAP}; env CONDIND_CAP)"},
+    "--tol": {"type": _fraction, "default": DEFAULT_TOL},
+    "--format": {"choices": ("json", "text"), "default": "json"},
+}
+
+# verb -> (help, its own options after the common ones, handler)
+VERBS = {
+    "apply": ("evaluate an indicator on a variable",
+              {"--indicator": _REQUIRED, "--sigma": {}, "--var": _REQUIRED}, _apply),
+    "check": ("run one property check against an indicator",
+              {"--indicator": _REQUIRED, "--sigma": {}, "--property": {"default": "axioms"}},
+              _check),
+    "tower": ("tower property of a builtin family",
+              {"--family": _FAMILY, "--s": _REQUIRED, "--t": _REQUIRED}, _tower),
+    "project": ("solve the projection equality by grid sweep",
+                {"--var": _REQUIRED, "--time": _REQUIRED, "--i0": {"default": "esssup"},
+                 "--grid": {"help": "comma list of rational values"}}, _project),
+    "envelope": ("backward value envelope of a payoff",
+                 {"--family": _FAMILY, "--payoff": _REQUIRED,
+                  "--american": {"help": "time=var[,time=var...] intermediate payoffs"}},
+                 _envelope),
+    "risk": ("least acceptable cash adjustment",
+             {"--indicator": _REQUIRED, "--sigma": {}, "--var": _REQUIRED,
+              "--axioms": {"action": "store_true"}}, _risk),
+    "condexp-ext": ("extended conditional expectation",
+                    {"--var": _REQUIRED, "--sigma": {}}, _condexp_ext),
+    "additivity-set": ("classify cells where additivity holds",
+                       {"--x": _REQUIRED, "--y": _REQUIRED, "--sigma": {}}, _additivity_set),
+    "recover-density": ("invert an additive self-dual indicator",
+                        {"--indicator": _REQUIRED, "--sigma": {}}, _recover_density),
+    "verify-all": ("run the whole lemma battery", {}, _verify_all),
+}
+
+
+def dispatch(args: argparse.Namespace, scenario: Scenario) -> RunReport:
+    started = time.perf_counter()
+    results, checks = VERBS[args.command][2](args, scenario)
+    elapsed = (time.perf_counter() - started) * 1000
+    return RunReport(
+        command=args.command,
+        seed=args.seed,
+        samples=args.samples,
+        results=results,
+        checks=checks,
+        timing_ms=elapsed,
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,73 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact conditional-indicator calculus over JSON scenario trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", help="path to a scenario JSON (default: built-in 4-atom tree)")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--samples", type=int, default=500)
-        p.add_argument("--cap", type=int, default=None,
-                       help=f"event-enumeration cap (default {DEFAULT_EVENT_CAP}; env CONDIND_CAP)")
-        p.add_argument("--tol", type=_fraction, default=DEFAULT_TOL)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p = sub.add_parser("apply", help="evaluate an indicator on a variable")
-    common(p)
-    p.add_argument("--indicator", required=True)
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--var", required=True)
-
-    p = sub.add_parser("check", help="run one property check against an indicator")
-    common(p)
-    p.add_argument("--indicator", required=True)
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--property", default="axioms")
-
-    p = sub.add_parser("tower", help="tower property of a builtin family")
-    common(p)
-    p.add_argument("--family", required=True, choices=BUILTIN_NAMES)
-    p.add_argument("--s", required=True)
-    p.add_argument("--t", required=True)
-
-    p = sub.add_parser("project", help="solve the projection equality by grid sweep")
-    common(p)
-    p.add_argument("--var", required=True)
-    p.add_argument("--time", required=True)
-    p.add_argument("--i0", default="esssup")
-    p.add_argument("--grid", default=None, help="comma list of rational values")
-
-    p = sub.add_parser("envelope", help="backward value envelope of a payoff")
-    common(p)
-    p.add_argument("--family", required=True, choices=BUILTIN_NAMES)
-    p.add_argument("--payoff", required=True)
-    p.add_argument("--american", default=None, help="time=var[,time=var...] intermediate payoffs")
-
-    p = sub.add_parser("risk", help="least acceptable cash adjustment")
-    common(p)
-    p.add_argument("--indicator", required=True)
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--var", required=True)
-    p.add_argument("--axioms", action="store_true")
-
-    p = sub.add_parser("condexp-ext", help="extended conditional expectation")
-    common(p)
-    p.add_argument("--var", required=True)
-    p.add_argument("--sigma", default=None)
-
-    p = sub.add_parser("additivity-set", help="classify cells where additivity holds")
-    common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--sigma", default=None)
-
-    p = sub.add_parser("recover-density", help="invert an additive self-dual indicator")
-    common(p)
-    p.add_argument("--indicator", required=True)
-    p.add_argument("--sigma", default=None)
-
-    p = sub.add_parser("verify-all", help="run the whole lemma battery")
-    common(p)
-
+    for verb, (help_text, options, _) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag, kwargs in {**_COMMON, **options}.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 

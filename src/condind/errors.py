@@ -73,9 +73,5 @@ class HypothesisFailedError(CondIndError):
         self.reports = tuple(reports)
 
 
-class UnknownCommandError(CondIndError):
-    """CLI verb is not recognized."""
-
-
 class UnknownNameError(CondIndError):
     """A scenario name (variable, partition, indicator, time) did not resolve."""

@@ -128,22 +128,20 @@ def ext_cond_expectation_closed_form(X: RandomVariable, H: Partition) -> RandomV
 
 # -- built-in indicators ------------------------------------------------------
 
+# esssup's flags, and the flags a family's supremum keeps from its members
+_SUP_STABLE = frozenset({Flag.INCREASING, Flag.TRANSLATION_INVARIANT, Flag.POS_HOMOGENEOUS,
+                         Flag.SUBADDITIVE, Flag.CONVEX, Flag.REGULAR})
+# essinf's flags, and the flags a family's infimum keeps from its members
+_INF_STABLE = frozenset({Flag.INCREASING, Flag.TRANSLATION_INVARIANT, Flag.POS_HOMOGENEOUS,
+                         Flag.SUPERADDITIVE, Flag.REGULAR})
+
 
 def esssup_indicator(H: Partition) -> IndicatorSpec:
     return IndicatorSpec(
         name="esssup",
         target=H,
         eval_fn=lambda X: esssup_cond(X, H),
-        flags=frozenset(
-            {
-                Flag.INCREASING,
-                Flag.TRANSLATION_INVARIANT,
-                Flag.POS_HOMOGENEOUS,
-                Flag.SUBADDITIVE,
-                Flag.CONVEX,
-                Flag.REGULAR,
-            }
-        ),
+        flags=_SUP_STABLE,
     )
 
 
@@ -152,15 +150,7 @@ def essinf_indicator(H: Partition) -> IndicatorSpec:
         name="essinf",
         target=H,
         eval_fn=lambda X: essinf_cond(X, H),
-        flags=frozenset(
-            {
-                Flag.INCREASING,
-                Flag.TRANSLATION_INVARIANT,
-                Flag.POS_HOMOGENEOUS,
-                Flag.SUPERADDITIVE,
-                Flag.REGULAR,
-            }
-        ),
+        flags=_INF_STABLE,
     )
 
 
@@ -286,23 +276,6 @@ def mix_self_dual(I: IndicatorSpec) -> IndicatorSpec:
     return IndicatorSpec(
         name=f"mix:{I.name}", target=I.target, eval_fn=ev, domain_fn=domain, flags=flags
     )
-
-
-_SUP_STABLE = {
-    Flag.INCREASING,
-    Flag.TRANSLATION_INVARIANT,
-    Flag.POS_HOMOGENEOUS,
-    Flag.SUBADDITIVE,
-    Flag.CONVEX,
-    Flag.REGULAR,
-}
-_INF_STABLE = {
-    Flag.INCREASING,
-    Flag.TRANSLATION_INVARIANT,
-    Flag.POS_HOMOGENEOUS,
-    Flag.SUPERADDITIVE,
-    Flag.REGULAR,
-}
 
 
 def _family(indicators: Sequence[IndicatorSpec], sup: bool) -> IndicatorSpec:

@@ -18,7 +18,11 @@ three partitions each:
 - each CLI verb through `cli.dispatch`, `project` (`projection_solve`)
   included;
 - `verify-all` at seeds 1-5 x samples {10, 30} (the fast subset: seed 1,
-  samples 10, canonical scenario only).
+  samples 10, canonical scenario only);
+- outside the fast subset, the parser: the `--help` text of `condind` and of
+  each verb at a fixed width, each verb's usage error for a missing required
+  option, and an unknown option, a bad `--family`, `--tol abc`, an unknown
+  verb and an unknown `--property`.
 
 A case that raises a package error records the error's type and message.
 """
@@ -26,9 +30,13 @@ A case that raises a package error records the error's type and message.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 from typing import Callable, Iterator
+from unittest import mock
 
 from condind import (
     Flag,
@@ -92,6 +100,15 @@ CHECKERS = {
 }
 # check_structural on the regular flag is check_regular, listed above
 STRUCTURAL = [f.value for f in Flag if f is not Flag.REGULAR] + ["fatou"]
+VERBS = ("apply", "check", "tower", "project", "envelope", "risk", "condexp-ext",
+         "additivity-set", "recover-density", "verify-all")
+USAGE_ERRORS = [
+    ["apply", "--indicator", "esssup", "--var", "X", "--bogus"],
+    ["tower", "--family", "nope", "--s", "F0", "--t", "F2"],
+    ["risk", "--indicator", "esssup", "--var", "X", "--tol", "abc"],
+    ["frobnicate"],
+    ["check", "--indicator", "esssup", "--property", "nope"],
+]
 
 
 def _indicators(scenario, H: Partition) -> list:
@@ -115,6 +132,17 @@ def _cli(scenario, argv: list[str]):
     args = build_parser().parse_args(argv)
     args.cap = DEFAULT_EVENT_CAP if args.cap is None else args.cap
     return dispatch(args, scenario).to_dict()
+
+
+def _help(argv: list[str]) -> dict:
+    out = io.StringIO()
+    # argparse wraps help text to $COLUMNS; fix it so the text is terminal-independent
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return {"exit": exc.code, "stdout": out.getvalue()}
+    raise AssertionError(f"{argv} did not exit")
 
 
 def _guarded(fn: Callable[[], object]) -> object:
@@ -177,6 +205,14 @@ def cases(fast: bool) -> Iterator[tuple[str, Callable[[], object]]]:
             for n in (10,) if fast else (10, 30):
                 argv = ["verify-all", "--seed", str(seed), "--samples", str(n)]
                 yield f"{sname}/cli/{' '.join(argv)}", lambda: _cli(scenario, argv)
+    if fast:
+        return
+    for argv in [["--help"]] + [[verb, "--help"] for verb in VERBS]:
+        yield f"parser/{' '.join(argv)}", lambda: _help(argv)
+    scenario = parse_scenario(CANONICAL_DOC)
+    # verify-all has no required option
+    for argv in [[verb] for verb in VERBS[:-1]] + USAGE_ERRORS:
+        yield f"parser/{' '.join(argv)}", lambda: _cli(scenario, argv)
 
 
 def lines(fast: bool) -> Iterator[str]:
