@@ -195,17 +195,18 @@ def _extension_duality(prop, I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     space = I.target.space
     star = dual(I)
+    steps = (("lower-upper", lower_extension, upper_extension),
+             ("upper-lower", upper_extension, lower_extension))
 
     def trials():
         for X in iter_cases(space, rng, samples):
             anchors = [sample_rv(space, rng) for _ in range(3)]
             flipped = [-A for A in anchors]
-            lhs = -lower_extension(I, anchors, -X)  # (I^{L(E)})*(X)
-            rhs = upper_extension(star, flipped, X)  # (I*)^{U(-E)}(X)
-            yield lhs == rhs, dict(step="lower-upper", X=X, lhs=lhs, rhs=rhs)
-            lhs = -upper_extension(I, anchors, -X)
-            rhs = lower_extension(star, flipped, X)
-            yield lhs == rhs, dict(step="upper-lower", X=X, lhs=lhs, rhs=rhs)
+            # (I^{L(E)})*(X) = (I*)^{U(-E)}(X), and the same with L and U swapped
+            for step, outer, inner in steps:
+                lhs = -outer(I, anchors, -X)
+                rhs = inner(star, flipped, X)
+                yield lhs == rhs, dict(step=step, X=X, lhs=lhs, rhs=rhs)
 
     return falsify(prop, trials())
 

@@ -269,15 +269,24 @@ def check_structural(
     which: Flag | str,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    sequences: Sequence[Sequence[RandomVariable]] | None = None,
 ) -> CheckReport:
     """Falsification check for one structural property; `which` is a flag
-    name or "fatou" (checkable but never declarable)."""
-    flag = None if which == "fatou" else Flag(which)
+    name or "fatou" (never declarable, and always skipped).
+
+    Fatou compares I(lim X_n) with the limit of I(X_n). Exact arithmetic
+    sees a sequence only through finitely many terms, and those fix the
+    limit only when the sequence is eventually constant; then both sides
+    are I(lim X_n), so every case would hold by construction.
+    """
+    if which == "fatou":
+        return CheckReport.skipped(
+            f"fatou:{I.name}", "partial: finite spaces only admit eventually-constant sequences"
+        )
+    flag = Flag(which)
     rng = derive_rng(seed, f"structural:{I.name}:{which}")
     H = I.target
     space = H.space
-    prop = f"{which if flag is None else flag.value}:{I.name}"
+    prop = f"{flag.value}:{I.name}"
 
     if flag is Flag.REGULAR:
         return check_regular(I, samples, seed)
@@ -335,24 +344,7 @@ def check_structural(
                         lhs, rhs = I(Z), A * I(X) + one_minus * I(Y)
                         yield lhs.le(rhs), dict(X=X, Y=Y, alpha=A, lhs=lhs, rhs=rhs)
 
-        else:
-            # Fatou: on a finite space a.s. convergence is eventually constant,
-            # so only supplied finite prefixes are checkable and the tail collapses.
-            for seq in sequences:
-                if seq and all(I.in_domain(Xn) for Xn in seq):
-                    limit = seq[-1]  # the constant tail
-                    yield I(limit).ge(I(seq[-1])), dict(sequence=list(seq))
-
-    if flag is None and sequences is None:
-        return CheckReport.skipped(
-            prop, "partial: finite spaces only admit eventually-constant sequences; supply them explicitly"
-        )
-    rep = falsify(prop, trials())
-    if flag is None and rep.verdict is Verdict.VERIFIED:
-        return CheckReport.skipped(
-            prop, "partial", notes=(f"eventually-constant prefixes checked: {rep.cases}",)
-        )
-    return rep
+    return falsify(prop, trials())
 
 
 # -- sign-split decomposition ----------------------------------------------------
@@ -383,8 +375,15 @@ def check_hplus_decomposition(
 # -- implication guards (must never fire) ----------------------------------------
 
 
-def _partial(report: CheckReport) -> tuple[str, ...]:
-    return tuple(n for n in report.notes if n.startswith("partial:"))
+def _guard(prop: str, premise: str, premise_cases: int, conclusion: CheckReport) -> CheckReport:
+    """A guard's report once its premise is verified: a falsified conclusion
+    is the contradiction alarm; the conclusion's `partial:` notes go along."""
+    partial = tuple(n for n in conclusion.notes if n.startswith("partial:"))
+    cases = premise_cases + conclusion.cases
+    if conclusion.verdict is Verdict.COUNTEREXAMPLE:
+        alarm = f"contradiction alarm: {premise} verified but regularity falsified"
+        return CheckReport.counterexample(prop, conclusion.witness or {}, cases, notes=(alarm, *partial), alarm=True)
+    return CheckReport.verified(prop, cases, notes=partial)
 
 
 def check_convex_implies_regular(
@@ -401,15 +400,7 @@ def check_convex_implies_regular(
         return CheckReport.verified(
             prop, premise.cases, notes=("premise falsified or skipped; implication vacuous",)
         )
-    conclusion = check_regular(I, samples, seed, cap)
-    if conclusion.verdict is Verdict.COUNTEREXAMPLE:
-        return CheckReport.counterexample(
-            prop, conclusion.witness or {}, premise.cases + conclusion.cases,
-            notes=("contradiction alarm: convexity verified but regularity falsified",
-                   *_partial(conclusion)),
-            alarm=True,
-        )
-    return CheckReport.verified(prop, premise.cases + conclusion.cases, notes=_partial(conclusion))
+    return _guard(prop, "convexity", premise.cases, check_regular(I, samples, seed, cap))
 
 
 def check_additive_implies_regular(
@@ -424,15 +415,7 @@ def check_additive_implies_regular(
     sub = check_structural(I, Flag.SUBADDITIVE, samples, seed)
     sup = check_structural(I, Flag.SUPERADDITIVE, samples, seed)
     if sub.verdict is Verdict.VERIFIED and sup.verdict is Verdict.VERIFIED:
-        conclusion = check_regular(I, samples, seed, cap)
-        if conclusion.verdict is Verdict.COUNTEREXAMPLE:
-            return CheckReport.counterexample(
-                prop, conclusion.witness or {}, conclusion.cases,
-                notes=("contradiction alarm: additivity verified but regularity falsified",
-                   *_partial(conclusion)),
-                alarm=True,
-            )
-        return CheckReport.verified(prop, sub.cases + sup.cases + conclusion.cases, notes=_partial(conclusion))
+        return _guard(prop, "additivity", sub.cases + sup.cases, check_regular(I, samples, seed, cap))
     if sub.verdict is Verdict.VERIFIED:
         rng = derive_rng(seed, prop)
         H = I.target

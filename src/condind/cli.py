@@ -106,8 +106,6 @@ def jsonable(obj: Any) -> Any:
         return str(obj)
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, float):
-        return repr(obj)
     if isinstance(obj, RandomVariable):
         return obj.as_mapping()
     if isinstance(obj, Event):
@@ -273,14 +271,17 @@ def _envelope(args, scenario):
     payoff = scenario.variable(args.payoff)
     american = None
     if args.american:
-        by_time: dict[str, RandomVariable] = {}
+        by_index: dict[int, RandomVariable] = {}
         for chunk in args.american.split(","):
             t, _, var = chunk.partition("=")
             if not var:
                 raise ValidationError("--american expects time=var[,time=var...]")
-            by_time[t] = scenario.variable(var)
+            k = filtration.index_of(t)
+            if k in by_index:
+                raise ValidationError(f"--american gives time {t!r} twice")
+            by_index[k] = scenario.variable(var)
         lowest = RandomVariable.constant(scenario.space, "-inf")
-        values = tuple(by_time[t] if t in by_time else lowest for t in filtration.times)
+        values = tuple(by_index.get(k, lowest) for k in range(len(filtration.times)))
         american = AdaptedProcess(filtration, values)
     V = backward_envelope(SI, payoff, american)
     return {"V": {t: v for t, v in zip(filtration.times, V.values)}}, []

@@ -24,7 +24,7 @@ from .checks import (
 )
 from .errors import BadDensityError, HypothesisFailedError
 from .extreal import ONE, ZERO, ExtReal, ext
-from .indicators import EvalFn, Flag, IndicatorSpec, ext_cond_expectation_closed_form
+from .indicators import _EXT_FLAGS, EvalFn, IndicatorSpec, ext_cond_expectation_closed_form
 from .sampling import (
     ALPHA_GRID,
     DEFAULT_SAMPLES,
@@ -217,9 +217,7 @@ def weighted_indicator(H: Partition, density: RandomVariable, label: str = "weig
         name=label,
         target=H,
         eval_fn=_weighted_cell_means(H, density),
-        flags=frozenset(
-            {Flag.INCREASING, Flag.POS_HOMOGENEOUS, Flag.REGULAR, Flag.SELF_DUAL}
-        ),
+        flags=_EXT_FLAGS,
     )
 
 

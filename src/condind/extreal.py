@@ -98,6 +98,9 @@ class ExtReal:
 
     # A non-ExtReal operand has no `kind`: returning NotImplemented lets
     # Python raise TypeError. try/except keeps isinstance off the hot path.
+    # `>` and `>=` are the reflections of `<` and `<=`: there the other
+    # operand's own method answers, and a non-ExtReal one, not knowing
+    # ExtReal, answers NotImplemented as well.
 
     def __lt__(self, other: "ExtReal") -> bool:
         try:
@@ -118,22 +121,10 @@ class ExtReal:
         return self.kind != _FIN or self.frac <= other.frac
 
     def __gt__(self, other: "ExtReal") -> bool:
-        try:
-            ok = other.kind
-        except AttributeError:
-            return NotImplemented
-        if self.kind != ok:
-            return self.kind > ok
-        return self.kind == _FIN and self.frac > other.frac
+        return other.__lt__(self)
 
     def __ge__(self, other: "ExtReal") -> bool:
-        try:
-            ok = other.kind
-        except AttributeError:
-            return NotImplemented
-        if self.kind != ok:
-            return self.kind > ok
-        return self.kind != _FIN or self.frac >= other.frac
+        return other.__le__(self)
 
     # -- arithmetic --------------------------------------------------------
 

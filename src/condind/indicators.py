@@ -136,6 +136,10 @@ _INF_STABLE = frozenset({Flag.INCREASING, Flag.TRANSLATION_INVARIANT, Flag.POS_H
                          Flag.SUPERADDITIVE, Flag.REGULAR})
 
 
+# the flags of the extended conditional expectation and of a weighted indicator
+_EXT_FLAGS = frozenset({Flag.INCREASING, Flag.POS_HOMOGENEOUS, Flag.REGULAR, Flag.SELF_DUAL})
+
+
 def esssup_indicator(H: Partition) -> IndicatorSpec:
     return IndicatorSpec(
         name="esssup",
@@ -175,19 +179,7 @@ def condexp_indicator(H: Partition) -> IndicatorSpec:
         target=H,
         eval_fn=lambda X: ext_cond_expectation_closed_form(X, H),
         domain_fn=_cellwise_finite_or_constant(H),
-        flags=frozenset(
-            {
-                Flag.INCREASING,
-                Flag.TRANSLATION_INVARIANT,
-                Flag.POS_HOMOGENEOUS,
-                Flag.LINEAR,
-                Flag.SUBADDITIVE,
-                Flag.SUPERADDITIVE,
-                Flag.CONVEX,
-                Flag.REGULAR,
-                Flag.SELF_DUAL,
-            }
-        ),
+        flags=frozenset(Flag),
     )
 
 
@@ -202,9 +194,7 @@ def condexp_ext_indicator(H: Partition) -> IndicatorSpec:
         name="condexp-ext",
         target=H,
         eval_fn=lambda X: ext_cond_expectation_closed_form(X, H),
-        flags=frozenset(
-            {Flag.INCREASING, Flag.POS_HOMOGENEOUS, Flag.REGULAR, Flag.SELF_DUAL}
-        ),
+        flags=_EXT_FLAGS,
     )
 
 

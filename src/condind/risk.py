@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .extreal import POS_INF, ZERO, ExtReal, ext
-from .indicators import Flag, IndicatorSpec, essinf_cond, esssup_cond
+from .indicators import Flag, IndicatorSpec, dual, essinf_cond, esssup_cond
 from .sampling import (
     DEFAULT_SAMPLES,
     NONNEG_ALPHA_GRID,
@@ -140,19 +140,20 @@ def rho(
     return RandomVariable.from_cells(H, [ext(h) if v is None else v for v, h in zip(val, hi)])
 
 
+def _value_side(I: IndicatorSpec, side: RhoSide) -> IndicatorSpec:
+    # I(-X) = -I*(X): the argument convention is the value convention of the dual
+    return dual(I) if side is RhoSide.NEG_ARG else I
+
+
 def rho_from_indicator(I: IndicatorSpec, side: RhoSide) -> RiskMeasureSpec:
-    """Risk measure from an indicator through either sign convention."""
-    if side is RhoSide.NEG_ARG:
-        ev = lambda X: I(-X)
-        dom = None if I.domain_fn is None else (lambda X: I.domain_fn(-X))
-    else:
-        ev = lambda X: -I(X)
-        dom = I.domain_fn
+    """Risk measure -J(X) from an indicator through either sign convention:
+    J is I for -I(X) and the dual I* for I(-X), on J's domain."""
+    J = _value_side(I, side)
     return RiskMeasureSpec(
         name=f"rho[{side.value}]:{I.name}",
         target=I.target,
-        eval_fn=ev,
-        domain_fn=dom,
+        eval_fn=lambda X: -J(X),
+        domain_fn=J.domain_fn,
     )
 
 
@@ -384,11 +385,14 @@ def check_rho_correspondence(
     is increasing and translation invariant.
 
     Both sides of the equivalence are evaluated on the same inputs case by
-    case; any per-case disagreement is a contradiction alarm. The aggregate
-    axiom/flag verdicts go into the notes.
+    case; any per-case disagreement is a contradiction alarm. The flag side
+    is read off J, where rho = -J: J (I or its dual) is increasing and
+    translation invariant exactly when I is. The aggregate axiom/flag
+    verdicts go into the notes.
     """
     prop = f"rho-iff:{I.name}[{side.value}]"
     rm = rho_from_indicator(I, side)
+    J = _value_side(I, side)
     rng = derive_rng(seed, prop)
     space = I.target.space
     held = {"axioms": True, "flags": True}
@@ -400,10 +404,7 @@ def check_rho_correspondence(
                 continue
             r1 = rm(X1)
             p2 = r1.le(rm(X2))
-            if side is RhoSide.NEG_VALUE:
-                inc = I(X2).le(I(X1))
-            else:
-                inc = I(-X1).le(I(-X2))
+            inc = J(X2).le(J(X1))
             held["axioms"] &= p2
             held["flags"] &= inc
             yield p2 == inc, dict(step="antitone<->increasing", X1=X1, X2=X2)
@@ -411,11 +412,7 @@ def check_rho_correspondence(
             if not rm.in_domain(X1 + M):
                 continue
             p3 = rm(X1 + M) == r1 - M
-            if side is RhoSide.NEG_VALUE:
-                ti = I(X1 + M) == I(X1) + M
-            else:
-                # translation invariance instantiated at -X1-M with shift +M
-                ti = I(-X1) == I(-X1 - M) + M
+            ti = J(X1 + M) == J(X1) + M
             held["axioms"] &= p3
             held["flags"] &= ti
             yield p3 == ti, dict(step="cash<->translation", X=X1, alpha=M)

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from .extreal import NEG_INF, POS_INF, ExtReal, ext
-from .space import Event, FiniteProbabilitySpace, Partition, RandomVariable, _packed
+from .space import Event, FiniteProbabilitySpace, Partition, RandomVariable, _on_cells, _packed
 
 DEFAULT_SAMPLES = 500
 
@@ -69,11 +69,10 @@ def _draw(rng: random.Random, allow_inf: bool, nonneg: bool) -> tuple[int, int, 
     return 0, abs(num) if nonneg else num, den
 
 
-def sample_value(rng: random.Random, allow_inf: bool = True, nonneg: bool = False) -> ExtReal:
-    kind, num, den = _draw(rng, allow_inf, nonneg)
-    if kind:
-        return POS_INF if kind > 0 else NEG_INF
-    return ext(Fraction(num, den))
+def _pack_draws(draws: list[tuple[int, int, int]]) -> tuple[list[int], list[int], int]:
+    # the draws' tags and numerators over their common denominator
+    den = lcm(*[d for _, _, d in draws])
+    return [k for k, _, _ in draws], [n * (den // d) for _, n, d in draws], den
 
 
 def sample_rv(
@@ -82,9 +81,7 @@ def sample_rv(
     allow_inf: bool = True,
     nonneg: bool = False,
 ) -> RandomVariable:
-    draws = [_draw(rng, allow_inf, nonneg) for _ in space.atoms]
-    den = lcm(*[d for _, _, d in draws])
-    return _packed(space, [k for k, _, _ in draws], [n * (den // d) for _, n, d in draws], den)
+    return _packed(space, *_pack_draws([_draw(rng, allow_inf, nonneg) for _ in space.atoms]))
 
 
 def sample_measurable(
@@ -93,8 +90,7 @@ def sample_measurable(
     allow_inf: bool = False,
     nonneg: bool = False,
 ) -> RandomVariable:
-    per_cell = [sample_value(rng, allow_inf, nonneg) for _ in partition.cells]
-    return RandomVariable.from_cells(partition, per_cell)
+    return _on_cells(partition, *_pack_draws([_draw(rng, allow_inf, nonneg) for _ in partition.cells]))
 
 
 def sample_dominating_pair(

@@ -255,6 +255,12 @@ def _from_keys(space, keys, den: int, finite: bool) -> "RandomVariable":
     return _packed(space, kinds, nums, den)
 
 
+def _on_cells(partition, kinds, nums, den: int) -> "RandomVariable":
+    # the measurable variable holding tag kinds[c] and value nums[c] / den on cell c
+    cell_of = partition._cell_of
+    return _packed(partition.space, [kinds[c] for c in cell_of], [nums[c] for c in cell_of], den)
+
+
 def _repeat(space, v: ExtReal) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     n = space.size
     kinds = (v.kind,) * n if v.kind else space._finite_kinds
@@ -331,9 +337,7 @@ class RandomVariable(_Unsealed):
     @staticmethod
     def from_cells(partition: Partition, per_cell: Sequence[ExtReal]) -> "RandomVariable":
         """The measurable variable holding per_cell[c] on cell c of the partition."""
-        kinds, nums, den = _pack(per_cell)
-        cell_of = partition._cell_of  # type: ignore[attr-defined]
-        return _packed(partition.space, [kinds[c] for c in cell_of], [nums[c] for c in cell_of], den)
+        return _on_cells(partition, *_pack(per_cell))
 
     @staticmethod
     def indicator(event: Event) -> "RandomVariable":
@@ -473,10 +477,7 @@ class Filtration:
         return self.partitions[0].space
 
     def at(self, time: str) -> Partition:
-        try:
-            return self.partitions[self.times.index(time)]
-        except ValueError:
-            raise ValidationError(f"unknown time label {time!r}") from None
+        return self.partitions[self.index_of(time)]
 
     def index_of(self, time: str) -> int:
         try:
@@ -581,9 +582,7 @@ def cell_means(
     """
     if weights is None:
         weights = X.space._weights  # type: ignore[attr-defined]
-    tags, nums, den = _cell_means(X, partition.cells, weights)
-    cell_of = partition._cell_of  # type: ignore[attr-defined]
-    return _packed(X.space, [tags[c] for c in cell_of], [nums[c] for c in cell_of], den)
+    return _on_cells(partition, *_cell_means(X, partition.cells, weights))
 
 
 def expectation(X: RandomVariable) -> ExtReal:

@@ -127,14 +127,6 @@ def test_fatou_skips_without_sequences(space4, H):
     assert "partial" in (rep.reason or "")
 
 
-def test_fatou_with_supplied_prefixes(space4, H):
-    X = rv(space4, 1, 2, 3, 4)
-    seqs = [[X.shift(k) for k in range(3)]]
-    rep = check_structural(esssup_indicator(H), "fatou", samples=10, seed=0,
-                           sequences=seqs)
-    assert rep.verdict is Verdict.SKIPPED  # vacuous at finite scale, recorded
-
-
 def test_hplus_decomposition_example(space4, H):
     I = esssup_indicator(H)
     h = rv(space4, -1, -1, 2, 2)

@@ -166,6 +166,22 @@ def test_bad_project_grid_exits_2_with_json_error(case, capsys):
     assert "Traceback" not in err
 
 
+BAD_AMERICAN = {
+    "unknown-time": "Q=Z",
+    "repeated-time": "H=Z,H=Z",
+    "no-variable": "H",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_AMERICAN))
+def test_bad_envelope_american_exits_2_with_json_error(case, capsys):
+    code = run(["envelope", "--family", "esssup", "--payoff", "X", "--american", BAD_AMERICAN[case]])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION, err
+    assert "error" in json.loads(err)
+    assert "Traceback" not in err
+
+
 # JSON texts that json.loads itself refuses with other errors than a decode error
 RAW_SCENARIO_TEXTS = {
     "integer-past-digit-limit":
@@ -360,11 +376,22 @@ def test_implication_guards_honour_the_env_cap(prop, monkeypatch):
     assert "partial: 2^2 events exceed cap 1; sampled 4" in check["notes"]
 
 
-def test_text_format():
-    code, out = capture(["apply", "--indicator", "esssup", "--sigma", "H",
-                         "--var", "X", "--format", "text"])
-    assert code == EXIT_OK
-    assert "command: apply" in out and "failed: False" in out
+FATOU_SKIP = "partial: finite spaces only admit eventually-constant sequences"
+CHECK = ["check", "--indicator", "esssup", "--sigma", "H", "--property"]
+
+
+@pytest.mark.parametrize("argv,code,lines", [
+    (["apply", "--indicator", "esssup", "--sigma", "H", "--var", "X"], EXIT_OK,
+     ["command: apply  seed=7 samples=500", "failed: False"]),
+    (CHECK + ["axioms"], EXIT_OK, ["  [ok] axioms:esssup: 1671 cases", "failed: False"]),
+    (CHECK + ["superadditive"], EXIT_COUNTEREXAMPLE,
+     ["  [FAIL] superadditive:esssup: 4 cases", "failed: True"]),
+    (CHECK + ["fatou"], EXIT_OK, [f"  [skip] fatou:esssup: 0 cases ({FATOU_SKIP})", "failed: False"]),
+], ids=["apply", "ok", "fail", "skip"])
+def test_text_format(argv, code, lines):
+    got, out = capture(argv + ["--format", "text"])
+    assert got == code
+    assert set(lines) <= set(out.splitlines())
 
 
 def test_console_entry_point_subprocess():
