@@ -280,7 +280,9 @@ def check_structural(
     """
     if which == "fatou":
         return CheckReport.skipped(
-            f"fatou:{I.name}", "partial: finite spaces only admit eventually-constant sequences"
+            f"fatou:{I.name}",
+            "partial: exact checks see finitely many terms, which fix the limit only for "
+            "eventually-constant sequences",
         )
     flag = Flag(which)
     rng = derive_rng(seed, f"structural:{I.name}:{which}")

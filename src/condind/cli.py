@@ -16,27 +16,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import battery
-from .checks import (
-    CheckReport,
-    check_additive_implies_regular,
-    check_axioms,
-    check_convex_implies_regular,
-    check_hplus_decomposition,
-    check_regular,
-    check_structural,
-)
-from .errors import CondIndError, UnknownNameError, ValidationError
-from .expectation_ext import (
-    DensityReport,
-    additivity_set,
-    check_additivity_on_F,
-    recover_density,
-    weighted_indicator,
-)
-from .errors import HypothesisFailedError
+from .errors import CondIndError, HypothesisFailedError, UnknownNameError, ValidationError
 from .extreal import ExtReal, ext
 from .indicators import (
     BUILTIN_NAMES,
@@ -51,23 +33,11 @@ from .indicators import (
     mix_self_dual,
     upper_extension,
 )
-from .risk import (
-    DEFAULT_TOL,
-    RhoSide,
-    check_rm_axioms,
-    check_rm_coherent,
-    rho,
-    rho_from_indicator,
-)
 from .scenario import Scenario, _literal, canonical_scenario, load_scenario
-from .space import DEFAULT_EVENT_CAP, Event, Filtration, Partition, RandomVariable
-from .stochastic import (
-    AdaptedProcess,
-    StochasticIndicator,
-    backward_envelope,
-    check_tower,
-    projection_solve,
-)
+from .space import DEFAULT_EVENT_CAP, DEFAULT_TOL, Event, Filtration, Partition, RandomVariable
+
+if TYPE_CHECKING:
+    from .checks import CheckReport
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -112,6 +82,12 @@ def jsonable(obj: Any) -> Any:
         return list(obj.labels)
     if isinstance(obj, Partition):
         return obj.label_cells()
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    from .checks import CheckReport
+
     if isinstance(obj, CheckReport):
         out = {
             "property": obj.prop,
@@ -127,6 +103,8 @@ def jsonable(obj: Any) -> Any:
         if obj.alarm:
             out["alarm"] = True
         return out
+    from .expectation_ext import DensityReport
+
     if isinstance(obj, DensityReport):
         return {
             "density": jsonable(obj.density),
@@ -134,10 +112,6 @@ def jsonable(obj: Any) -> Any:
             "reconstruction_ok": obj.reconstruction_ok,
             "mismatch_witness": jsonable(obj.mismatch_witness),
         }
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
     return str(obj)
 
 
@@ -154,6 +128,8 @@ def resolve_indicator(name: str, scenario: Scenario, sigma: Partition) -> Indica
     if not rest:
         raise UnknownNameError(f"unknown indicator {name!r}")
     if head == "weighted":
+        from .expectation_ext import weighted_indicator
+
         return weighted_indicator(sigma, scenario.variable(rest), label=name)
     if head == "dual":
         return dual(resolve_indicator(rest, scenario, sigma))
@@ -193,12 +169,13 @@ def _sigma(scenario: Scenario, name: str | None) -> Partition:
     return Partition.trivial(scenario.space)
 
 
+# property -> (function of condind.checks, whether it takes the event cap)
 _CHECK_DISPATCH = {
-    "axioms": lambda I, n, s, cap: check_axioms(I, n, s),
-    "regular": lambda I, n, s, cap: check_regular(I, n, s, cap),
-    "hplus": lambda I, n, s, cap: check_hplus_decomposition(I, n, s),
-    "convex-implies-regular": lambda I, n, s, cap: check_convex_implies_regular(I, n, s, cap),
-    "additive-implies-regular": lambda I, n, s, cap: check_additive_implies_regular(I, n, s, cap),
+    "axioms": ("check_axioms", False),
+    "regular": ("check_regular", True),
+    "hplus": ("check_hplus_decomposition", False),
+    "convex-implies-regular": ("check_convex_implies_regular", True),
+    "additive-implies-regular": ("check_additive_implies_regular", True),
 }
 
 
@@ -212,7 +189,8 @@ def _filtration(args: argparse.Namespace, scenario: Scenario) -> Filtration:
     return scenario.filtration
 
 
-# Each handler maps (args, scenario) to the report's (results, checks).
+# Each handler maps (args, scenario) to the report's (results, checks). It
+# imports the modules it runs when it runs, so a verb loads only those.
 
 
 def _apply(args, scenario):
@@ -223,10 +201,14 @@ def _apply(args, scenario):
 
 
 def _check(args, scenario):
+    from . import checks
+
     I = _indicator(args, scenario)
     prop = args.property
     if prop in _CHECK_DISPATCH:
-        report = _CHECK_DISPATCH[prop](I, args.samples, args.seed, args.cap)
+        attr, takes_cap = _CHECK_DISPATCH[prop]
+        cap = (args.cap,) if takes_cap else ()
+        report = getattr(checks, attr)(I, args.samples, args.seed, *cap)
     else:
         if prop != "fatou":
             try:
@@ -236,17 +218,21 @@ def _check(args, scenario):
                     f"unknown property {prop!r}; pick a structural flag, 'fatou', "
                     f"or one of {sorted(_CHECK_DISPATCH)}"
                 ) from None
-        report = check_structural(I, prop, args.samples, args.seed)
+        report = checks.check_structural(I, prop, args.samples, args.seed)
     return {"indicator": I.name, "property": prop}, [report]
 
 
 def _tower(args, scenario):
+    from .stochastic import StochasticIndicator, check_tower
+
     SI = StochasticIndicator.from_builtin(_filtration(args, scenario), args.family)
     checks = [check_tower(SI, args.s, args.t, args.samples, args.seed)]
     return {"family": args.family, "s": args.s, "t": args.t}, checks
 
 
 def _project(args, scenario):
+    from .stochastic import projection_solve
+
     filtration = _filtration(args, scenario)
     I0 = resolve_indicator(args.i0, scenario, filtration.partitions[0])
     X = scenario.variable(args.var)
@@ -266,6 +252,8 @@ def _project(args, scenario):
 
 
 def _envelope(args, scenario):
+    from .stochastic import AdaptedProcess, StochasticIndicator, backward_envelope
+
     filtration = _filtration(args, scenario)
     SI = StochasticIndicator.from_builtin(filtration, args.family)
     payoff = scenario.variable(args.payoff)
@@ -288,6 +276,8 @@ def _envelope(args, scenario):
 
 
 def _risk(args, scenario):
+    from .risk import RhoSide, check_rm_axioms, check_rm_coherent, rho, rho_from_indicator
+
     I = _indicator(args, scenario)
     results = {"indicator": I.name, "rho": rho(I, scenario.variable(args.var), args.tol)}
     if not args.axioms:
@@ -304,6 +294,8 @@ def _condexp_ext(args, scenario):
 
 
 def _additivity_set(args, scenario):
+    from .expectation_ext import additivity_set, check_additivity_on_F
+
     sigma = _sigma(scenario, args.sigma)
     X = scenario.variable(args.x)
     Y = scenario.variable(args.y)
@@ -313,6 +305,8 @@ def _additivity_set(args, scenario):
 
 
 def _recover_density(args, scenario):
+    from .expectation_ext import recover_density
+
     I = _indicator(args, scenario)
     try:
         report = recover_density(I, samples=args.samples, seed=args.seed)
@@ -322,8 +316,10 @@ def _recover_density(args, scenario):
 
 
 def _verify_all(args, scenario):
-    checks = battery.verify_all(scenario, seed=args.seed, samples=args.samples,
-                                cap=args.cap, tol=args.tol)
+    from .battery import verify_all
+
+    checks = verify_all(scenario, seed=args.seed, samples=args.samples,
+                        cap=args.cap, tol=args.tol)
     tallies = {"verified": 0, "counterexample": 0, "skipped": 0}
     for c in checks:
         tallies[c.verdict.value] += 1

@@ -37,9 +37,7 @@ from .sampling import (
     sample_measurable,
     sample_rv,
 )
-from .space import Partition, RandomVariable
-
-DEFAULT_TOL = Fraction(1, 2**40)
+from .space import DEFAULT_TOL, Partition, RandomVariable
 
 
 class RhoSide(str, Enum):

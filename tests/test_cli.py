@@ -376,7 +376,8 @@ def test_implication_guards_honour_the_env_cap(prop, monkeypatch):
     assert "partial: 2^2 events exceed cap 1; sampled 4" in check["notes"]
 
 
-FATOU_SKIP = "partial: finite spaces only admit eventually-constant sequences"
+FATOU_SKIP = ("partial: exact checks see finitely many terms, which fix the limit only for "
+              "eventually-constant sequences")
 CHECK = ["check", "--indicator", "esssup", "--sigma", "H", "--property"]
 
 
@@ -402,6 +403,33 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["value"]["d"] == "4"
+
+
+_COLD_RUN = """
+import contextlib, io, sys
+from condind import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("condind.")))
+"""
+
+
+@pytest.mark.parametrize("argv,runs,skips", [
+    (["apply", "--indicator", "esssup", "--sigma", "H", "--var", "X"], {"indicators"},
+     {"battery", "checks", "risk", "stochastic", "expectation_ext", "sampling"}),
+    (["envelope", "--family", "esssup", "--payoff", "X"], {"stochastic"},
+     {"battery", "risk", "expectation_ext"}),
+], ids=["apply", "envelope"])
+def test_cold_verb_imports_only_the_modules_it_runs(argv, runs, skips):
+    env = {k: v for k, v in os.environ.items() if k != "CONDIND_CAP"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv],
+                          capture_output=True, text=True, timeout=120, env=env, check=True)
+    code, *modules = proc.stdout.split()
+    loaded = {m.removeprefix("condind.") for m in modules}
+    assert code == str(EXIT_OK)
+    assert runs <= loaded
+    assert not loaded & skips, sorted(loaded & skips)
 
 
 # -- fuzzed input contract ----------------------------------------------------

@@ -12,15 +12,18 @@ import pytest
 from corpus import lines
 from opdigest import op_digest
 
-# re-pinned when the fatou skip reason lost "; supply them explicitly"
-FAST_CORPUS_SHA256 = "5d2bce1996c5c1050475317488b7aaef86db040cdbce98405fde395156ea0928"
+# re-pinned when the fatou skip reason was rewritten to say what exact checks see
+FAST_CORPUS_SHA256 = "7bdd2443a0ed023447f5440e74b36ffd88c8d17dfb20fd9f2f8cb93e9820d8d6"
 
-# tests/opdigest.py at seed 5: every benchmark op's output, for the
-# in-process workloads of perfbench/workloads.py at the default cap
+# tests/opdigest.py at seed 5: every benchmark op's output, for each
+# workload of perfbench/workloads.py at the default cap; cli-cold's eight
+# ops are its eight verbs, each a `python -m condind.cli` child checked
+# against the in-process cli.run
 OP_DIGESTS = {
     ("battery", 4): "46bed6509ce758b9d4164f506eb0bfcc4998c227290792ae5ad3ac39d51611d0",
     ("desk", 6): "9692fa7a847a5793b07f84b15802a8674a0c89684ef83c8696ed0dc0f86808ec",
     ("shapes", 500): "c9cbb2a94c0842848278ef0e9f5e94c320a24e539f63b0f13f9432a0d1b7ad83",
+    ("cli-cold", 8): "dbb0b5831a484932f71b1ba1f1e5438a3e84fee407a5eb21cc82ad5f53d89f9a",
 }
 
 
