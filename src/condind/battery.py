@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 
 from .checks import (
     CheckReport,
+    Trial,
     Verdict,
     check_additive_implies_regular,
     check_axioms,
@@ -125,23 +126,18 @@ def _convention_table(prop: str) -> CheckReport:
     return falsify(prop, trials())
 
 
-def _dual_involution(prop, I, samples, seed) -> CheckReport:
-    rng = derive_rng(seed, prop)
+def _dual_involution(I, rng, samples) -> Iterator[Trial]:
     star = dual(I)
     double = dual(star)
     swap_ok = (
         (Flag.SUBADDITIVE in I.flags) == (Flag.SUPERADDITIVE in star.flags)
         and (Flag.SUPERADDITIVE in I.flags) == (Flag.SUBADDITIVE in star.flags)
     )
-
-    def trials():
-        yield swap_ok, dict(step="flag-swap", flags=sorted(fl.value for fl in star.flags))
-        for X in iter_cases(I.target.space, rng, samples):
-            if I.in_domain(X) and double.in_domain(X):
-                lhs, rhs = double(X), I(X)
-                yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
-
-    return falsify(prop, trials())
+    yield swap_ok, dict(step="flag-swap", flags=sorted(fl.value for fl in star.flags))
+    for X in iter_cases(I.target.space, rng, samples):
+        if I.in_domain(X) and double.in_domain(X):
+            lhs, rhs = double(X), I(X)
+            yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
 
 
 def _averaging(prop, I, samples, seed, cap) -> CheckReport:
@@ -162,63 +158,43 @@ def _averaging(prop, I, samples, seed, cap) -> CheckReport:
     return falsify(prop, trials(), notes=notes)
 
 
-def _extension_sandwich(prop, I, samples, seed) -> CheckReport:
-    rng = derive_rng(seed, prop)
+def _extension_sandwich(I, rng, samples) -> Iterator[Trial]:
     space = I.target.space
-
-    def trials():
-        for X in iter_cases(space, rng, samples):
-            if not I.in_domain(X):
-                continue
-            anchors = [sample_rv(space, rng) for _ in range(2)] + [X]
-            anchors = [A for A in anchors if I.in_domain(A)]
-            low = lower_extension(I, anchors, X)
-            high = upper_extension(I, anchors, X)
-            IX = I(X)
-            yield low.le(IX) and IX.le(high), dict(step="sandwich", X=X, low=low, high=high)
-            coincide = all(
-                lower_extension(I, anchors, A) == I(A) == upper_extension(I, anchors, A)
-                for A in anchors
-            )
-            yield coincide, dict(step="coincidence-on-anchors", X=X)
-            # with no anchors only measurable minorants/majorants remain
-            collapse = (
-                lower_extension(I, [], X) == essinf_cond(X, I.target)
-                and upper_extension(I, [], X) == esssup_cond(X, I.target)
-            )
-            yield collapse, dict(step="empty-anchor-collapse", X=X)
-
-    return falsify(prop, trials())
+    for X in iter_cases(space, rng, samples):
+        if not I.in_domain(X):
+            continue
+        anchors = [sample_rv(space, rng) for _ in range(2)] + [X]
+        anchors = [A for A in anchors if I.in_domain(A)]
+        low = lower_extension(I, anchors, X)
+        high = upper_extension(I, anchors, X)
+        IX = I(X)
+        yield low.le(IX) and IX.le(high), dict(step="sandwich", X=X, low=low, high=high)
+        coincide = all(
+            lower_extension(I, anchors, A) == I(A) == upper_extension(I, anchors, A)
+            for A in anchors
+        )
+        yield coincide, dict(step="coincidence-on-anchors", X=X)
+        # with no anchors only measurable minorants/majorants remain
+        collapse = (
+            lower_extension(I, [], X) == essinf_cond(X, I.target)
+            and upper_extension(I, [], X) == esssup_cond(X, I.target)
+        )
+        yield collapse, dict(step="empty-anchor-collapse", X=X)
 
 
-def _extension_duality(prop, I, samples, seed) -> CheckReport:
-    rng = derive_rng(seed, prop)
+def _extension_duality(I, rng, samples) -> Iterator[Trial]:
     space = I.target.space
     star = dual(I)
     steps = (("lower-upper", lower_extension, upper_extension),
              ("upper-lower", upper_extension, lower_extension))
-
-    def trials():
-        for X in iter_cases(space, rng, samples):
-            anchors = [sample_rv(space, rng) for _ in range(3)]
-            flipped = [-A for A in anchors]
-            # (I^{L(E)})*(X) = (I*)^{U(-E)}(X), and the same with L and U swapped
-            for step, outer, inner in steps:
-                lhs = -outer(I, anchors, -X)
-                rhs = inner(star, flipped, X)
-                yield lhs == rhs, dict(step=step, X=X, lhs=lhs, rhs=rhs)
-
-    return falsify(prop, trials())
-
-
-def _mix_self_dual(prop, I, samples, seed) -> CheckReport:
-    return falsify(prop, self_duality_trials(mix_self_dual(I), derive_rng(seed, prop), samples))
-
-
-def _linear_scaling(prop, I, samples, seed) -> CheckReport:
-    # additive + self-dual collapses to exact rational scaling on a finite space
-    rng = derive_rng(seed, prop)
-    return falsify(prop, scaling_trials(I, rng, samples, ALPHA_GRID, allow_inf=False))
+    for X in iter_cases(space, rng, samples):
+        anchors = [sample_rv(space, rng) for _ in range(3)]
+        flipped = [-A for A in anchors]
+        # (I^{L(E)})*(X) = (I*)^{U(-E)}(X), and the same with L and U swapped
+        for step, outer, inner in steps:
+            lhs = -outer(I, anchors, -X)
+            rhs = inner(star, flipped, X)
+            yield lhs == rhs, dict(step=step, X=X, lhs=lhs, rhs=rhs)
 
 
 def _projection_property(prop, SI, t_index, samples, seed, cap) -> CheckReport:
@@ -239,74 +215,59 @@ def _projection_property(prop, SI, t_index, samples, seed, cap) -> CheckReport:
     return replace(falsify(prop, trials()), notes=tuple(inner_notes))
 
 
-def _martingale_property(prop, SI, samples, seed) -> CheckReport:
-    rng = derive_rng(seed, prop)
+def _martingale_property(SI, rng, samples) -> Iterator[Trial]:
     filtration = SI.filtration
-
-    def trials():
-        for _ in range(samples):
-            X = sample_rv(filtration.space, rng, allow_inf=False)
-            if all(ind.in_domain(X) for ind in SI.indicators):
-                M = AdaptedProcess(filtration, tuple(ind(X) for ind in SI.indicators))
-                rep = is_indicator_martingale(SI, M)
-                yield rep.verdict is Verdict.VERIFIED, dict(X=X, inner=rep.witness)
-
-    return falsify(prop, trials())
+    for _ in range(samples):
+        X = sample_rv(filtration.space, rng, allow_inf=False)
+        if all(ind.in_domain(X) for ind in SI.indicators):
+            M = AdaptedProcess(filtration, tuple(ind(X) for ind in SI.indicators))
+            rep = is_indicator_martingale(SI, M)
+            yield rep.verdict is Verdict.VERIFIED, dict(X=X, inner=rep.witness)
 
 
-def _envelope_tower(prop, SI, samples, seed) -> CheckReport:
-    rng = derive_rng(seed, prop)
+def _envelope_tower(SI, rng, samples) -> Iterator[Trial]:
     filtration = SI.filtration
-
-    def trials():
-        for _ in range(samples):
-            payoff = sample_measurable(filtration.partitions[-1], rng, allow_inf=True)
-            if not all(ind.in_domain(payoff) for ind in SI.indicators):
-                continue
-            V = backward_envelope(SI, payoff)
-            ok = True
-            current = payoff
-            for ti in range(len(filtration.times) - 2, -1, -1):
-                current = SI.indicators[ti](current)
-                if V.values[ti] != current:
-                    ok = False
-            yield ok, dict(payoff=payoff, V0=V.values[0])
-
-    return falsify(prop, trials())
+    for _ in range(samples):
+        payoff = sample_measurable(filtration.partitions[-1], rng, allow_inf=True)
+        if not all(ind.in_domain(payoff) for ind in SI.indicators):
+            continue
+        V = backward_envelope(SI, payoff)
+        ok = True
+        current = payoff
+        for ti in range(len(filtration.times) - 2, -1, -1):
+            current = SI.indicators[ti](current)
+            if V.values[ti] != current:
+                ok = False
+        yield ok, dict(payoff=payoff, V0=V.values[0])
 
 
-def _shift_rigidity(prop, filtration, samples, seed) -> CheckReport:
-    rng = derive_rng(seed, prop)
+def _shift_rigidity(filtration, rng, samples) -> Iterator[Trial]:
     F0 = filtration.partitions[0]
     finest = filtration.partitions[-1]
     space = filtration.space
     zero = RandomVariable.constant(space, 0)
-
-    def trials():
-        cases = attempts = 0
-        while cases < samples and attempts < samples * 20:
-            attempts += 1
-            members: set[int] = set()
-            for cell in finest.cells:
-                if rng.random() < 0.6:
-                    members.update(cell)
-            event = Event(space, frozenset(members))
-            if event.is_empty():
-                continue
-            X = restrict(sample_rv(space, rng, allow_inf=False), event)
-            if esssup_cond(X, F0) == zero:
-                continue
-            cases += 1
-            rep = check_esssup_shift_rigidity(F0, event, X, _EPS_GRID)
-            yield rep.verdict is Verdict.VERIFIED, dict(X=X, event=event, inner=rep.witness)
-            # companion statement: (X' - eps)1_F for arbitrary X' carried to X'1_F
-            X2 = sample_rv(space, rng, allow_inf=False)
-            carried = restrict(X2, event)
-            if esssup_cond(carried, F0) != zero:
-                rep2 = check_esssup_shift_rigidity(F0, event, carried, _EPS_GRID)
-                yield rep2.verdict is Verdict.VERIFIED, dict(X=X2, event=event, inner=rep2.witness)
-
-    return falsify(prop, trials())
+    cases = attempts = 0
+    while cases < samples and attempts < samples * 20:
+        attempts += 1
+        members: set[int] = set()
+        for cell in finest.cells:
+            if rng.random() < 0.6:
+                members.update(cell)
+        event = Event(space, frozenset(members))
+        if event.is_empty():
+            continue
+        X = restrict(sample_rv(space, rng, allow_inf=False), event)
+        if esssup_cond(X, F0) == zero:
+            continue
+        cases += 1
+        rep = check_esssup_shift_rigidity(F0, event, X, _EPS_GRID)
+        yield rep.verdict is Verdict.VERIFIED, dict(X=X, event=event, inner=rep.witness)
+        # companion statement: (X' - eps)1_F for arbitrary X' carried to X'1_F
+        X2 = sample_rv(space, rng, allow_inf=False)
+        carried = restrict(X2, event)
+        if esssup_cond(carried, F0) != zero:
+            rep2 = check_esssup_shift_rigidity(F0, event, carried, _EPS_GRID)
+            yield rep2.verdict is Verdict.VERIFIED, dict(X=X2, event=event, inner=rep2.witness)
 
 
 def sample_normalized_density(H: Partition, rng) -> RandomVariable:
@@ -322,23 +283,18 @@ def sample_normalized_density(H: Partition, rng) -> RandomVariable:
     return RandomVariable(space, tuple(ext(v) for v in vals))
 
 
-def _density_roundtrip(prop, H, samples, seed) -> CheckReport:
-    rng = derive_rng(seed, prop)
+def _density_roundtrip(H, rng, samples, seed) -> Iterator[Trial]:
     inner = max(8, samples // 50)
-
-    def trials():
-        for case in range(samples):
-            rho0 = sample_normalized_density(H, rng)
-            I = weighted_indicator(H, rho0, label=f"weighted#{case}")
-            try:
-                rep = recover_density(I, samples=inner, seed=seed + case)
-            except HypothesisFailedError as exc:
-                yield False, dict(rho0=rho0, failed=list(exc.failed))
-            else:
-                ok = rep.density == rho0 and rep.reconstruction_ok
-                yield ok, dict(rho0=rho0, recovered=rep.density)
-
-    return falsify(prop, trials())
+    for case in range(samples):
+        rho0 = sample_normalized_density(H, rng)
+        I = weighted_indicator(H, rho0, label=f"weighted#{case}")
+        try:
+            rep = recover_density(I, samples=inner, seed=seed + case)
+        except HypothesisFailedError as exc:
+            yield False, dict(rho0=rho0, failed=list(exc.failed))
+        else:
+            ok = rep.density == rho0 and rep.reconstruction_ok
+            yield ok, dict(rho0=rho0, recovered=rep.density)
 
 
 def _density_hypothesis_failure(prop, H, seed) -> CheckReport:
@@ -411,6 +367,12 @@ def _named(prop: str, checker: Callable[..., CheckReport], *args) -> Row:
     return prop, partial(checker, prop, *args)
 
 
+def _law(prop: str, seed: int, law: Callable[..., Iterator[Trial]], subject, *args) -> CheckReport:
+    """A law's report: the trials `law(subject, rng, *args)` yields on the
+    stream labelled by the row's name."""
+    return falsify(prop, law(subject, derive_rng(seed, prop), *args))
+
+
 def properties(
     scenario: Scenario, seed: int, samples: int, cap: int, tol: Fraction
 ) -> Iterator[Row]:
@@ -442,19 +404,20 @@ def properties(
     for name in BUILTIN_NAMES:
         I = builtin_indicator(name, main)
         yield _named(f"averaging:{name}", _averaging, I, samples, seed, cap)
-        yield _named(f"dual-involution:{name}", _dual_involution, I, samples, seed)
+        yield _named(f"dual-involution:{name}", _law, seed, _dual_involution, I, samples)
         for flag in sorted(I.flags - {Flag.REGULAR}, key=lambda fl: fl.value):
             yield f"structural:{name}:{flag.value}", partial(check_structural, I, flag, samples, seed)
         if I.has(Flag.INCREASING):
-            yield _named(f"extension-sandwich:{name}", _extension_sandwich, I, samples, seed)
-            yield _named(f"extension-duality:{name}", _extension_duality, I, samples, seed)
-        yield _named(f"mix-self-dual:{name}", _mix_self_dual, I, samples, seed)
+            yield _named(f"extension-sandwich:{name}", _law, seed, _extension_sandwich, I, samples)
+            yield _named(f"extension-duality:{name}", _law, seed, _extension_duality, I, samples)
+        yield _named(f"mix-self-dual:{name}", _law, seed, self_duality_trials, mix_self_dual(I), samples)
         yield f"sign-split:{name}", partial(check_hplus_decomposition, I, samples, seed)
         yield f"convex-implies-regular:{name}", partial(check_convex_implies_regular, I, light, seed, cap)
         yield f"additive-implies-regular:{name}", partial(check_additive_implies_regular, I, light, seed, cap)
 
     condexp = builtin_indicator("condexp", main)
-    yield _named("linear-scaling:condexp", _linear_scaling, condexp, samples, seed)
+    # additive + self-dual collapses to exact rational scaling on a finite space
+    yield _named("linear-scaling:condexp", _law, seed, scaling_trials, condexp, samples, ALPHA_GRID, False)
     yield "condexp-ext-identities", partial(check_lemm_cond_exp, main, samples, seed, cap)
 
     for name in ("esssup", "essinf", "condexp"):
@@ -464,7 +427,7 @@ def properties(
     sup = builtin_indicator("esssup", main)
     yield "risk:rho-iff:esssup", partial(check_rho_correspondence, sup, RhoSide.NEG_VALUE, light, seed)
 
-    yield _named("density-roundtrip", _density_roundtrip, main, max(20, samples // 10), seed)
+    yield _named("density-roundtrip", _law, seed, _density_roundtrip, main, max(20, samples // 10), seed)
     yield _named("density-hypofail:esssup", _density_hypothesis_failure, main, seed)
     yield _named("additivity-sets", _engineered_additivity, main)
 
@@ -490,9 +453,9 @@ def properties(
     )
     for name in ("esssup", "condexp"):
         SI = StochasticIndicator.from_builtin(filtration, name)
-        yield _named(f"martingale:{name}", _martingale_property, SI, few, seed)
-        yield _named(f"envelope-tower:{name}", _envelope_tower, SI, few, seed)
-    yield _named("esssup-shift-rigidity", _shift_rigidity, filtration, light, seed)
+        yield _named(f"martingale:{name}", _law, seed, _martingale_property, SI, few)
+        yield _named(f"envelope-tower:{name}", _law, seed, _envelope_tower, SI, few)
+    yield _named("esssup-shift-rigidity", _law, seed, _shift_rigidity, filtration, light)
 
 
 def verify_all(

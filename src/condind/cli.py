@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import CondIndError, HypothesisFailedError, UnknownNameError, ValidationError
 from .extreal import ExtReal, ext
@@ -34,7 +34,7 @@ from .indicators import (
     upper_extension,
 )
 from .scenario import Scenario, _literal, canonical_scenario, load_scenario
-from .space import DEFAULT_EVENT_CAP, DEFAULT_TOL, Event, Filtration, Partition, RandomVariable
+from .space import DEFAULT_EVENT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL, Event, Filtration, Partition, RandomVariable
 
 if TYPE_CHECKING:
     from .checks import CheckReport
@@ -335,9 +335,22 @@ def _fraction(text: str) -> Fraction:
         value = _literal(text, "tol")
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not value.is_finite:
-        raise argparse.ArgumentTypeError(f"--tol must be finite, got {text!r}")
+    if not (value.is_finite and value.frac > 0):
+        raise argparse.ArgumentTypeError(f"--tol must be finite and positive, got {text!r}")
     return value.frac
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
+_cap = _at_least(0)  # 0 means "always sample"
 
 
 _REQUIRED = {"required": True}
@@ -345,8 +358,8 @@ _FAMILY = {"required": True, "choices": BUILTIN_NAMES}
 _COMMON = {
     "--scenario": {"help": "path to a scenario JSON (default: built-in 4-atom tree)"},
     "--seed": {"type": int, "default": 7},
-    "--samples": {"type": int, "default": 500},
-    "--cap": {"type": int,
+    "--samples": {"type": _at_least(1), "default": DEFAULT_SAMPLES},
+    "--cap": {"type": _cap,
               "help": f"event-enumeration cap (default {DEFAULT_EVENT_CAP}; env CONDIND_CAP)"},
     "--tol": {"type": _fraction, "default": DEFAULT_TOL},
     "--format": {"choices": ("json", "text"), "default": "json"},
@@ -434,9 +447,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         if args.cap is None:
             env_cap = os.environ.get("CONDIND_CAP", str(DEFAULT_EVENT_CAP))
             try:
-                args.cap = int(env_cap)
-            except ValueError:
-                raise ValidationError(f"CONDIND_CAP must be an integer, got {env_cap!r}") from None
+                args.cap = _cap(env_cap)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise ValidationError(f"CONDIND_CAP must be an integer >= 0, got {env_cap!r}") from None
         scenario = load_scenario(args.scenario) if args.scenario else canonical_scenario()
         report = dispatch(args, scenario)
         if args.format == "json":

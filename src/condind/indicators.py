@@ -208,8 +208,6 @@ def builtin_indicator(name: str, H: Partition) -> IndicatorSpec:
         "condexp": condexp_indicator,
         "condexp-ext": condexp_ext_indicator,
     }
-    if name not in factories:
-        raise KeyError(name)
     return factories[name](H)
 
 

@@ -16,9 +16,8 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from .extreal import NEG_INF, POS_INF, ExtReal, ext
+from .space import DEFAULT_SAMPLES  # noqa: F401 - the checkers import it from here
 from .space import Event, FiniteProbabilitySpace, Partition, RandomVariable, _on_cells, _packed
-
-DEFAULT_SAMPLES = 500
 
 # canonical value grid used by exhaustive sweeps
 GRID_VALUES: tuple[ExtReal, ...] = (

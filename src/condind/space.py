@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import CapExceededError, SpaceMismatchError, ValidationError
 from .extreal import _FIN, NEG_INF, POS_INF, ZERO, ExtReal, ext
 
+DEFAULT_SAMPLES = 500
 DEFAULT_EVENT_CAP = 20
 DEFAULT_TOL = Fraction(1, 2**40)  # rho's bisection tolerance
 

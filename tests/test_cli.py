@@ -135,6 +135,12 @@ BAD_INVOCATIONS = {
     "tol-zero-denominator": (["--tol", "1/0"], {}),
     "cap-env-text": ([], {"CONDIND_CAP": "abc"}),
     "tol-oversized-exponent": (["--tol", "1e2000000"], {}),
+    "tol-zero": (["--tol", "0"], {}),
+    "tol-negative": (["--tol", "-1"], {}),
+    "samples-zero": (["--samples", "0"], {}),
+    "samples-negative": (["--samples", "-1"], {}),
+    "cap-negative": (["--cap", "-5"], {}),
+    "cap-env-negative": ([], {"CONDIND_CAP": "-5"}),
 }
 
 
