@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .checks import (
     CheckReport,
@@ -23,7 +23,7 @@ from .checks import (
     self_duality_trials,
 )
 from .errors import BadDensityError, HypothesisFailedError
-from .extreal import ONE, ZERO, ExtReal, ext
+from .extreal import ONE, ZERO, ext
 from .indicators import _EXT_FLAGS, EvalFn, IndicatorSpec, ext_cond_expectation_closed_form
 from .sampling import (
     ALPHA_GRID,
@@ -39,6 +39,8 @@ from .space import (
     Event,
     Partition,
     RandomVariable,
+    _cell_means,
+    _packed,
     _require_same_space,
     cell_means,
     expectation,
@@ -246,9 +248,12 @@ def recover_density(
     """Invert an additive self-dual indicator into its defining density.
 
     The measure of each atom is the plain expectation of the indicator's
-    value on that atom's indicator variable; dividing by the base mass gives
-    the density. Verification replays the indicator against the weighted
-    expectation on grid and sampled finite inputs, all bit-exact.
+    value on that atom's indicator variable, read as a tag and an int
+    numerator over a denominator; dividing by the base mass gives the
+    density, built in ints over one denominator. Verification replays the
+    indicator against the product route E(density * X | H), bit-exact, on
+    the exhaustive grid (spaces of at most 4 atoms only) and on sampled
+    finite inputs.
     """
     add_rep, sd_rep = _hypothesis_reports(I, samples, seed)
     failed = tuple(
@@ -261,20 +266,22 @@ def recover_density(
 
     space = I.target.space
     H = I.target
-    mu: list[ExtReal] = []
+    whole, w = (range(space.size),), space._weights  # type: ignore[attr-defined]
+    mu: list[tuple[int, int, int]] = []  # atom i's measure: tag, num / den
     for i in range(space.size):
         one_atom = RandomVariable.indicator(Event(space, frozenset({i})))
-        mu.append(expectation(I(one_atom)))
+        (tag,), (num,), den = _cell_means(I(one_atom), whole, w)
+        mu.append((tag, num, den))
+    # density_i = mu_i / p_i = num_i * D / (den_i * w_i), over their lcm L;
+    # an infinite measure keeps its tag and numerator 0
+    D = sum(w)
+    L = lcm(*[den * wi for (_, _, den), wi in zip(mu, w)])
+    nums = [num * D * (L // (den * wi)) for (_, num, den), wi in zip(mu, w)]
+    density = _packed(space, [tag for tag, _, _ in mu], nums, L)
+    # E(density) = sum_i mu_i must be 1: sum_i w_i * nums_i = D * L
     measure_ok = (
-        all(m.is_finite and Fraction(0) <= m.frac <= Fraction(1) for m in mu)
-        and sum((m.frac for m in mu), Fraction(0)) == 1
-    )
-    density = RandomVariable(
-        space,
-        tuple(
-            ext(m.frac / p) if m.is_finite else m
-            for m, p in zip(mu, space.probs)
-        ),
+        all(tag == 0 and 0 <= num <= den for tag, num, den in mu)
+        and sum(map(operator.mul, w, nums)) == D * L
     )
     ones = RandomVariable.constant(space, 1)
     cond_mean_one = measure_ok and ext_cond_expectation_closed_form(density, H) == ones

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .checks import CheckReport, Verdict, additivity_trials, falsify
@@ -25,7 +26,7 @@ from .errors import (
     NotRegularError,
     ValidationError,
 )
-from .extreal import POS_INF, ZERO, ExtReal, ext
+from .extreal import ZERO, ExtReal
 from .indicators import Flag, IndicatorSpec, dual, essinf_cond, esssup_cond
 from .sampling import (
     DEFAULT_SAMPLES,
@@ -37,7 +38,7 @@ from .sampling import (
     sample_measurable,
     sample_rv,
 )
-from .space import DEFAULT_TOL, Partition, RandomVariable
+from .space import DEFAULT_TOL, Partition, RandomVariable, _on_cells
 
 
 class RhoSide(str, Enum):
@@ -83,7 +84,9 @@ def rho(
     whose bracket is within tol stops moving, and by regularity every cell
     sees the same midpoints, and returns the same value, as when bisected
     alone. Cells with no finite solution come back +inf (empty acceptance
-    intersection convention).
+    intersection convention). Brackets are int numerators over one
+    denominator that doubles at each step, and each probe reads only the
+    packed tag and numerator of the image on every cell.
     """
     if not I.has(Flag.INCREASING):
         raise NotIncreasingError(f"{I.name}: rho needs the increasing flag")
@@ -98,44 +101,53 @@ def rho(
         raise ValidationError("tol must be positive")
 
     cells = H.cells
-    hi_rv = esssup_cond(X, H)
-    lo_rv = essinf_cond(X, H)
-    lo = [-hi_rv.values[cell[0]].frac for cell in cells]  # g(lo) < 0 unless lo is optimal
-    hi = [-lo_rv.values[cell[0]].frac for cell in cells]  # g(hi) >= 0 by the sandwich axiom
+    firsts = [cell[0] for cell in cells]
+    hi_rv, lo_rv = esssup_cond(X, H), essinf_cond(X, H)
+    # each bracket end is an int numerator over the one denominator d
+    d = lcm(hi_rv.den, lo_rv.den)
+    lo = [-hi_rv.nums[i] * (d // hi_rv.den) for i in firsts]  # g(lo) < 0 unless lo is optimal
+    hi = [-lo_rv.nums[i] * (d // lo_rv.den) for i in firsts]  # g(hi) >= 0 by the sandwich axiom
+    finite = [0] * len(cells)
+    tn, td = Fraction(tol).as_integer_ratio()
 
-    def image(levels: list[Fraction]) -> list[ExtReal]:
-        # One evaluation at X + M, M holding levels[c] on cell c; regularity
-        # gives I(X + M) = I(X + levels[c]) on cell c, so every cell reads its
-        # own probe from one call.
-        shifted = X + RandomVariable.from_cells(H, [ext(y) for y in levels])
+    def accepts(levels: list[int]) -> list[bool]:
+        # One evaluation at X + M, M holding levels[c] / d (d as it is now) on
+        # cell c; regularity gives I(X + M) = I(X + levels[c] / d) on cell c,
+        # so every cell reads its own probe, I >= 0 or not, from one call.
+        shifted = X + _on_cells(H, finite, levels, d)
         if not I.in_domain(shifted):
             raise DomainViolationError(f"{I.name}: shifted position left the domain")
-        img = I(shifted).values
-        return [img[cell[0]] for cell in cells]
+        img = I(shifted)
+        kinds, nums = img.kinds, img.nums
+        return [kinds[i] > 0 or (kinds[i] == 0 and nums[i] >= 0) for i in firsts]
 
-    val: list[ExtReal | None] = [None] * len(cells)
-    for c, g in enumerate(image(lo)):
-        if g >= ZERO:
-            val[c] = ext(lo[c])
-    if None in val:
-        for c, g in enumerate(image(hi)):
-            if val[c] is None and g < ZERO:
-                val[c] = POS_INF  # no finite cash level is acceptable on this cell
+    at_lo = accepts(lo)
+    # +1 where no finite cash level is acceptable on the cell
+    no_level = finite
+    if not all(at_lo):
+        no_level = [int(not (a or b)) for a, b in zip(at_lo, accepts(hi))]
     # open cells probe their midpoints and settled ones sit at hi, so each
     # cell sees the midpoints a bisection of that cell alone would see
-    todo = [c for c, v in enumerate(val) if v is None and hi[c] - lo[c] > tol]
+    todo = [
+        c for c in range(len(cells))
+        if not (at_lo[c] or no_level[c]) and (hi[c] - lo[c]) * td > tn * d
+    ]
     while todo:
-        probe = list(hi)
+        probe = [y + y for y in hi]
         for c in todo:
-            probe[c] = (lo[c] + hi[c]) / 2
-        img = image(probe)
+            probe[c] = lo[c] + hi[c]  # the midpoint over 2d
+        d += d
+        lo = [y + y for y in lo]
+        hi = [y + y for y in hi]
+        ok = accepts(probe)
         for c in todo:
-            if img[c] >= ZERO:
+            if ok[c]:
                 hi[c] = probe[c]
             else:
                 lo[c] = probe[c]
-        todo = [c for c in todo if hi[c] - lo[c] > tol]
-    return RandomVariable.from_cells(H, [ext(h) if v is None else v for v, h in zip(val, hi)])
+        todo = [c for c in todo if (hi[c] - lo[c]) * td > tn * d]
+    nums = [0 if n else y if a else h for a, n, y, h in zip(at_lo, no_level, lo, hi)]
+    return _on_cells(H, no_level, nums, d)
 
 
 def _value_side(I: IndicatorSpec, side: RhoSide) -> IndicatorSpec:

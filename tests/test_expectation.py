@@ -157,6 +157,24 @@ def test_recover_density_condexp_gives_unit_density(space4, H):
     assert report.reconstruction_ok
 
 
+def test_recover_density_measure_bounds(space4, H):
+    # a point mass gives one atom measure exactly 1, a valid measure
+    point = RandomVariable.indicator(Event(space4, frozenset({0}))).scale(1 / space4.probs[0])
+    report = recover_density(weighted_indicator(Partition.trivial(space4), point), 30, 0)
+    assert report.density == point and report.reconstruction_ok
+    # E(X|H) + c E(X) is additive and self-dual, but its atom measures sum
+    # to 1 + c: no probability measure, so the replay, which E((1 + c) X|H)
+    # would fail, is skipped
+    ce = condexp_indicator(H)
+    for c in (1, Fraction(-1, 2)):
+        shifted = lambda X: ce(X).shift(c * expectation(X).frac)
+        I = IndicatorSpec("condexp+c*mean", H, shifted, flags=frozenset())
+        report = recover_density(I, 30, 0)
+        assert report.density == RandomVariable.constant(space4, 1 + c)
+        assert not report.conditional_mean_one and not report.reconstruction_ok
+        assert report.mismatch_witness is None
+
+
 def test_recover_density_esssup_fails_additivity(H):
     with pytest.raises(HypothesisFailedError) as err:
         recover_density(esssup_indicator(H), samples=60, seed=0)

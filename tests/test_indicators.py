@@ -60,6 +60,24 @@ def test_essinf_examples(space4, H):
     )
 
 
+def test_esssup_essinf_results_are_reduced():
+    # The kernels copy reduced numerators, but a subset of reduced numerators
+    # need not be reduced: (1/2, 1) is (1, 2) over 2, its esssup (2, 2) over
+    # 2; (1, 3/2) is (2, 3) over 2, its essinf (2, 2) over 2. Unreduced, ==
+    # and hash would split them from the constant 1.
+    from condind import FiniteProbabilitySpace
+
+    space = FiniteProbabilitySpace.uniform(["a", "b"])
+    trivial = Partition.trivial(space)
+    one = RandomVariable.constant(space, 1)
+    for got in (
+        esssup_cond(rv(space, "1/2", 1), trivial),
+        essinf_cond(rv(space, 1, "3/2"), trivial),
+    ):
+        assert got == one and hash(got) == hash(one)
+        assert got.den == 1 and got.nums == (1, 1)
+
+
 def test_essinf_is_dual_of_esssup_by_definition(space4, H):
     rng = derive_rng(0, "essinf-def")
     for _ in range(100):

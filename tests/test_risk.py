@@ -23,6 +23,7 @@ from condind import (
     check_rm_convexity,
     condexp_ext_indicator,
     condexp_indicator,
+    essinf_cond,
     essinf_indicator,
     esssup_cond,
     esssup_indicator,
@@ -31,7 +32,7 @@ from condind import (
 )
 from condind.errors import NotIncreasingError, NotRegularError, ValidationError
 from condind.extreal import POS_INF, ZERO, ext
-from condind.space import Partition
+from condind.space import Event, Partition, patch
 from condind.sampling import derive_rng, sample_rv
 from conftest import rv
 
@@ -139,14 +140,14 @@ def reference_rho(I: IndicatorSpec, X: RandomVariable, tol: Fraction) -> tuple[R
     return RandomVariable(X.space, tuple(out)), spent
 
 
-def counting(I: IndicatorSpec) -> tuple[IndicatorSpec, list[int]]:
-    calls = [0]
+def recording(I: IndicatorSpec) -> tuple[IndicatorSpec, list[RandomVariable]]:
+    args: list[RandomVariable] = []
 
     def ev(X):
-        calls[0] += 1
+        args.append(X)
         return I.eval_fn(X)
 
-    return dataclasses.replace(I, eval_fn=ev), calls
+    return dataclasses.replace(I, eval_fn=ev), args
 
 
 def bisected_indicators(H: Partition) -> list[IndicatorSpec]:
@@ -164,14 +165,18 @@ def bisected_indicators(H: Partition) -> list[IndicatorSpec]:
     return [condexp_ext_indicator(H), *forced, sup_minus_one]
 
 
-def test_rho_bisection_equals_per_cell_reference(space4, H):
-    # 12 atoms in 4 cells of unequal mass; X is constant on the last cell, so
-    # its lo probe is already optimal
+def space12_H12() -> tuple[FiniteProbabilitySpace, Partition]:
+    # 12 atoms in 4 cells of unequal mass
     weights = (1, 2, 3, 1, 1, 4, 2, 5, 1, 3, 2, 3)
     space12 = FiniteProbabilitySpace(
         tuple(f"s{i}" for i in range(12)), tuple(Fraction(w, 28) for w in weights)
     )
-    H12 = Partition.from_cells(space12, [(0, 1), (2, 3, 4, 5, 6), (7, 8, 9), (10, 11)])
+    return space12, Partition.from_cells(space12, [(0, 1), (2, 3, 4, 5, 6), (7, 8, 9), (10, 11)])
+
+
+def reference_cases(space4, H) -> list[tuple]:
+    # X is constant on the last cell of H12, so its lo probe is already optimal
+    space12, H12 = space12_H12()
     rng = derive_rng(3, "rho-reference")
     cases = [(space4, H, rv(space4, 1, 3, 2, 6)), (space4, H, rv(space4, 0, 0, 5, 5))]
     cases += [(space4, H, sample_rv(space4, rng, allow_inf=False)) for _ in range(6)]
@@ -179,19 +184,103 @@ def test_rho_bisection_equals_per_cell_reference(space4, H):
         X = sample_rv(space12, rng, allow_inf=False)
         X = RandomVariable(space12, X.values[:10] + (ext("7/3"),) * 2)
         cases.append((space12, H12, X))
+    return cases
+
+
+def test_rho_bisection_equals_per_cell_reference(space4, H):
     bisected = infinite = 0
-    for space, part, X in cases:
+    for space, part, X in reference_cases(space4, H):
         for I in bisected_indicators(part):
             for tol in (DEFAULT_TOL, Fraction(1, 8)):
                 want, spent = reference_rho(I, X, tol)
-                counted, calls = counting(I)
+                counted, args = recording(I)
                 assert rho(counted, X, tol) == want
                 # one evaluation per step for all cells: as many as the
                 # costliest cell alone
-                assert calls[0] == max(spent)
+                assert len(args) == max(spent)
                 bisected += max(spent) > 2
                 infinite += POS_INF in want.values
     assert bisected > 0 and infinite > 0
+
+
+def fraction_rho(I: IndicatorSpec, X: RandomVariable, tol: Fraction) -> RandomVariable:
+    # rho's joint bisection on another route: Fraction levels, probes built
+    # from ExtReal per-cell values and read off the image's `values`
+    H = I.target
+    cells = H.cells
+    hi_rv = esssup_cond(X, H)
+    lo_rv = essinf_cond(X, H)
+    lo = [-hi_rv.values[cell[0]].frac for cell in cells]
+    hi = [-lo_rv.values[cell[0]].frac for cell in cells]
+
+    def image(levels):
+        shifted = X + RandomVariable.from_cells(H, [ext(y) for y in levels])
+        img = I(shifted).values
+        return [img[cell[0]] for cell in cells]
+
+    val = [None] * len(cells)
+    for c, g in enumerate(image(lo)):
+        if g >= ZERO:
+            val[c] = ext(lo[c])
+    if None in val:
+        for c, g in enumerate(image(hi)):
+            if val[c] is None and g < ZERO:
+                val[c] = POS_INF
+    todo = [c for c, v in enumerate(val) if v is None and hi[c] - lo[c] > tol]
+    while todo:
+        probe = list(hi)
+        for c in todo:
+            probe[c] = (lo[c] + hi[c]) / 2
+        img = image(probe)
+        for c in todo:
+            if img[c] >= ZERO:
+                hi[c] = probe[c]
+            else:
+                lo[c] = probe[c]
+        todo = [c for c in todo if hi[c] - lo[c] > tol]
+    return RandomVariable.from_cells(H, [ext(h) if v is None else v for v, h in zip(val, hi)])
+
+
+def test_rho_probes_equal_fraction_bisection(space4, H):
+    # rho passes I the same arguments, in the same order, as the Fraction
+    # bisection and returns the same variable. At tol 3/8 the last case's
+    # first bracket starts on tol and its second, of width 3, lands on tol
+    # after 3 halvings. "liar" is -esssup on the first cell and condexp on
+    # the others, flagged increasing but decreasing on the first cell. Its
+    # first cell settles at lo < hi while the others bisect: that cell must
+    # keep lo whatever its hi probe reads, and sit at hi in later probes.
+    cases = reference_cases(space4, H) + [(space4, H, rv(space4, 0, "3/8", 0, 3))]
+    for space, part, X in cases:
+        first = Event(space, frozenset(part.cells[0]))
+        ce = condexp_indicator(part)
+        liar = IndicatorSpec(
+            "liar", part, lambda X, p=part, e=first, ce=ce: patch(-esssup_cond(X, p), e, ce(X)),
+            flags=frozenset({Flag.INCREASING, Flag.REGULAR}),
+        )
+        for I in [*bisected_indicators(part), liar]:
+            for tol in (DEFAULT_TOL, Fraction(1, 8), Fraction(1, 3), Fraction(3, 8)):
+                new, new_args = recording(I)
+                old, old_args = recording(I)
+                assert rho(new, X, tol) == fraction_rho(old, X, tol)
+                assert new_args == old_args
+
+
+def test_rho_bisection_reads_no_values(monkeypatch):
+    # the probes read the image's packed form, never its ExtReal tuple
+    space12, H12 = space12_H12()
+    X = sample_rv(space12, derive_rng(3, "rho-values"), allow_inf=False)
+    reads = [0]
+    values = RandomVariable.values
+
+    def counted(self):
+        reads[0] += 1
+        return values.fget(self)
+
+    I, args = recording(condexp_ext_indicator(H12))
+    monkeypatch.setattr(RandomVariable, "values", property(counted))
+    rho(I, X)
+    monkeypatch.undo()
+    assert len(args) > 2 and reads[0] == 0
 
 
 def test_rho_from_indicator_sides(space4, H):
