@@ -143,17 +143,18 @@ def _dual_involution(I, rng, samples) -> Iterator[Trial]:
 def _averaging(prop, I, samples, seed, cap) -> CheckReport:
     rng = derive_rng(seed, prop)
     events, notes = enumerate_or_sample(I.target, cap, rng, min(samples, 64))
+    paired = [(ev, ev.complement()) for ev in events]
     zero = RandomVariable.constant(I.target.space, 0)
 
     def trials():
         for X in iter_cases(I.target.space, rng, samples):
             if not I.in_domain(X):
                 continue
-            for ev in events:
+            for ev, rest in paired:
                 XH = restrict(X, ev)
                 if I.in_domain(XH):
                     IXH = I(XH)
-                    yield restrict(IXH, ev.complement()) == zero, dict(X=X, H=ev, value=IXH)
+                    yield restrict(IXH, rest) == zero, dict(X=X, H=ev, value=IXH)
 
     return falsify(prop, trials(), notes=notes)
 

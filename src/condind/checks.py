@@ -225,6 +225,7 @@ def check_regular(
     events, partial = enumerate_or_sample(H, cap, rng, min(samples, 64))
     notes = list(partial)
     zero = RandomVariable.constant(space, 0)
+    paired = [(ev, ev.complement()) for ev in events]
     failed: set[str] = set()
 
     def draws():
@@ -234,14 +235,14 @@ def check_regular(
             first = None
             if I.in_domain(X) and I.in_domain(Y):
                 IX, IY = I(X), I(Y)
-                for ev in events:
+                for ev, rest in paired:
                     XH = restrict(X, ev)
                     spliced = patch(X, ev, Y)
                     if not (I.in_domain(XH) and I.in_domain(spliced)):
                         continue
                     IXH, ISp, IX_ev = I(XH), I(spliced), restrict(IX, ev)
-                    glued = IX_ev + restrict(IY, ev.complement())
-                    off = restrict(IXH, ev.complement())
+                    glued = IX_ev + restrict(IY, rest)
+                    off = restrict(IXH, rest)
                     for name, ok, witness in (
                         ("agree", restrict(ISp, ev) == IX_ev, dict(X=X, Y=spliced, H=ev)),
                         ("restrict", IXH == IX_ev, dict(X=X, H=ev, lhs=IXH, rhs=IX_ev)),

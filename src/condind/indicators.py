@@ -22,11 +22,12 @@ from .errors import (
     MixedTargetsError,
     NotMonotoneError,
 )
-from .extreal import ExtReal
 from .space import (
     Partition,
     RandomVariable,
     _from_keys,
+    _on_cells,
+    _pack_triples,
     _require_same_space,
     cell_means,
     patch,
@@ -325,19 +326,24 @@ def _extension(
     base = essinf_cond(X, H) if lower else esssup_cond(X, H)
     # each anchor's and X's order keys over their common denominator
     keyed = [Y._aligned(X)[:2] for Y in E_list]
-    per_cell: list[ExtReal] = []
+    best = []  # each cell's value at its first atom: tag, numerator, denominator
     for ci, cell in enumerate(H.cells):
-        best = base.values[cell[0]]
-        event = H.cell_event(ci)
+        a = cell[0]
+        bk, bn, bd = base.kinds[a], base.nums[a], base.den
+        event = None
         for Y, (y, x) in zip(E_list, keyed):
             if all(qualifies(y[i], x[i]) for i in cell):
+                if event is None:
+                    event = H.cell_event(ci)
                 cand = patch(Y, event, base)
                 if I.in_domain(cand):
-                    v = I.eval_fn(cand).values[cell[0]]
-                    if improves(v, best):
-                        best = v
-        per_cell.append(best)
-    return RandomVariable.from_cells(H, per_cell)
+                    V = I.eval_fn(cand)
+                    vk, vn, vd = V.kinds[a], V.nums[a], V.den
+                    # tags first, then the finite values cross-multiplied
+                    if improves((vk, vn * bd), (bk, bn * vd)):
+                        bk, bn, bd = vk, vn, vd
+        best.append((bk, bn, bd))
+    return _on_cells(H, *_pack_triples(best))
 
 
 def lower_extension(

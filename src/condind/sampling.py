@@ -12,12 +12,12 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Sequence
 
 from .extreal import NEG_INF, POS_INF, ExtReal, ext
 from .space import DEFAULT_SAMPLES  # noqa: F401 - the checkers import it from here
-from .space import Event, FiniteProbabilitySpace, Partition, RandomVariable, _on_cells, _packed
+from .space import Event, FiniteProbabilitySpace, Partition, RandomVariable
+from .space import _on_cells, _pack, _pack_triples, _packed
 
 # canonical value grid used by exhaustive sweeps
 GRID_VALUES: tuple[ExtReal, ...] = (
@@ -68,19 +68,13 @@ def _draw(rng: random.Random, allow_inf: bool, nonneg: bool) -> tuple[int, int, 
     return 0, abs(num) if nonneg else num, den
 
 
-def _pack_draws(draws: list[tuple[int, int, int]]) -> tuple[list[int], list[int], int]:
-    # the draws' tags and numerators over their common denominator
-    den = lcm(*[d for _, _, d in draws])
-    return [k for k, _, _ in draws], [n * (den // d) for _, n, d in draws], den
-
-
 def sample_rv(
     space: FiniteProbabilitySpace,
     rng: random.Random,
     allow_inf: bool = True,
     nonneg: bool = False,
 ) -> RandomVariable:
-    return _packed(space, *_pack_draws([_draw(rng, allow_inf, nonneg) for _ in space.atoms]))
+    return _packed(space, *_pack_triples([_draw(rng, allow_inf, nonneg) for _ in space.atoms]))
 
 
 def sample_measurable(
@@ -89,7 +83,7 @@ def sample_measurable(
     allow_inf: bool = False,
     nonneg: bool = False,
 ) -> RandomVariable:
-    return _on_cells(partition, *_pack_draws([_draw(rng, allow_inf, nonneg) for _ in partition.cells]))
+    return _on_cells(partition, *_pack_triples([_draw(rng, allow_inf, nonneg) for _ in partition.cells]))
 
 
 def sample_dominating_pair(
@@ -101,19 +95,18 @@ def sample_dominating_pair(
     return X, X + bump
 
 
-def corner_rvs(space: FiniteProbabilitySpace, allow_inf: bool = True) -> list[RandomVariable]:
+def corner_rvs(space: FiniteProbabilitySpace, allow_inf: bool = True) -> Iterator[RandomVariable]:
+    """The corner cases, built as they are taken; they draw nothing."""
     n = space.size
-    out = [
-        RandomVariable.constant(space, 0),
-        RandomVariable.constant(space, 1),
-        RandomVariable.constant(space, -1),
-    ]
-    out.extend(RandomVariable.indicator(Event(space, frozenset({i}))) for i in range(n))
+    yield RandomVariable.constant(space, 0)
+    yield RandomVariable.constant(space, 1)
+    yield RandomVariable.constant(space, -1)
+    for i in range(n):
+        yield RandomVariable.indicator(Event(space, frozenset({i})))
     if allow_inf and n >= 2:
         finite = (0,) * (n - 2)
-        out.append(_packed(space, (1, 0) + finite, (0,) * n, 1))  # +inf, then 0s
-        out.append(_packed(space, (1, -1) + finite, (0, 0) + (1,) * (n - 2), 1))  # +inf, -inf, then 1s
-    return out
+        yield _packed(space, (1, 0) + finite, (0,) * n, 1)  # +inf, then 0s
+        yield _packed(space, (1, -1) + finite, (0, 0) + (1,) * (n - 2), 1)  # +inf, -inf, then 1s
 
 
 def iter_cases(
@@ -124,24 +117,21 @@ def iter_cases(
     nonneg: bool = False,
 ) -> Iterator[RandomVariable]:
     """Corner cases first, then seeded random draws, `samples` total."""
-    produced = 0
-    for X in corner_rvs(space, allow_inf):
-        if nonneg and not X.is_nonnegative():
-            continue
-        if produced >= samples:
-            return
-        produced += 1
-        yield X
-    while produced < samples:
-        produced += 1
-        yield sample_rv(space, rng, allow_inf, nonneg)
+    corners = corner_rvs(space, allow_inf)
+    if nonneg:
+        corners = filter(RandomVariable.is_nonnegative, corners)
+    draws = (sample_rv(space, rng, allow_inf, nonneg) for _ in itertools.count())
+    yield from itertools.islice(itertools.chain(corners, draws), max(samples, 0))
 
 
 def exhaustive_grid_rvs(
     space: FiniteProbabilitySpace, grid: Sequence[ExtReal] = GRID_VALUES
 ) -> Iterator[RandomVariable]:
-    for combo in itertools.product(grid, repeat=space.size):
-        yield RandomVariable(space, combo)
+    # each grid value as (tag, numerator) over one common denominator
+    kinds, nums, den = _pack(grid)
+    for combo in itertools.product(list(zip(kinds, nums)), repeat=space.size):
+        kinds, nums = zip(*combo)
+        yield _packed(space, kinds, nums, den)
 
 
 def sample_event(partition: Partition, rng: random.Random) -> Event:

@@ -221,6 +221,12 @@ def _pack(values: Sequence[ExtReal]) -> tuple[tuple[int, ...], list[int], int]:
     return tuple([v.kind for v in values]), [f.numerator * (den // f.denominator) for f in fracs], den
 
 
+def _pack_triples(triples: Sequence[tuple[int, int, int]]) -> tuple[list[int], list[int], int]:
+    # (tag, numerator, denominator) triples as tags and numerators over their lcm
+    den = lcm(*[d for _, _, d in triples])
+    return [k for k, _, _ in triples], [n * (den // d) for _, n, d in triples], den
+
+
 class _Unsealed:
     # RandomVariable's storage without its guard against assignment: `_packed`
     # fills one and then seals it by switching its class, which is cheaper

@@ -1,6 +1,7 @@
 """Checker battery against built-ins and constructed violators."""
 
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ import pytest
 
 from condind import (
     CheckReport,
+    Event,
+    FiniteProbabilitySpace,
     Flag,
     IndicatorSpec,
     Partition,
@@ -34,7 +37,8 @@ from condind.cli import jsonable
 from condind.errors import HypothesisFailedError
 from condind.expectation_ext import _hypothesis_reports
 from condind.extreal import ZERO
-from condind.sampling import ALPHA_GRID, derive_rng
+from condind.sampling import ALPHA_GRID, derive_rng, iter_cases, sample_rv
+from condind.space import _packed
 from conftest import rv
 
 
@@ -247,3 +251,48 @@ def test_counterexample_paths_pinned(case, H):
     reports = [jsonable(COUNTEREXAMPLE_PATHS[case](H, seed)) for seed in range(5)]
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == COUNTEREXAMPLE_DIGESTS[case]
+
+
+def listed_cases(space, rng, samples, allow_inf=True, nonneg=False):
+    """The case sequence as a list: every corner built up front, then draws."""
+    n = space.size
+    corners = [RandomVariable.constant(space, c) for c in (0, 1, -1)]
+    corners += [RandomVariable.indicator(Event(space, frozenset({i}))) for i in range(n)]
+    if allow_inf and n >= 2:
+        corners.append(_packed(space, (1, 0) + (0,) * (n - 2), (0,) * n, 1))
+        corners.append(_packed(space, (1, -1) + (0,) * (n - 2), (0, 0) + (1,) * (n - 2), 1))
+    if nonneg:
+        corners = [X for X in corners if X.is_nonnegative()]
+    out = corners[:samples]
+    while len(out) < samples:
+        out.append(sample_rv(space, rng, allow_inf, nonneg))
+    return out
+
+
+@pytest.mark.parametrize("allow_inf", [True, False])
+@pytest.mark.parametrize("nonneg", [True, False])
+@pytest.mark.parametrize("samples", [0, 3, 6, 9, 40])
+def test_iter_cases_equals_listed_reference(space4, allow_inf, nonneg, samples):
+    label = f"cases:{allow_inf}:{nonneg}:{samples}"
+    rng, ref_rng = derive_rng(1, label), derive_rng(1, label)
+    got = list(iter_cases(space4, rng, samples, allow_inf, nonneg))
+    assert got == listed_cases(space4, ref_rng, samples, allow_inf, nonneg)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_iter_cases_builds_only_the_corners_it_yields(monkeypatch):
+    space = FiniteProbabilitySpace.uniform([f"a{i}" for i in range(128)])
+    built = [0]
+    post_init = RandomVariable.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(RandomVariable, "__post_init__", counted)
+    for cases in (
+        iter_cases(space, derive_rng(2, "lazy"), 8),
+        itertools.islice(iter_cases(space, derive_rng(2, "lazy"), 500), 8),
+    ):
+        built[0] = 0
+        assert len(list(cases)) == 8 and built[0] <= 8

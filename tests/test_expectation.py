@@ -31,7 +31,7 @@ from condind.cli import jsonable
 from condind.errors import BadDensityError, HypothesisFailedError
 from condind.indicators import IndicatorSpec
 from condind.extreal import NEG_INF, POS_INF, ext
-from condind.sampling import derive_rng, sample_rv
+from condind.sampling import GRID_VALUES, derive_rng, exhaustive_grid_rvs, sample_rv
 from condind.space import expectation, is_refinement
 from conftest import all_partitions, rv
 
@@ -335,3 +335,16 @@ def test_recover_density_reports_pinned(case, H):
     reports = [jsonable(DENSITY_PATHS[case](H, seed)) for seed in range(5)]
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == DENSITY_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "n,grid",
+    [(1, GRID_VALUES), (2, GRID_VALUES), (3, GRID_VALUES), (4, (ext(-1), ext(0), ext(1), ext(2)))],
+)
+def test_exhaustive_grid_rvs_matches_value_construction(n, grid):
+    space = FiniteProbabilitySpace.uniform([f"g{i}" for i in range(n)])
+    got = list(exhaustive_grid_rvs(space, grid))
+    want = [RandomVariable(space, combo) for combo in itertools.product(grid, repeat=n)]
+    assert len(got) == len(grid) ** n
+    assert got == want and [hash(X) for X in got] == [hash(X) for X in want]
+    assert all(X.kinds is space._finite_kinds for X in got if X.is_finite())

@@ -2,11 +2,14 @@
 and the extended-expectation closed form."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
 
 from condind import (
+    BUILTIN_NAMES,
+    FiniteProbabilitySpace,
     Flag,
     IndicatorSpec,
     Partition,
@@ -24,6 +27,7 @@ from condind import (
     family_sup,
     lower_extension,
     mix_self_dual,
+    patch,
     upper_extension,
 )
 from condind.errors import MixedTargetsError, NotMonotoneError
@@ -262,6 +266,83 @@ def test_extension_sandwich_random_anchors(space4, H):
         low = lower_extension(sup, anchors, X)
         high = upper_extension(sup, anchors, X)
         assert low.le(sup(X)) and sup(X).le(high)
+
+
+def extreal_extension(I, E_list, X, lower):
+    """The extension as it was written on ExtReal values, kept as an oracle."""
+    qualifies, improves = (operator.le, operator.gt) if lower else (operator.ge, operator.lt)
+    H = I.target
+    base = essinf_cond(X, H) if lower else esssup_cond(X, H)
+    keyed = [Y._aligned(X)[:2] for Y in E_list]
+    per_cell = []
+    for ci, cell in enumerate(H.cells):
+        best = base.values[cell[0]]
+        event = H.cell_event(ci)
+        for Y, (y, x) in zip(E_list, keyed):
+            if all(qualifies(y[i], x[i]) for i in cell):
+                cand = patch(Y, event, base)
+                if I.in_domain(cand):
+                    v = I.eval_fn(cand).values[cell[0]]
+                    if improves(v, best):
+                        best = v
+        per_cell.append(best)
+    return RandomVariable.from_cells(H, per_cell)
+
+
+def _unequal_space(n):
+    # atom i weighs i + 1, so cell means have several denominators
+    total = n * (n + 1) // 2
+    return FiniteProbabilitySpace(tuple(f"w{i}" for i in range(n)),
+                                  tuple(Fraction(i + 1, total) for i in range(n)))
+
+
+def _anchor(X, rng):
+    # a free draw, or one below or above X, so that anchors qualify often
+    Y = sample_rv(X.space, rng)
+    return (Y, X.min_with(Y), X.max_with(Y))[rng.randrange(3)]
+
+
+def test_extension_equals_extreal_oracle():
+    rng = derive_rng(13, "ext-oracle")
+    cases = 0
+    for n in range(2, 6):
+        space = _unequal_space(n)
+        two = Partition.from_cells(space, [range(n // 2), range(n // 2, n)])
+        for H in (Partition.trivial(space), Partition.discrete(space), two):
+            indicators = []
+            for name in BUILTIN_NAMES:
+                I = builtin_indicator(name, H)
+                assert Flag.INCREASING in I.flags
+                indicators += [I, dual(I), mix_self_dual(I)]
+            for I in indicators:
+                for k in range(50):
+                    X = sample_rv(space, rng)
+                    anchors = [_anchor(X, rng) for _ in range(k % 5)]
+                    for lower, ext_fn in ((True, lower_extension), (False, upper_extension)):
+                        assert ext_fn(I, anchors, X) == extreal_extension(I, anchors, X, lower)
+                        cases += 1
+    assert cases == 4 * 3 * 12 * 50 * 2
+
+
+def test_extension_reads_no_values(monkeypatch, space4, H):
+    # the extensions read the images' packed form, never their ExtReal tuples
+    rng = derive_rng(14, "ext-values")
+    X = sample_rv(space4, rng)
+    anchors = [X, X.min_with(sample_rv(space4, rng)), X.max_with(sample_rv(space4, rng))]
+    I = condexp_ext_indicator(H)
+    reads = [0]
+    values = RandomVariable.values
+
+    def counted(self):
+        reads[0] += 1
+        return values.fget(self)
+
+    monkeypatch.setattr(RandomVariable, "values", property(counted))
+    low, high = lower_extension(I, anchors, X), upper_extension(I, anchors, X)
+    monkeypatch.undo()
+    assert reads[0] == 0
+    assert low == extreal_extension(I, anchors, X, True) == I(X)
+    assert high == extreal_extension(I, anchors, X, False) == I(X)
 
 
 def test_builtin_registry(H):
