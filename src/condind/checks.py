@@ -286,7 +286,8 @@ def check_structural(
             "eventually-constant sequences",
         )
     flag = Flag(which)
-    rng = derive_rng(seed, f"structural:{I.name}:{which}")
+    # one stream for a Flag and for its name, spelled as a Flag formats on 3.11+
+    rng = derive_rng(seed, f"structural:{I.name}:Flag.{flag.name}")
     H = I.target
     space = H.space
     prop = f"{flag.value}:{I.name}"

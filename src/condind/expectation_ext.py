@@ -68,7 +68,8 @@ def check_lemm_cond_exp(
     """Restriction, scalar, and shift identities of the extended operator.
 
     The shift identity is only claimed off the doubly infinite set
-    {E(X+|H) = E(X-|H) = +inf} and is checked atomwise there.
+    {E(X+|H) = E(X-|H) = +inf}, so both sides are compared restricted to
+    the other cells.
     """
     prop = "condexp-ext-identities"
     rng = derive_rng(seed, prop)
@@ -95,12 +96,9 @@ def check_lemm_cond_exp(
             shifted = I(X + M)
             expected = IX + M
             # claimed only off the cells where both half-means are infinite
-            ok = all(
-                shifted.values[i] == expected.values[i]
-                for cell in H.cells
-                if not all(_infinite_halves(X, cell))
-                for i in cell
-            )
+            kept = [i for cell in H.cells if not all(_infinite_halves(X, cell)) for i in cell]
+            claimed = Event(space, frozenset(kept))
+            ok = restrict(shifted, claimed) == restrict(expected, claimed)
             yield ok, dict(identity="shift", X=X, alpha=M, lhs=shifted, rhs=expected)
 
     return falsify(prop, trials(), notes=notes)
@@ -161,7 +159,8 @@ def check_additivity_on_F(
             )
             continue
         on_cells += 1
-        if any(lhs.values[j] != rhs.values[j] for j in cell) and failure is None:
+        ev = H.cell_event(ci)
+        if failure is None and restrict(lhs, ev) != restrict(rhs, ev):
             failure = {"X": X, "Y": Y, "cell": ci, "tag": tags[ci], "lhs": lhs, "rhs": rhs}
     notes.insert(0, "tags: " + ", ".join(f"{ci}:{t or '-'}" for ci, t in sorted(tags.items())))
     if failure is not None:
@@ -301,16 +300,10 @@ def recover_density(
             if I(X) != ext_cond_expectation_closed_form(density * X, H):
                 mismatch = X
                 break
-    ok = (
-        measure_ok
-        and cond_mean_one
-        and mismatch is None
-        and density.is_nonnegative()
-    )
     return DensityReport(
         density=density,
         conditional_mean_one=cond_mean_one,
-        reconstruction_ok=ok,
+        reconstruction_ok=cond_mean_one and mismatch is None,
         mismatch_witness=mismatch,
     )
 

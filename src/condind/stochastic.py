@@ -167,13 +167,8 @@ def projection_solve(
     events = enumerate_events(Ft, cap)
     survivors_per_cell: list[list[ExtReal]] = []
     for ci, cell in enumerate(Ft.cells):
-        candidates: list[ExtReal] = []
-        seen: set[ExtReal] = set()
-        for v in [*grid, per_cell_max.values[cell[0]]]:
-            if v in seen or (nonneg and v < ZERO):
-                continue
-            seen.add(v)
-            candidates.append(v)
+        values = sorted({*grid, per_cell_max.values[cell[0]]})
+        candidates = [v for v in values if not (nonneg and v < ZERO)]
         ev = Ft.cell_event(ci)
         x_cell = restrict(X, ev)
         if not I0.in_domain(x_cell):
@@ -184,7 +179,7 @@ def projection_solve(
             z_cell = restrict(RandomVariable.constant(X.space, v), ev)
             if I0.in_domain(z_cell) and I0(z_cell) == target:
                 kept.append(v)
-        survivors_per_cell.append(sorted(kept))
+        survivors_per_cell.append(kept)
 
     combos = 1
     for kept in survivors_per_cell:
@@ -194,12 +189,12 @@ def projection_solve(
                 f"candidate sweep needs > {budget} evaluations; shrink the grid"
             )
 
+    # cells go by first atom, so the product of ascending lists is ascending atomwise
     solutions: list[RandomVariable] = []
     for combo in itertools.product(*survivors_per_cell):
         Z = RandomVariable.from_cells(Ft, combo)
         if check_projection(I0, Z, X, Ft, cap=cap).verdict is Verdict.VERIFIED:
             solutions.append(Z)
-    solutions.sort(key=lambda rv: tuple((v.kind, v.frac) for v in rv.values))
     return solutions
 
 

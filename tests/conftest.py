@@ -41,6 +41,22 @@ def rv(space, *values) -> RandomVariable:
     return RandomVariable(space, tuple(ext(v) for v in values))
 
 
+def values_reads(monkeypatch, run):
+    """`run()`'s result, asserting that it never read RandomVariable.values."""
+    reads = [0]
+    values = RandomVariable.values
+
+    def counted(self):
+        reads[0] += 1
+        return values.fget(self)
+
+    monkeypatch.setattr(RandomVariable, "values", property(counted))
+    result = run()
+    monkeypatch.undo()
+    assert reads[0] == 0
+    return result
+
+
 def set_partitions(items: list):
     """All set partitions of a list, standard recursive enumeration."""
     if not items:

@@ -1,0 +1,258 @@
+"""The mutation catalogue: small faults planted in a copy of `src/`, each of
+which the fast corpus or one test module should catch.
+
+    PYTHONPATH=src python tests/mutants.py              # every row
+    PYTHONPATH=src python tests/mutants.py ID [ID ...]  # the named rows
+
+A row replaces one piece of text, which occurs exactly once in its file
+(tier-1 checks this), in a temporary copy of `src/`. The row is killed when
+`tests/corpus.py --fast` on the copy prints other lines than on the
+unmutated tree, or when its test module fails against the copy; otherwise
+it survived. A row with a reason is a known survivor. The script prints one
+line per row and exits 1 when a row without a reason survives or a known
+survivor is killed. Rows run one after the other, about 10-30 s each.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 900  # seconds per child; a mutant that loops forever counts as killed
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    module: str  # the test module expected to catch it, relative to the root
+    survives: str | None = None  # why no test can catch it, for a known survivor
+
+
+ROWS: tuple[Mutant, ...] = (
+    Mutant(
+        "within-one-sided", "src/condind/risk.py",
+        "return (a - b).le(slack) and (b - a).le(slack)",
+        "return (a - b).le(slack)",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "shift-identity-on-every-cell", "src/condind/expectation_ext.py",
+        "kept = [i for cell in H.cells if not all(_infinite_halves(X, cell)) for i in cell]",
+        "kept = [i for cell in H.cells for i in cell]",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "additivity-verdict-on-whole-variable", "src/condind/expectation_ext.py",
+        "if failure is None and restrict(lhs, ev) != restrict(rhs, ev):",
+        "if failure is None and lhs != rhs:",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "projection-candidates-unsorted", "src/condind/stochastic.py",
+        "values = sorted({*grid, per_cell_max.values[cell[0]]})",
+        "values = list(dict.fromkeys([*grid, per_cell_max.values[cell[0]]]))",
+        "tests/test_stochastic.py",
+    ),
+    Mutant(
+        "structural-stream-by-argument", "src/condind/checks.py",
+        'rng = derive_rng(seed, f"structural:{I.name}:Flag.{flag.name}")',
+        'rng = derive_rng(seed, f"structural:{I.name}:{which}")',
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "reconstruction-without-conditional-mean", "src/condind/expectation_ext.py",
+        "reconstruction_ok=cond_mean_one and mismatch is None,",
+        "reconstruction_ok=mismatch is None,",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "rho-freeze-ge", "src/condind/risk.py",
+        "todo = [c for c in todo if (hi[c] - lo[c]) * td > tn * d]",
+        "todo = [c for c in todo if (hi[c] - lo[c]) * td >= tn * d]",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "kernel-doubly-infinite-cell-plus-inf", "src/condind/space.py",
+        "means.append((pos_inf - neg_inf, 0, 1) if pos_inf or neg_inf else (0, s, m))",
+        "means.append((1 if pos_inf else -1, 0, 1) if pos_inf or neg_inf else (0, s, m))",
+        "tests/test_space.py",
+    ),
+    Mutant(
+        "kernel-zero-weight-infinity-counted", "src/condind/space.py",
+        "            elif weights[i]:\n",
+        "            else:\n",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "packed-without-gcd", "src/condind/space.py",
+        "g = gcd(den, *nums)",
+        "g = 1",
+        "tests/test_space.py",
+    ),
+    Mutant(
+        "inf-plus-neg-inf-is-plus-inf", "src/condind/extreal.py",
+        "return ZERO  # inf + (-inf)",
+        "return POS_INF  # inf + (-inf)",
+        "tests/test_extreal.py",
+    ),
+    Mutant(
+        "sandwich-witness-hi-is-lo", "src/condind/checks.py",
+        'dict(axiom="sandwich", X=X, value=IX, lo=lo, hi=hi)',
+        'dict(axiom="sandwich", X=X, value=IX, lo=lo, hi=lo)',
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "sample-measurable-cells-reversed", "src/condind/sampling.py",
+        "[_draw(rng, allow_inf, nonneg) for _ in partition.cells]",
+        "[_draw(rng, allow_inf, nonneg) for _ in partition.cells][::-1]",
+        "tests/test_battery.py",
+    ),
+    Mutant(
+        "dominating-pair-extra-draw", "src/condind/sampling.py",
+        "    X = sample_rv(space, rng, allow_inf)\n    bump",
+        "    rng.random()\n    X = sample_rv(space, rng, allow_inf)\n    bump",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "battery-law-stream-by-law-name", "src/condind/battery.py",
+        "return falsify(prop, law(subject, derive_rng(seed, prop), *args))",
+        "return falsify(prop, law(subject, derive_rng(seed, law.__name__), *args))",
+        "tests/test_battery.py",
+    ),
+    Mutant(
+        "samples-lower-bound-dropped", "src/condind/cli.py",
+        '"--samples": {"type": _at_least(1)',
+        '"--samples": {"type": _at_least(-10)',
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "literal-digits-without-exponent", "src/condind/scenario.py",
+        "return len(text) + abs(int(exponent.group(1)))",
+        "return len(text)",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "rho-settled-cells-probe-at-lo", "src/condind/risk.py",
+        "probe = [y + y for y in hi]",
+        "probe = [y + y for y in lo]",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "acceptance-set-convex-by-either-flag", "src/condind/risk.py",
+        "I.has(Flag.SUPERADDITIVE) and I.has(Flag.POS_HOMOGENEOUS)",
+        "I.has(Flag.SUPERADDITIVE) or I.has(Flag.POS_HOMOGENEOUS)",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "additivity-f2-ignores-y", "src/condind/expectation_ext.py",
+        "elif xp and not xm and not ym:",
+        "elif xp and not xm:",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "esssup-skips-last-atom", "src/condind/indicators.py",
+        "        for i in cell[1:]:\n            v = keys[i]\n            if v > m:",
+        "        for i in cell[1:-1]:\n            v = keys[i]\n            if v > m:",
+        "tests/test_indicators.py",
+    ),
+    Mutant(
+        "restrict-keeps-finite-values", "src/condind/space.py",
+        "[n if i in m else 0 for i, n in enumerate(X.nums)]",
+        "list(X.nums)",
+        "tests/test_space.py",
+    ),
+    Mutant(
+        "atom-labels-may-repeat", "src/condind/space.py",
+        "if len(set(self.atoms)) != len(self.atoms):",
+        "if False:",
+        "tests/test_space.py",
+    ),
+    Mutant(
+        "falsify-miscounts-failing-trial", "src/condind/checks.py",
+        "return CheckReport.counterexample(prop, witness, cases, notes=notes)",
+        "return CheckReport.counterexample(prop, witness, cases - 1, notes=notes)",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "prop-rm-subadditivity-without-slack", "src/condind/risk.py",
+        "slack = RandomVariable.constant(I.target.space, axiom_tol + axiom_tol)",
+        "slack = RandomVariable.constant(I.target.space, 0)",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "esssup-keeps-later-equal-key", "src/condind/indicators.py",
+        "            if v > m:\n",
+        "            if v >= m:\n",
+        "tests/test_indicators.py",
+        survives="equivalent: equal order keys are the same value, so either one is the maximum",
+    ),
+)
+
+
+def _run(cmd: list[str], src: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("CONDIND_CAP", None)
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT)
+
+
+def _corpus_digest(src: Path) -> str:
+    proc = _run([sys.executable, "tests/corpus.py", "--fast"], src)
+    return hashlib.sha256(proc.stdout).hexdigest() if proc.returncode == 0 else "failed"
+
+
+def kill(row: Mutant, reference: str) -> list[str]:
+    """What catches the row: "corpus", its test module, both, or nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = Path(tmp) / row.file
+        text = target.read_text()
+        if text.count(row.old) != 1:
+            raise SystemExit(f"{row.id}: old text occurs {text.count(row.old)} times in {row.file}")
+        target.write_text(text.replace(row.old, row.new))
+        caught = []
+        try:
+            if _corpus_digest(src) != reference:
+                caught.append("corpus")
+            cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", row.module]
+            if _run(cmd, src).returncode != 0:
+                caught.append(row.module)
+        except subprocess.TimeoutExpired:
+            caught.append("timeout")
+        return caught
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ids", nargs="*", help="rows to run (default: all)")
+    args = parser.parse_args(argv)
+    unknown = set(args.ids) - {row.id for row in ROWS}
+    if unknown:
+        parser.error(f"unknown rows: {sorted(unknown)}")
+    reference = _corpus_digest(ROOT / "src")
+    unexpected = 0
+    for row in ROWS:
+        if args.ids and row.id not in args.ids:
+            continue
+        caught = kill(row, reference)
+        if caught:
+            status = "killed" + ("  UNEXPECTED, listed as a survivor" if row.survives else "")
+        else:
+            status = f"survived  known: {row.survives}" if row.survives else "SURVIVED"
+        unexpected += bool(caught) == bool(row.survives)
+        print(f"{row.id:42} {status}  {', '.join(caught)}", flush=True)
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

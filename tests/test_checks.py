@@ -37,6 +37,7 @@ from condind.cli import jsonable
 from condind.errors import HypothesisFailedError
 from condind.expectation_ext import _hypothesis_reports
 from condind.extreal import ZERO
+from condind.indicators import BUILTIN_NAMES, builtin_indicator
 from condind.sampling import ALPHA_GRID, derive_rng, iter_cases, sample_rv
 from condind.space import _packed
 from conftest import rv
@@ -102,6 +103,15 @@ def test_structural_esssup(space4, H):
         assert rep.verdict is Verdict.VERIFIED, (flag, rep.witness)
     rep = check_structural(I, Flag.LINEAR, samples=250, seed=11)
     assert rep.verdict is Verdict.COUNTEREXAMPLE  # max(X+Y) < max X + max Y
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_structural_flag_and_its_name_share_a_stream(H, name):
+    I = builtin_indicator(name, H)
+    for flag in Flag:
+        if flag is not Flag.REGULAR:
+            by_name = jsonable(check_structural(I, flag.value, 500, 7))
+            assert by_name == jsonable(check_structural(I, flag, 500, 7)), flag
 
 
 def test_structural_condexp_linear(space4, H):

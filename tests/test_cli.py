@@ -392,7 +392,7 @@ CHECK = ["check", "--indicator", "esssup", "--sigma", "H", "--property"]
      ["command: apply  seed=7 samples=500", "failed: False"]),
     (CHECK + ["axioms"], EXIT_OK, ["  [ok] axioms:esssup: 1671 cases", "failed: False"]),
     (CHECK + ["superadditive"], EXIT_COUNTEREXAMPLE,
-     ["  [FAIL] superadditive:esssup: 4 cases", "failed: True"]),
+     ["  [FAIL] superadditive:esssup: 12 cases", "failed: True"]),
     (CHECK + ["fatou"], EXIT_OK, [f"  [skip] fatou:esssup: 0 cases ({FATOU_SKIP})", "failed: False"]),
 ], ids=["apply", "ok", "fail", "skip"])
 def test_text_format(argv, code, lines):

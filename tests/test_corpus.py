@@ -12,8 +12,9 @@ import pytest
 from corpus import lines
 from opdigest import op_digest
 
-# re-pinned when the fatou skip reason was rewritten to say what exact checks see
-FAST_CORPUS_SHA256 = "7bdd2443a0ed023447f5440e74b36ffd88c8d17dfb20fd9f2f8cb93e9820d8d6"
+# re-pinned when a structural property's stream stopped depending on whether
+# its flag was passed as a Flag or by name
+FAST_CORPUS_SHA256 = "12def80600a0d5b1459283bb971be78ee21d37ba2b58d82dc389430df2c6f961"
 
 # tests/opdigest.py at seed 5: every benchmark op's output, for each
 # workload of perfbench/workloads.py at the default cap; cli-cold's eight

@@ -33,7 +33,7 @@ from condind.indicators import IndicatorSpec
 from condind.extreal import NEG_INF, POS_INF, ext
 from condind.sampling import GRID_VALUES, derive_rng, exhaustive_grid_rvs, sample_rv
 from condind.space import expectation, is_refinement
-from conftest import all_partitions, rv
+from conftest import all_partitions, rv, values_reads
 
 
 def test_cond_exp_extended_examples(space4, H):
@@ -63,6 +63,12 @@ def test_cond_exp_tower_on_refinements():
 def test_check_lemm_cond_exp(H):
     rep = check_lemm_cond_exp(H, samples=300, seed=1)
     assert rep.verdict is Verdict.VERIFIED, rep.witness
+
+
+def test_check_lemm_cond_exp_reads_no_values(monkeypatch, H):
+    # the identities compare whole variables, never their ExtReal tuples
+    rep = values_reads(monkeypatch, lambda: check_lemm_cond_exp(H, samples=40, seed=3))
+    assert rep.verdict is Verdict.VERIFIED and rep.cases > 40
 
 
 def test_additivity_set_tags(space4, H):

@@ -42,6 +42,7 @@ from conftest import (
     oracle_greatest_minorant,
     oracle_least_dominator,
     rv,
+    values_reads,
 )
 from condind.sampling import GRID_VALUES
 
@@ -330,17 +331,8 @@ def test_extension_reads_no_values(monkeypatch, space4, H):
     X = sample_rv(space4, rng)
     anchors = [X, X.min_with(sample_rv(space4, rng)), X.max_with(sample_rv(space4, rng))]
     I = condexp_ext_indicator(H)
-    reads = [0]
-    values = RandomVariable.values
-
-    def counted(self):
-        reads[0] += 1
-        return values.fget(self)
-
-    monkeypatch.setattr(RandomVariable, "values", property(counted))
-    low, high = lower_extension(I, anchors, X), upper_extension(I, anchors, X)
-    monkeypatch.undo()
-    assert reads[0] == 0
+    extensions = lambda: (lower_extension(I, anchors, X), upper_extension(I, anchors, X))
+    low, high = values_reads(monkeypatch, extensions)
     assert low == extreal_extension(I, anchors, X, True) == I(X)
     assert high == extreal_extension(I, anchors, X, False) == I(X)
 

@@ -28,13 +28,14 @@ from condind import (
     esssup_cond,
     esssup_indicator,
     rho,
+    rho_from_acceptance,
     rho_from_indicator,
 )
 from condind.errors import NotIncreasingError, NotRegularError, ValidationError
-from condind.extreal import POS_INF, ZERO, ext
-from condind.space import Event, Partition, patch
+from condind.extreal import NEG_INF, POS_INF, ZERO, ext
+from condind.space import Event, Partition, is_measurable, patch
 from condind.sampling import derive_rng, sample_rv
-from conftest import rv
+from conftest import rv, values_reads
 
 
 def strip_flags(I: IndicatorSpec, *flags: Flag) -> IndicatorSpec:
@@ -269,18 +270,9 @@ def test_rho_bisection_reads_no_values(monkeypatch):
     # the probes read the image's packed form, never its ExtReal tuple
     space12, H12 = space12_H12()
     X = sample_rv(space12, derive_rng(3, "rho-values"), allow_inf=False)
-    reads = [0]
-    values = RandomVariable.values
-
-    def counted(self):
-        reads[0] += 1
-        return values.fget(self)
-
     I, args = recording(condexp_ext_indicator(H12))
-    monkeypatch.setattr(RandomVariable, "values", property(counted))
-    rho(I, X)
-    monkeypatch.undo()
-    assert len(args) > 2 and reads[0] == 0
+    values_reads(monkeypatch, lambda: rho(I, X))
+    assert len(args) > 2
 
 
 def test_rho_from_indicator_sides(space4, H):
@@ -311,6 +303,59 @@ def test_rm_axioms_counterexample_shifted(space4, H):
     rep = check_rm_axioms(shifted, samples=50, seed=3)
     assert rep.verdict is Verdict.COUNTEREXAMPLE
     assert rep.witness["axiom"] == "normalization"
+
+
+def cash_error_at_shifts(H: Partition, at_first, at_shift) -> tuple[RiskMeasureSpec, list[int]]:
+    """-E(X|H) plus `at_first` on atom 0, or `at_shift` there when X is an
+    earlier argument plus a nonzero H-measurable shift, as in the
+    cash-invariance trial's left side. Zero is outside the domain, so an
+    infinite `at_first` leaves normalization unjudged."""
+    space = H.space
+    ce = condexp_indicator(H)
+    first, shift = (RandomVariable.of(space, [v] + [0] * (space.size - 1)) for v in (at_first, at_shift))
+    zero = RandomVariable.constant(space, 0)
+    seen: list[RandomVariable] = []
+    shifts = [0]
+
+    def ev(X):
+        shifted = any(X != Y and is_measurable(X - Y, H) for Y in seen)
+        seen.append(X)
+        shifts[0] += shifted
+        return -ce(X) + (shift if shifted else first)
+
+    rm = RiskMeasureSpec("cash-error", H, ev, domain_fn=lambda X: X != zero)
+    return rm, shifts
+
+
+TOL = Fraction(1, 100)
+
+
+@pytest.mark.parametrize(
+    "at_first, at_shift, verdict",
+    [
+        (0, 3 * TOL / 2, Verdict.COUNTEREXAMPLE),
+        (0, -3 * TOL / 2, Verdict.COUNTEREXAMPLE),
+        (0, TOL / 2, Verdict.VERIFIED),
+        (0, -TOL / 2, Verdict.VERIFIED),
+        (POS_INF, POS_INF, Verdict.VERIFIED),
+        (POS_INF, NEG_INF, Verdict.COUNTEREXAMPLE),
+        (NEG_INF, POS_INF, Verdict.COUNTEREXAMPLE),
+    ],
+)
+def test_rm_axioms_cash_invariance_within_tol(H, at_first, at_shift, verdict):
+    # |lhs - rhs| <= tol on both sides; equal infinities differ by inf - inf = 0
+    rm, shifts = cash_error_at_shifts(H, at_first, at_shift)
+    rep = check_rm_axioms(rm, samples=60, seed=3, tol=TOL)
+    assert rep.verdict is verdict and shifts[0] > 0, rep.witness
+    if verdict is Verdict.COUNTEREXAMPLE:
+        assert rep.witness["axiom"] == "cash-invariance"
+
+
+def test_rm_axioms_reads_no_values(monkeypatch, H):
+    # the axioms compare whole variables, never their ExtReal tuples
+    rm = rho_from_acceptance(condexp_ext_indicator(H), DEFAULT_TOL)
+    rep = values_reads(monkeypatch, lambda: check_rm_axioms(rm, samples=60, seed=3, tol=DEFAULT_TOL))
+    assert rep.verdict is Verdict.VERIFIED and rep.cases > 60
 
 
 def test_rm_convexity_violation_squared_mean(space4, H):
@@ -354,6 +399,20 @@ def test_prop_rm_examples(space4, H):
     assert inf.verdict is Verdict.VERIFIED, inf.witness  # rho subadditive holds
     with pytest.raises(NotIncreasingError):
         check_prop_rm(IndicatorSpec("bare", H, lambda X: X, flags=frozenset()))
+
+
+def test_prop_rm_subadditivity_within_two_tol_on_bisection_path():
+    # off a uniform cell the bisected rho misses -E(X|H) by up to tol per
+    # evaluation, so rho(X + Y) <= rho(X) + rho(Y) holds only within 2 tol
+    _, H12 = space12_H12()
+    I = strip_flags(condexp_indicator(H12), Flag.TRANSLATION_INVARIANT, Flag.LINEAR, Flag.POS_HOMOGENEOUS)
+    rep = check_prop_rm(I, samples=40, seed=0)
+    assert rep.verdict is Verdict.VERIFIED, rep.witness
+    assert rep.notes == (
+        f"fast-path=bisection tol={DEFAULT_TOL}",
+        "convexity inheritance skipped (acceptance set not certified convex)",
+        "pos-hom inheritance skipped (flag absent)",
+    )
 
 
 def test_rho_correspondence_builtins(space4, H):

@@ -112,16 +112,15 @@ def test_projection_solve_zero_and_measurable(scenario, space4):
 
 
 def test_projection_solve_signed_keeps_all_grid_solutions(scenario, space4):
-    # outside the nonnegative regime extra solutions are legitimate
+    # outside the nonnegative regime extra solutions are legitimate; they come
+    # out ascending atom by atom whatever the order of the grid
     F0 = scenario.partitions["F0"]
     F1 = scenario.partitions["H"]
     I0 = esssup_indicator(F0)
-    X = rv(space4, 0, 0, 5, 5)
-    X_signed = rv(space4, -1, 0, 5, 5)
-    sols = projection_solve(I0, X_signed, F1, [ext(v) for v in (-1, 0, 5)])
-    assert rv(space4, 0, 0, 5, 5) in sols
-    assert rv(space4, -1, -1, 5, 5) in sols
-    del X
+    sols = projection_solve(I0, rv(space4, -1, 0, 5, 5), F1, [ext(v) for v in (5, 0, -1, 0)])
+    assert sols == [rv(space4, -1, -1, 5, 5), rv(space4, 0, 0, 5, 5)]
+    sols = projection_solve(I0, rv(space4, -1, 0, -2, -1), F1, [ext(0), ext(-1)])
+    assert sols == [rv(space4, -1, -1, 0, 0), rv(space4, 0, 0, -1, -1), rv(space4, 0, 0, 0, 0)]
 
 
 def test_projection_solve_budget(scenario, space4):
