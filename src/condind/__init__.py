@@ -27,11 +27,11 @@ _EXPORTS = {
                        "check_esssup_shift_rigidity check_projection "
                        "check_projection_uniqueness_premises check_tower "
                        "is_indicator_martingale projection_solve"),
-        ("risk", "RhoSide RiskMeasureSpec acceptance_contains check_dom_closure check_prop_rm "
+        ("risk", "RiskMeasureSpec acceptance_contains check_dom_closure check_prop_rm "
                  "check_rho_correspondence check_rm_axioms check_rm_coherent check_rm_convexity "
                  "check_rm_pos_hom rho rho_from_acceptance rho_from_indicator"),
         ("expectation_ext", "DensityReport additivity_set check_additivity_on_F check_contractive "
-                            "check_lemm_cond_exp cond_exp_extended is_conditional_expectation "
+                            "check_lemm_cond_exp is_conditional_expectation "
                             "recover_density weighted_expectation weighted_indicator"),
         ("scenario", "Scenario canonical_scenario dump_scenario load_scenario parse_scenario "
                      "scenario_to_dict"),

@@ -53,7 +53,6 @@ from .indicators import (
 )
 from .risk import (
     DEFAULT_TOL,
-    RhoSide,
     check_dom_closure,
     check_prop_rm,
     check_rho_correspondence,
@@ -426,7 +425,7 @@ def properties(
         yield f"risk:prop-rm:{name}", partial(check_prop_rm, I, light, seed, tol)
         yield f"risk:dom-closure:{name}", partial(check_dom_closure, I, few, seed, tol)
     sup = builtin_indicator("esssup", main)
-    yield "risk:rho-iff:esssup", partial(check_rho_correspondence, sup, RhoSide.NEG_VALUE, light, seed)
+    yield "risk:rho-iff:esssup", partial(check_rho_correspondence, sup, light, seed)
 
     yield _named("density-roundtrip", _law, seed, _density_roundtrip, main, max(20, samples // 10), seed)
     yield _named("density-hypofail:esssup", _density_hypothesis_failure, main, seed)

@@ -213,8 +213,8 @@ def check_regular(
 
     (1) agreement on an event forces agreement of the images on it,
     (2) I(X 1_H) = I(X) 1_H,
-    (3) I splices across H and its complement,
-    plus the averaging identity I(X 1_H) 1_{H^c} = 0.
+    (3) I splices across H and its complement.
+    Statement (2) gives the averaging identity I(X 1_H) 1_{H^c} = 0 on the same draw.
 
     One trial per draw of (X, Y): every event of a failing draw is still
     evaluated, so the notes report each statement's verdict on that draw.
@@ -224,7 +224,6 @@ def check_regular(
     space = H.space
     events, partial = enumerate_or_sample(H, cap, rng, min(samples, 64))
     notes = list(partial)
-    zero = RandomVariable.constant(space, 0)
     paired = [(ev, ev.complement()) for ev in events]
     failed: set[str] = set()
 
@@ -242,12 +241,10 @@ def check_regular(
                         continue
                     IXH, ISp, IX_ev = I(XH), I(spliced), restrict(IX, ev)
                     glued = IX_ev + restrict(IY, rest)
-                    off = restrict(IXH, rest)
                     for name, ok, witness in (
                         ("agree", restrict(ISp, ev) == IX_ev, dict(X=X, Y=spliced, H=ev)),
                         ("restrict", IXH == IX_ev, dict(X=X, H=ev, lhs=IXH, rhs=IX_ev)),
                         ("splice", ISp == glued, dict(X=X, Y=Y, H=ev, lhs=ISp, rhs=glued)),
-                        ("avg", off == zero, dict(X=X, H=ev, lhs=off)),
                     ):
                         if not ok:
                             failed.add(name)

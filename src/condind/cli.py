@@ -276,13 +276,13 @@ def _envelope(args, scenario):
 
 
 def _risk(args, scenario):
-    from .risk import RhoSide, check_rm_axioms, check_rm_coherent, rho, rho_from_indicator
+    from .risk import check_rm_axioms, check_rm_coherent, rho, rho_from_indicator
 
     I = _indicator(args, scenario)
     results = {"indicator": I.name, "rho": rho(I, scenario.variable(args.var), args.tol)}
     if not args.axioms:
         return results, []
-    rm = rho_from_indicator(I, RhoSide.NEG_VALUE)
+    rm = rho_from_indicator(I)
     return results, [check_rm_axioms(rm, args.samples, args.seed),
                      check_rm_coherent(rm, args.samples, args.seed)]
 

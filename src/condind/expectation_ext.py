@@ -48,10 +48,6 @@ from .space import (
 )
 
 
-# E(X+|H) - E(X-|H), exported under a second name; the package calls the first
-cond_exp_extended = ext_cond_expectation_closed_form
-
-
 def _infinite_halves(X: RandomVariable, cell: tuple[int, ...]) -> tuple[bool, bool]:
     # Whether E(X+|cell) and E(X-|cell) are +inf: a +inf (resp. -inf) atom
     # carries positive mass, and no finite atom can make a half-mean infinite.

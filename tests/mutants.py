@@ -190,6 +190,37 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_risk.py",
     ),
     Mutant(
+        "rm-convexity-without-slack", "src/condind/risk.py",
+        "yield lhs.le(rhs + slack), dict(alpha=a, X=X, Y=Y, lhs=lhs, rhs=rhs)",
+        "yield lhs.le(rhs), dict(alpha=a, X=X, Y=Y, lhs=lhs, rhs=rhs)",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "rho-iff-label-without-convention", "src/condind/risk.py",
+        'prop = f"rho-iff:{I.name}[-I(X)]"',
+        'prop = f"rho-iff:{I.name}"',
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "regular-without-restrict-statement", "src/condind/checks.py",
+        '                        ("restrict", IXH == IX_ev, dict(X=X, H=ev, lhs=IXH, rhs=IX_ev)),\n',
+        "",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "rho-probe-off-midpoint", "src/condind/risk.py",
+        "probe[c] = lo[c] + hi[c]  # the midpoint over 2d",
+        "probe[c] = lo[c] + hi[c] + 1  # the midpoint over 2d",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "battery-law-generator-built-with-row", "src/condind/battery.py",
+        "return prop, partial(checker, prop, *args)",
+        "return prop, partial(falsify, prop, args[1](args[2], derive_rng(args[0], prop), *args[3:]))"
+        " if checker is _law else partial(checker, prop, *args)",
+        "tests/test_battery.py",
+    ),
+    Mutant(
         "esssup-keeps-later-equal-key", "src/condind/indicators.py",
         "            if v > m:\n",
         "            if v >= m:\n",

@@ -5,6 +5,7 @@ import io
 import itertools
 from contextlib import redirect_stdout
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,8 @@ from condind.battery import properties
 from condind.cli import jsonable, run
 from condind.errors import EmptyDomainError
 from condind.indicators import BUILTIN_NAMES, IndicatorSpec
-from condind.sampling import GRID_VALUES
+from condind.extreal import NEG_INF, POS_INF, ext
+from condind.sampling import GRID_VALUES, _draw, derive_rng, sample_measurable
 from conftest import all_partitions
 
 
@@ -79,6 +81,19 @@ def test_sandwich_exhaustive_small_spaces():
                         continue
                     out = I(X)
                     assert lo.le(out) and out.le(hi), (I.name, combo)
+
+
+def test_sample_measurable_draws_cell_by_cell_in_order(H):
+    # the battery's measurable shifts hold the k-th draw on the k-th cell
+    for allow_inf, nonneg in itertools.product((True, False), repeat=2):
+        rng, replay = derive_rng(4, "cells"), derive_rng(4, "cells")
+        for _ in range(20):
+            draws = [_draw(replay, allow_inf, nonneg) for _ in H.cells]
+            per_cell = [ext(Fraction(n, d)) if tag == 0 else POS_INF if tag > 0 else NEG_INF
+                        for tag, n, d in draws]
+            M = sample_measurable(H, rng, allow_inf, nonneg)
+            assert M == RandomVariable.from_cells(H, per_cell)
+        assert rng.getstate() == replay.getstate()
 
 
 def test_mix_requires_zero_in_domain():

@@ -27,10 +27,13 @@ from condind import (
     condexp_ext_indicator,
     condexp_indicator,
     essinf_indicator,
+    essinf_cond,
     esssup_cond,
     esssup_indicator,
+    is_measurable,
     expectation,
     recover_density,
+    restrict,
 )
 from condind.checks import falsify, scaling_trials
 from condind.cli import jsonable
@@ -38,7 +41,7 @@ from condind.errors import HypothesisFailedError
 from condind.expectation_ext import _hypothesis_reports
 from condind.extreal import ZERO
 from condind.indicators import BUILTIN_NAMES, builtin_indicator
-from condind.sampling import ALPHA_GRID, derive_rng, iter_cases, sample_rv
+from condind.sampling import ALPHA_GRID, derive_rng, iter_cases, sample_dominating_pair, sample_rv
 from condind.space import _packed
 from conftest import rv
 
@@ -84,6 +87,30 @@ def test_axioms_catch_idempotence_violation(space4, H):
     assert w["axiom"] in ("idempotence", "sandwich")
 
 
+def test_sandwich_witness_brackets_with_cell_extremes(space4, H):
+    # exact on measurables, one above the cell maximum elsewhere: the first
+    # failure is at a variable whose cell minimum and maximum differ
+    def ev(X):
+        return X if is_measurable(X, H) else esssup_cond(X, H).shift(1)
+
+    I = IndicatorSpec("jump-off-measurables", H, ev, flags=frozenset())
+    rep = check_axioms(I, samples=50, seed=3)
+    w = rep.witness
+    assert rep.verdict is Verdict.COUNTEREXAMPLE and w["axiom"] == "sandwich"
+    assert w["lo"] == essinf_cond(w["X"], H) and w["hi"] == esssup_cond(w["X"], H)
+    assert w["lo"] != w["hi"] and not w["value"].le(w["hi"])
+
+
+def test_dominating_pair_is_a_draw_plus_a_nonnegative_draw(space4):
+    for allow_inf in (True, False):
+        rng, replay = derive_rng(2, "pair"), derive_rng(2, "pair")
+        for _ in range(20):
+            X = sample_rv(space4, replay, allow_inf)
+            expected = (X, X + sample_rv(space4, replay, allow_inf, nonneg=True))
+            assert sample_dominating_pair(space4, rng, allow_inf) == expected
+        assert rng.getstate() == replay.getstate()
+
+
 def test_regular_builtins(space4, H):
     for I in (esssup_indicator(H), condexp_indicator(H), condexp_ext_indicator(H)):
         rep = check_regular(I, samples=120, seed=5)
@@ -93,6 +120,17 @@ def test_regular_builtins(space4, H):
 def test_regular_catches_global_mean(space4, H):
     rep = check_regular(global_mean_indicator(space4, H), samples=120, seed=5)
     assert rep.verdict is Verdict.COUNTEREXAMPLE
+    assert rep.notes[-1] == "statements: agree=fail, restrict=fail, splice=fail"
+
+
+def test_regular_catches_a_leak_off_the_event(space4, H):
+    # esssup + 1 is local, so agreement and splicing hold, but I(X 1_H) is 1
+    # off H: statement (2) fails where the averaging identity does
+    rep = check_regular(shifted_esssup(space4, H), samples=120, seed=5)
+    w = rep.witness
+    assert rep.verdict is Verdict.COUNTEREXAMPLE
+    assert rep.notes[-1] == "statements: agree=ok, restrict=fail, splice=ok"
+    assert restrict(w["lhs"], w["H"].complement()) != RandomVariable.constant(space4, 0)
 
 
 def test_structural_esssup(space4, H):

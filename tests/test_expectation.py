@@ -18,9 +18,9 @@ from condind import (
     check_additivity_on_F,
     check_contractive,
     check_lemm_cond_exp,
-    cond_exp_extended,
     condexp_indicator,
     esssup_indicator,
+    ext_cond_expectation_closed_form,
     is_conditional_expectation,
     recover_density,
     weighted_expectation,
@@ -38,10 +38,10 @@ from conftest import all_partitions, rv, values_reads
 
 def test_cond_exp_extended_examples(space4, H):
     doubly = RandomVariable(space4, (POS_INF, NEG_INF, ext(1), ext(1)))
-    assert cond_exp_extended(doubly, H) == rv(space4, 0, 0, 1, 1)
-    assert cond_exp_extended(rv(space4, 1, 3, 2, 6), H) == rv(space4, 2, 2, 4, 4)
+    assert ext_cond_expectation_closed_form(doubly, H) == rv(space4, 0, 0, 1, 1)
+    assert ext_cond_expectation_closed_form(rv(space4, 1, 3, 2, 6), H) == rv(space4, 2, 2, 4, 4)
     minus = RandomVariable(space4, (NEG_INF, ext(0), ext(2), ext(6)))
-    assert cond_exp_extended(minus, H) == RandomVariable(
+    assert ext_cond_expectation_closed_form(minus, H) == RandomVariable(
         space4, (NEG_INF, NEG_INF, ext(4), ext(4))
     )
 
@@ -56,8 +56,9 @@ def test_cond_exp_tower_on_refinements():
                 continue
             for _ in range(3):
                 X = sample_rv(space, rng, allow_inf=False)
-                inner = cond_exp_extended(X, fine)
-                assert cond_exp_extended(inner, coarse) == cond_exp_extended(X, coarse)
+                inner = ext_cond_expectation_closed_form(X, fine)
+                outer = ext_cond_expectation_closed_form(X, coarse)
+                assert ext_cond_expectation_closed_form(inner, coarse) == outer
 
 
 def test_check_lemm_cond_exp(H):
@@ -110,9 +111,18 @@ def test_additivity_check_on_each_class(space4, H):
 def test_additivity_f2_value_is_plus_inf(space4, H):
     X = RandomVariable(space4, (POS_INF, ext(0), ext(1), ext(1)))
     Y = rv(space4, 1, 1, 1, 1)
-    total = cond_exp_extended(X + Y, H)
+    total = ext_cond_expectation_closed_form(X + Y, H)
     assert total.values[0] == POS_INF
-    assert total == cond_exp_extended(X, H) + cond_exp_extended(Y, H)
+    assert total == ext_cond_expectation_closed_form(X, H) + ext_cond_expectation_closed_form(Y, H)
+
+
+def test_additivity_verdict_only_on_F_cells(space4, H):
+    # cell 0 is doubly infinite under X, so off F, and its sides differ there
+    X = RandomVariable(space4, (POS_INF, NEG_INF, ext(1), ext(2)))
+    Y = rv(space4, 1, 3, 0, 5)
+    rep = check_additivity_on_F(X, Y, H)
+    assert rep.verdict is Verdict.VERIFIED and rep.cases == 1, rep.witness
+    assert "cell 0 off-F: lhs=0 rhs=2 equal=False (not asserted)" in rep.notes
 
 
 def test_additivity_off_F_skips(space4):
@@ -131,7 +141,7 @@ def test_weighted_expectation_example(space4, H):
     # density 1 is the plain conditional expectation
     ones = rv(space4, 1, 1, 1, 1)
     Y = rv(space4, 1, 3, 2, 6)
-    assert weighted_expectation(Y, H, ones) == cond_exp_extended(Y, H)
+    assert weighted_expectation(Y, H, ones) == ext_cond_expectation_closed_form(Y, H)
     # measurable X comes back unchanged thanks to conditional mean one
     Xm = rv(space4, 7, 7, -1, -1)
     assert weighted_expectation(Xm, H, rho0) == Xm
@@ -237,16 +247,16 @@ def test_closed_form_agrees_with_extensions_on_attaining_anchors(space4, H):
     caps = [RandomVariable.constant(space4, n) for n in range(6)]
     lower_anchors = [X.min_with(c) for c in caps]
     upper_anchors = [X.max_with(-c) for c in caps]
-    assert lower_extension(I, lower_anchors, X) == cond_exp_extended(X, H)
-    assert upper_extension(I, upper_anchors, X) == cond_exp_extended(X, H)
+    assert lower_extension(I, lower_anchors, X) == ext_cond_expectation_closed_form(X, H)
+    assert upper_extension(I, upper_anchors, X) == ext_cond_expectation_closed_form(X, H)
 
 
 def test_shift_identity_restricted_to_non_doubly_infinite_cells(space4, H):
     # on a doubly infinite cell the value is pinned at 0 and shifts are moot;
     # the identity is claimed (and holds) on the other cells only
     X = RandomVariable(space4, (POS_INF, NEG_INF, ext(1), ext(3)))
-    shifted = cond_exp_extended(X.shift(1), H)
-    base = cond_exp_extended(X, H)
+    shifted = ext_cond_expectation_closed_form(X.shift(1), H)
+    base = ext_cond_expectation_closed_form(X, H)
     assert shifted.values[2] == base.values[2] + ext(1)
     assert shifted.values[3] == base.values[3] + ext(1)
     assert shifted.values[0] == base.values[0] == ext(0)  # not base + 1
@@ -256,7 +266,8 @@ def test_scalar_identity_holds_even_with_negative_coefficients(space4, H):
     X = RandomVariable(space4, (POS_INF, ext(2), ext(1), ext(3)))
     for a in (-2, Fraction(-1, 2), 0, Fraction(1, 2), 3):
         A = RandomVariable.constant(space4, a)
-        assert cond_exp_extended(A * X, H) == A * cond_exp_extended(X, H)
+        scaled = ext_cond_expectation_closed_form(A * X, H)
+        assert scaled == A * ext_cond_expectation_closed_form(X, H)
 
 
 def _normalized(H: Partition, raw) -> RandomVariable:
@@ -290,7 +301,7 @@ def test_weighted_kernel_matches_product_reference():
         for rho0 in densities:
             I = weighted_indicator(H, rho0)
             for X in inputs:
-                expected = cond_exp_extended(rho0 * X, H)
+                expected = ext_cond_expectation_closed_form(rho0 * X, H)
                 assert I(X) == expected, (H.cells, rho0.values, X.values)
                 assert weighted_expectation(X, H, rho0) == expected
                 cases += 1
@@ -322,7 +333,8 @@ DENSITY_PATHS = {
         samples=40, seed=seed),
     # twice a conditional expectation: the recovered measure has mass 2
     "doubled:space4": lambda H, seed: recover_density(IndicatorSpec(
-        "doubled", H, lambda X: cond_exp_extended(X.scale(2), H)), samples=40, seed=seed),
+        "doubled", H, lambda X: ext_cond_expectation_closed_form(X.scale(2), H)),
+        samples=40, seed=seed),
 }
 
 # sha256 of the JSON of each path's reports for seeds 0-4

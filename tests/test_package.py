@@ -11,14 +11,14 @@ import condind
 PUBLIC_NAMES = sorted("""
     AdaptedProcess BUILTIN_NAMES CheckReport DEFAULT_TOL DensityReport Event ExtReal
     Filtration FiniteProbabilitySpace Flag IndicatorSpec NEG_INF ONE POS_INF Partition
-    RandomVariable RhoSide RiskMeasureSpec Scenario StochasticIndicator Verdict ZERO
+    RandomVariable RiskMeasureSpec Scenario StochasticIndicator Verdict ZERO
     acceptance_contains additivity_set backward_envelope battery_failed builtin_indicator
     canonical_scenario check_additive_implies_regular check_additivity_on_F check_axioms
     check_contractive check_convex_implies_regular check_dom_closure
     check_esssup_shift_rigidity check_hplus_decomposition check_lemm_cond_exp
     check_projection check_projection_uniqueness_premises check_prop_rm check_regular
     check_rho_correspondence check_rm_axioms check_rm_coherent check_rm_convexity
-    check_rm_pos_hom check_structural check_tower cond_exp_extended condexp_ext_indicator
+    check_rm_pos_hom check_structural check_tower condexp_ext_indicator
     condexp_indicator dual dump_scenario enumerate_events errors essinf_cond
     essinf_indicator esssup_cond esssup_indicator expectation ext ext_add
     ext_cond_expectation_closed_form ext_mul ext_sub family_inf family_sup
@@ -32,7 +32,7 @@ SUBMODULES = ("battery", "checks", "cli", "errors", "expectation_ext", "extreal"
 
 
 def test_all_is_the_public_api():
-    assert len(PUBLIC_NAMES) == 88
+    assert len(PUBLIC_NAMES) == 86
     assert sorted(condind.__all__) == PUBLIC_NAMES
 
 

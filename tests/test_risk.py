@@ -11,7 +11,6 @@ from condind import (
     Flag,
     IndicatorSpec,
     RandomVariable,
-    RhoSide,
     RiskMeasureSpec,
     Verdict,
     acceptance_contains,
@@ -23,6 +22,7 @@ from condind import (
     check_rm_convexity,
     condexp_ext_indicator,
     condexp_indicator,
+    dual,
     essinf_cond,
     essinf_indicator,
     esssup_cond,
@@ -278,19 +278,28 @@ def test_rho_bisection_reads_no_values(monkeypatch):
 def test_rho_from_indicator_sides(space4, H):
     sup = esssup_indicator(H)
     X = rv(space4, 1, 3, 2, 6)
-    neg_arg = rho_from_indicator(sup, RhoSide.NEG_ARG)
-    neg_val = rho_from_indicator(sup, RhoSide.NEG_VALUE)
+    neg_arg = rho_from_indicator(dual(sup))
+    neg_val = rho_from_indicator(sup)
+    assert neg_val.name == "rho[-I(X)]:esssup"  # labels the rm-axioms stream and report
     assert neg_arg(X) == rv(space4, -1, -1, -2, -2)  # esssup(-X)
     assert neg_val(X) == rv(space4, -3, -3, -6, -6)  # -esssup(X)
     zero = rv(space4, 0, 0, 0, 0)
     assert neg_arg(zero) == zero and neg_val(zero) == zero
+    # rho(X) = I(-X) is rho_from_indicator(dual(I)), on I's domain
+    rng = derive_rng(8, "rho-dual")
+    for I in (condexp_indicator(H), esssup_indicator(H), essinf_indicator(H), condexp_ext_indicator(H)):
+        for _ in range(40):
+            X = sample_rv(space4, rng, allow_inf=False)
+            if I.in_domain(X) and I.in_domain(-X):
+                assert rho_from_indicator(dual(I))(X) == I(-X), I.name
+                assert rho_from_indicator(I)(X) == -I(X), I.name
 
 
 def test_rm_axioms_builtins(space4, H):
     for I in (condexp_indicator(H), esssup_indicator(H), essinf_indicator(H)):
-        for side in RhoSide:
-            rep = check_rm_axioms(rho_from_indicator(I, side), samples=150, seed=3)
-            assert rep.verdict is Verdict.VERIFIED, (I.name, side, rep.witness)
+        for J in (I, dual(I)):
+            rep = check_rm_axioms(rho_from_indicator(J), samples=150, seed=3)
+            assert rep.verdict is Verdict.VERIFIED, (J.name, rep.witness)
 
 
 def test_rm_axioms_counterexample_shifted(space4, H):
@@ -369,9 +378,42 @@ def test_rm_convexity_violation_squared_mean(space4, H):
     assert rep.verdict is Verdict.COUNTEREXAMPLE
 
 
+def convexity_gap_on_mixtures(H: Partition, gap) -> tuple[RiskMeasureSpec, list[int]]:
+    """-E(X|H) plus `gap` on atom 0 when X is a strict mixture aP + (1-a)Q of
+    the last two arguments, as the convexity trial's left side is from its
+    second weight on; its right side is then -E(X|H) exactly."""
+    space = H.space
+    ce = condexp_indicator(H)
+    bump = RandomVariable.of(space, [gap] + [0] * (space.size - 1))
+    mixes = [(RandomVariable.constant(space, a), RandomVariable.constant(space, 1 - a))
+             for a in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
+    seen: list[RandomVariable] = []
+    hits = [0]
+
+    def ev(X):
+        mixed = len(seen) > 1 and seen[-2] != seen[-1] and any(
+            X == A * seen[-2] + B * seen[-1] for A, B in mixes)
+        seen.append(X)
+        hits[0] += mixed
+        return -ce(X) + bump if mixed else -ce(X)
+
+    return RiskMeasureSpec("convexity-gap", H, ev), hits
+
+
+@pytest.mark.parametrize(
+    "gap, verdict", [(3 * TOL / 2, Verdict.COUNTEREXAMPLE), (TOL / 2, Verdict.VERIFIED)]
+)
+def test_rm_convexity_within_tol(H, gap, verdict):
+    rm, hits = convexity_gap_on_mixtures(H, gap)
+    rep = check_rm_convexity(rm, samples=30, seed=3, tol=TOL)
+    assert rep.verdict is verdict and hits[0] > 0, rep.witness
+    if verdict is Verdict.COUNTEREXAMPLE:
+        assert rep.witness["lhs"] - rep.witness["rhs"] == RandomVariable.of(H.space, [gap, 0, 0, 0])
+
+
 def test_rm_coherent_builtins(space4, H):
     for I in (condexp_indicator(H), esssup_indicator(H)):
-        rm = rho_from_indicator(I, RhoSide.NEG_ARG)
+        rm = rho_from_indicator(dual(I))
         rep = check_rm_coherent(rm, samples=200, seed=7)
         assert rep.verdict is Verdict.VERIFIED, (I.name, rep.witness)
 
@@ -415,11 +457,21 @@ def test_prop_rm_subadditivity_within_two_tol_on_bisection_path():
     )
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_prop_rm_convexity_within_tol_on_bisection_path(seed):
+    # each bisected rho lies in [exact, exact + tol], so convexity holds within tol
+    _, H12 = space12_H12()
+    I = strip_flags(condexp_indicator(H12), Flag.TRANSLATION_INVARIANT)
+    rep = check_prop_rm(I, samples=40, seed=seed)
+    assert rep.verdict is Verdict.VERIFIED, (rep.notes, rep.witness)
+
+
 def test_rho_correspondence_builtins(space4, H):
     for I in (condexp_indicator(H), esssup_indicator(H), essinf_indicator(H)):
-        for side in RhoSide:
-            rep = check_rho_correspondence(I, side, samples=120, seed=4)
-            assert rep.verdict is Verdict.VERIFIED and not rep.alarm
+        for J in (I, dual(I)):
+            rep = check_rho_correspondence(J, samples=120, seed=4)
+            assert rep.verdict is Verdict.VERIFIED and not rep.alarm, J.name
+            assert rep.prop == f"rho-iff:{J.name}[-I(X)]"
 
 
 def test_rho_correspondence_flags_track_axiom_failures(space4):
@@ -427,7 +479,7 @@ def test_rho_correspondence_flags_track_axiom_failures(space4):
     from test_checks import sign_switch_indicator
 
     I = sign_switch_indicator(space4)
-    rep = check_rho_correspondence(I, RhoSide.NEG_VALUE, samples=400, seed=4)
+    rep = check_rho_correspondence(I, samples=400, seed=4)
     assert rep.verdict is Verdict.VERIFIED and not rep.alarm
     assert "axioms=counterexample" in rep.notes
     assert "flags=counterexample" in rep.notes
