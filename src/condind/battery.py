@@ -399,7 +399,7 @@ def properties(
         for name in BUILTIN_NAMES:
             I = builtin_indicator(name, partition)
             yield f"axioms:{name}@{pname}", partial(check_axioms, I, n, seed)
-            yield f"locality:{name}@{pname}", partial(check_regular, I, n, seed, cap)
+            yield f"locality:{name}@{pname}", partial(check_regular, I, n, seed)
 
     for name in BUILTIN_NAMES:
         I = builtin_indicator(name, main)
@@ -412,7 +412,7 @@ def properties(
             yield _named(f"extension-duality:{name}", _law, seed, _extension_duality, I, samples)
         yield _named(f"mix-self-dual:{name}", _law, seed, self_duality_trials, mix_self_dual(I), samples)
         yield f"sign-split:{name}", partial(check_hplus_decomposition, I, samples, seed)
-        yield f"convex-implies-regular:{name}", partial(check_convex_implies_regular, I, light, seed, cap)
+        yield f"convex-implies-regular:{name}", partial(check_convex_implies_regular, I, light, seed)
         yield f"additive-implies-regular:{name}", partial(check_additive_implies_regular, I, light, seed, cap)
 
     condexp = builtin_indicator("condexp", main)

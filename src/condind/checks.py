@@ -203,12 +203,7 @@ def enumerate_or_sample(
 # -- regularity (cell locality) -----------------------------------------------
 
 
-def check_regular(
-    I: IndicatorSpec,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    cap: int = DEFAULT_EVENT_CAP,
-) -> CheckReport:
+def check_regular(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
     """Three equivalent locality statements, cross-reported.
 
     (1) agreement on an event forces agreement of the images on it,
@@ -216,14 +211,20 @@ def check_regular(
     (3) I splices across H and its complement.
     Statement (2) gives the averaging identity I(X 1_H) 1_{H^c} = 0 on the same draw.
 
+    The statements are checked on the empty event and on each cell, which
+    gives them on every union H of cells. For (1), put Z = X 1_H + Y 1_{H^c}:
+    on a cell C inside H, X 1_C + Z 1_{C^c} = Z, so I(Z) 1_C = I(X) 1_C, and
+    summing over the cells of H gives I(Z) 1_H = I(X) 1_H. (3) is (1) on H
+    and on H^c. For (2), on a cell C inside H both sides are I(X 1_C); on a
+    cell outside H the value is I(0), which (2) on the empty event makes 0.
+
     One trial per draw of (X, Y): every event of a failing draw is still
     evaluated, so the notes report each statement's verdict on that draw.
     """
     rng = derive_rng(seed, f"regular:{I.name}")
     H = I.target
     space = H.space
-    events, partial = enumerate_or_sample(H, cap, rng, min(samples, 64))
-    notes = list(partial)
+    events = [Event.empty(space)] + [H.cell_event(c) for c in range(H.cell_count)]
     paired = [(ev, ev.complement()) for ev in events]
     failed: set[str] = set()
 
@@ -253,6 +254,7 @@ def check_regular(
 
     report = falsify(f"regular:{I.name}", draws())
     verdicts = {k: k not in failed for k in ("agree", "restrict", "splice")}
+    notes = []
     if len(set(verdicts.values())) > 1:
         notes.append(f"statement disagreement under sampling: {verdicts}")
     notes.append("statements: " + ", ".join(f"{k}={'ok' if v else 'fail'}" for k, v in verdicts.items()))
@@ -378,20 +380,16 @@ def check_hplus_decomposition(
 
 def _guard(prop: str, premise: str, premise_cases: int, conclusion: CheckReport) -> CheckReport:
     """A guard's report once its premise is verified: a falsified conclusion
-    is the contradiction alarm; the conclusion's `partial:` notes go along."""
-    partial = tuple(n for n in conclusion.notes if n.startswith("partial:"))
+    is the contradiction alarm."""
     cases = premise_cases + conclusion.cases
     if conclusion.verdict is Verdict.COUNTEREXAMPLE:
         alarm = f"contradiction alarm: {premise} verified but regularity falsified"
-        return CheckReport.counterexample(prop, conclusion.witness or {}, cases, notes=(alarm, *partial), alarm=True)
-    return CheckReport.verified(prop, cases, notes=partial)
+        return CheckReport.counterexample(prop, conclusion.witness or {}, cases, notes=(alarm,), alarm=True)
+    return CheckReport.verified(prop, cases)
 
 
 def check_convex_implies_regular(
-    I: IndicatorSpec,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    cap: int = DEFAULT_EVENT_CAP,
+    I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> CheckReport:
     """Conditional convexity forces regularity; a verified premise with a
     falsified conclusion is a contradiction alarm."""
@@ -401,7 +399,7 @@ def check_convex_implies_regular(
         return CheckReport.verified(
             prop, premise.cases, notes=("premise falsified or skipped; implication vacuous",)
         )
-    return _guard(prop, "convexity", premise.cases, check_regular(I, samples, seed, cap))
+    return _guard(prop, "convexity", premise.cases, check_regular(I, samples, seed))
 
 
 def check_additive_implies_regular(
@@ -416,7 +414,7 @@ def check_additive_implies_regular(
     sub = check_structural(I, Flag.SUBADDITIVE, samples, seed)
     sup = check_structural(I, Flag.SUPERADDITIVE, samples, seed)
     if sub.verdict is Verdict.VERIFIED and sup.verdict is Verdict.VERIFIED:
-        return _guard(prop, "additivity", sub.cases + sup.cases, check_regular(I, samples, seed, cap))
+        return _guard(prop, "additivity", sub.cases + sup.cases, check_regular(I, samples, seed))
     if sub.verdict is Verdict.VERIFIED:
         rng = derive_rng(seed, prop)
         H = I.target

@@ -172,9 +172,9 @@ def _sigma(scenario: Scenario, name: str | None) -> Partition:
 # property -> (function of condind.checks, whether it takes the event cap)
 _CHECK_DISPATCH = {
     "axioms": ("check_axioms", False),
-    "regular": ("check_regular", True),
+    "regular": ("check_regular", False),
     "hplus": ("check_hplus_decomposition", False),
-    "convex-implies-regular": ("check_convex_implies_regular", True),
+    "convex-implies-regular": ("check_convex_implies_regular", False),
     "additive-implies-regular": ("check_additive_implies_regular", True),
 }
 

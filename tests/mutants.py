@@ -208,6 +208,18 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_checks.py",
     ),
     Mutant(
+        "regular-without-empty-event", "src/condind/checks.py",
+        "events = [Event.empty(space)] + [H.cell_event(c) for c in range(H.cell_count)]",
+        "events = [H.cell_event(c) for c in range(H.cell_count)]",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "regular-without-last-cell", "src/condind/checks.py",
+        "[H.cell_event(c) for c in range(H.cell_count)]",
+        "[H.cell_event(c) for c in range(H.cell_count - 1)]",
+        "tests/test_checks.py",
+    ),
+    Mutant(
         "rho-probe-off-midpoint", "src/condind/risk.py",
         "probe[c] = lo[c] + hi[c]  # the midpoint over 2d",
         "probe[c] = lo[c] + hi[c] + 1  # the midpoint over 2d",

@@ -180,3 +180,28 @@ def test_every_property_runs_alone(seed, samples):
     for _ in range(2):
         alone = [jsonable(replace(check(), prop=name)) for name, check in reversed(rows)]
         assert alone[::-1] == full
+
+
+def test_verify_all_on_twelve_atoms_within_budget():
+    # F2 has 12 cells, so 4,096 events: locality must check the empty event
+    # and the cells, not every union of them
+    import time
+    from condind import parse_scenario
+
+    atoms = [f"w{i}" for i in range(12)]
+    doc = {
+        "atoms": [{"label": a, "prob": f"{i % 3 + 1}/24"} for i, a in enumerate(atoms)],
+        "partitions": {
+            "F0": [atoms],
+            "H": [atoms[i:i + 2] for i in range(0, 12, 2)],
+            "F2": [[a] for a in atoms],
+        },
+        "filtration": ["F0", "H", "F2"],
+        "variables": {"X": {a: str(i - 3) for i, a in enumerate(atoms)}},
+    }
+    start = time.perf_counter()
+    reports = verify_all(parse_scenario(doc), seed=7, samples=20)
+    elapsed = time.perf_counter() - start
+    assert not battery_failed(reports)
+    assert any(r.prop == "locality:esssup@F2" for r in reports)
+    assert elapsed < 10, f"verify-all on 12 atoms took {elapsed:.2f}s (budget 10s)"

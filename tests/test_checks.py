@@ -133,6 +133,33 @@ def test_regular_catches_a_leak_off_the_event(space4, H):
     assert restrict(w["lhs"], w["H"].complement()) != RandomVariable.constant(space4, 0)
 
 
+def test_regular_checks_the_empty_event(space4):
+    # on the trivial partition the one cell is the whole space, where esssup + 1
+    # is local: only the empty event shows I(0) = 1 != 0
+    rep = check_regular(shifted_esssup(space4, Partition.trivial(space4)), samples=50, seed=5)
+    assert rep.verdict is Verdict.COUNTEREXAMPLE
+    assert rep.witness["H"] == Event.empty(space4)
+    assert rep.notes[-1] == "statements: agree=ok, restrict=fail, splice=ok"
+
+
+def test_regular_checks_every_cell(space4):
+    # local except on the last cell of the discrete partition, whose value
+    # doubles where the first atom is positive: only that cell shows it
+    F2 = Partition.discrete(space4)
+    last = space4.size - 1
+
+    def ev(X):
+        values = list(X.values)
+        if ZERO < values[0]:
+            values[last] = values[last] + values[last]
+        return RandomVariable(space4, tuple(values))
+
+    rep = check_regular(IndicatorSpec("reads-first-atom-on-last-cell", F2, ev, flags=frozenset()),
+                        samples=50, seed=5)
+    assert rep.verdict is Verdict.COUNTEREXAMPLE
+    assert rep.witness["H"] == F2.cell_event(last)
+
+
 def test_structural_esssup(space4, H):
     I = esssup_indicator(H)
     for flag in (Flag.INCREASING, Flag.TRANSLATION_INVARIANT, Flag.POS_HOMOGENEOUS,
