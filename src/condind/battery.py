@@ -67,7 +67,6 @@ from .sampling import (
 )
 from .scenario import Scenario
 from .space import (
-    DEFAULT_EVENT_CAP,
     Event,
     Partition,
     RandomVariable,
@@ -139,9 +138,9 @@ def _dual_involution(I, rng, samples) -> Iterator[Trial]:
             yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
 
 
-def _averaging(prop, I, samples, seed, cap) -> CheckReport:
+def _averaging(prop, I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
-    events, notes = enumerate_or_sample(I.target, cap, rng, min(samples, 64))
+    events, notes = enumerate_or_sample(I.target, rng, min(samples, 64))
     paired = [(ev, ev.complement()) for ev in events]
     zero = RandomVariable.constant(I.target.space, 0)
 
@@ -197,7 +196,7 @@ def _extension_duality(I, rng, samples) -> Iterator[Trial]:
             yield lhs == rhs, dict(step=step, X=X, lhs=lhs, rhs=rhs)
 
 
-def _projection_property(prop, SI, t_index, samples, seed, cap) -> CheckReport:
+def _projection_property(prop, SI, t_index, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     filtration = SI.filtration
     I0 = SI.indicators[0]
@@ -208,7 +207,7 @@ def _projection_property(prop, SI, t_index, samples, seed, cap) -> CheckReport:
         for _ in range(samples):
             X = sample_rv(filtration.space, rng, allow_inf=False, nonneg=True)
             Z = SI.indicators[t_index](X)
-            rep = check_projection(I0, Z, X, Ft, cap=cap)
+            rep = check_projection(I0, Z, X, Ft, seed=seed)
             inner_notes.update(dict.fromkeys(rep.notes))
             yield rep.verdict is Verdict.VERIFIED, dict(X=X, Z=Z, inner=rep.witness)
 
@@ -374,7 +373,7 @@ def _law(prop: str, seed: int, law: Callable[..., Iterator[Trial]], subject, *ar
 
 
 def properties(
-    scenario: Scenario, seed: int, samples: int, cap: int, tol: Fraction
+    scenario: Scenario, seed: int, samples: int, tol: Fraction
 ) -> Iterator[Row]:
     """The battery's rows in report order. Each row is built when the
     generator reaches it and runs alone: every checker draws from its own
@@ -403,7 +402,7 @@ def properties(
 
     for name in BUILTIN_NAMES:
         I = builtin_indicator(name, main)
-        yield _named(f"averaging:{name}", _averaging, I, samples, seed, cap)
+        yield _named(f"averaging:{name}", _averaging, I, samples, seed)
         yield _named(f"dual-involution:{name}", _law, seed, _dual_involution, I, samples)
         for flag in sorted(I.flags - {Flag.REGULAR}, key=lambda fl: fl.value):
             yield f"structural:{name}:{flag.value}", partial(check_structural, I, flag, samples, seed)
@@ -413,12 +412,12 @@ def properties(
         yield _named(f"mix-self-dual:{name}", _law, seed, self_duality_trials, mix_self_dual(I), samples)
         yield f"sign-split:{name}", partial(check_hplus_decomposition, I, samples, seed)
         yield f"convex-implies-regular:{name}", partial(check_convex_implies_regular, I, light, seed)
-        yield f"additive-implies-regular:{name}", partial(check_additive_implies_regular, I, light, seed, cap)
+        yield f"additive-implies-regular:{name}", partial(check_additive_implies_regular, I, light, seed)
 
     condexp = builtin_indicator("condexp", main)
     # additive + self-dual collapses to exact rational scaling on a finite space
     yield _named("linear-scaling:condexp", _law, seed, scaling_trials, condexp, samples, ALPHA_GRID, False)
-    yield "condexp-ext-identities", partial(check_lemm_cond_exp, main, samples, seed, cap)
+    yield "condexp-ext-identities", partial(check_lemm_cond_exp, main, samples, seed)
 
     for name in ("esssup", "essinf", "condexp"):
         I = builtin_indicator(name, main)
@@ -446,7 +445,7 @@ def properties(
                 )
     sup_family = StochasticIndicator.from_builtin(filtration, "esssup")
     mid = min(1, len(times) - 1)
-    yield _named("projection:esssup", _projection_property, sup_family, mid, few, seed, cap)
+    yield _named("projection:esssup", _projection_property, sup_family, mid, few, seed)
     yield (
         "uniqueness-premises:esssup",
         partial(check_projection_uniqueness_premises, sup_family.indicators[0], light, seed),
@@ -462,12 +461,11 @@ def verify_all(
     scenario: Scenario,
     seed: int = 7,
     samples: int = DEFAULT_SAMPLES,
-    cap: int = DEFAULT_EVENT_CAP,
     tol: Fraction = DEFAULT_TOL,
 ) -> list[CheckReport]:
     """Run the whole lemma battery against one scenario; the runner names
     every report after its row."""
-    return [replace(run(), prop=name) for name, run in properties(scenario, seed, samples, cap, tol)]
+    return [replace(run(), prop=name) for name, run in properties(scenario, seed, samples, tol)]
 
 
 def battery_failed(reports: list[CheckReport]) -> bool:

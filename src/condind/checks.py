@@ -31,7 +31,6 @@ from .sampling import (
     sample_rv,
 )
 from .space import (
-    DEFAULT_EVENT_CAP,
     Event,
     Partition,
     RandomVariable,
@@ -187,17 +186,15 @@ def check_axioms(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
 # -- events of a partition, within the enumeration cap ---------------------------
 
 
-def enumerate_or_sample(
-    H: Partition, cap: int, rng, count: int
-) -> tuple[list[Event], tuple[str, ...]]:
+def enumerate_or_sample(H: Partition, rng, count: int) -> tuple[list[Event], tuple[str, ...]]:
     """Every event of H, or past the cap the distinct events among `count`
     draws from rng, in first-drawn order, and the note saying how many; a
     check never claims events it did not see."""
     try:
-        return enumerate_events(H, cap), ()
-    except CapExceededError:
+        return enumerate_events(H), ()
+    except CapExceededError as exc:
         events = list(dict.fromkeys(sample_event(H, rng) for _ in range(count)))
-        return events, (f"partial: 2^{H.cell_count} events exceed cap {cap}; sampled {len(events)}",)
+        return events, (f"partial: 2^{exc.cells} events exceed cap {exc.cap}; sampled {len(events)}",)
 
 
 # -- regularity (cell locality) -----------------------------------------------
@@ -406,7 +403,6 @@ def check_additive_implies_regular(
     I: IndicatorSpec,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    cap: int = DEFAULT_EVENT_CAP,
 ) -> CheckReport:
     """Additivity forces regularity; subadditivity alone still gives the
     one-sided bound 1_H I(X) <= I(1_H X)."""
@@ -418,7 +414,7 @@ def check_additive_implies_regular(
     if sub.verdict is Verdict.VERIFIED:
         rng = derive_rng(seed, prop)
         H = I.target
-        events, partial = enumerate_or_sample(H, cap, rng, 32)
+        events, partial = enumerate_or_sample(H, rng, 32)
 
         def trials():
             for X in iter_cases(H.space, rng, samples):

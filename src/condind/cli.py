@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from .indicators import (
     upper_extension,
 )
 from .scenario import Scenario, _literal, canonical_scenario, load_scenario
-from .space import DEFAULT_EVENT_CAP, DEFAULT_SAMPLES, DEFAULT_TOL, Event, Filtration, Partition, RandomVariable
+from .space import DEFAULT_SAMPLES, DEFAULT_TOL, Event, Filtration, Partition, RandomVariable
 
 if TYPE_CHECKING:
     from .checks import CheckReport
@@ -169,13 +168,13 @@ def _sigma(scenario: Scenario, name: str | None) -> Partition:
     return Partition.trivial(scenario.space)
 
 
-# property -> (function of condind.checks, whether it takes the event cap)
+# property -> function of condind.checks
 _CHECK_DISPATCH = {
-    "axioms": ("check_axioms", False),
-    "regular": ("check_regular", False),
-    "hplus": ("check_hplus_decomposition", False),
-    "convex-implies-regular": ("check_convex_implies_regular", False),
-    "additive-implies-regular": ("check_additive_implies_regular", True),
+    "axioms": "check_axioms",
+    "regular": "check_regular",
+    "hplus": "check_hplus_decomposition",
+    "convex-implies-regular": "check_convex_implies_regular",
+    "additive-implies-regular": "check_additive_implies_regular",
 }
 
 
@@ -206,9 +205,7 @@ def _check(args, scenario):
     I = _indicator(args, scenario)
     prop = args.property
     if prop in _CHECK_DISPATCH:
-        attr, takes_cap = _CHECK_DISPATCH[prop]
-        cap = (args.cap,) if takes_cap else ()
-        report = getattr(checks, attr)(I, args.samples, args.seed, *cap)
+        report = getattr(checks, _CHECK_DISPATCH[prop])(I, args.samples, args.seed)
     else:
         if prop != "fatou":
             try:
@@ -240,7 +237,7 @@ def _project(args, scenario):
     grid = [_literal(v, "--grid") for v in (args.grid.split(",") if args.grid else [])]
     if not grid:
         grid = sorted({*X.values, ext(0)}, key=lambda v: (v.kind, v.frac))
-    solutions = projection_solve(I0, X, Ft, grid, cap=args.cap)
+    solutions = projection_solve(I0, X, Ft, grid)
     results = {
         "i0": I0.name,
         "time": args.time,
@@ -318,8 +315,7 @@ def _recover_density(args, scenario):
 def _verify_all(args, scenario):
     from .battery import verify_all
 
-    checks = verify_all(scenario, seed=args.seed, samples=args.samples,
-                        cap=args.cap, tol=args.tol)
+    checks = verify_all(scenario, seed=args.seed, samples=args.samples, tol=args.tol)
     tallies = {"verified": 0, "counterexample": 0, "skipped": 0}
     for c in checks:
         tallies[c.verdict.value] += 1
@@ -350,17 +346,12 @@ def _at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-_cap = _at_least(0)  # 0 means "always sample"
-
-
 _REQUIRED = {"required": True}
 _FAMILY = {"required": True, "choices": BUILTIN_NAMES}
 _COMMON = {
     "--scenario": {"help": "path to a scenario JSON (default: built-in 4-atom tree)"},
     "--seed": {"type": int, "default": 7},
     "--samples": {"type": _at_least(1), "default": DEFAULT_SAMPLES},
-    "--cap": {"type": _cap,
-              "help": f"event-enumeration cap (default {DEFAULT_EVENT_CAP}; env CONDIND_CAP)"},
     "--tol": {"type": _fraction, "default": DEFAULT_TOL},
     "--format": {"choices": ("json", "text"), "default": "json"},
 }
@@ -444,12 +435,6 @@ def _render_text(report: RunReport) -> str:
 def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.cap is None:
-            env_cap = os.environ.get("CONDIND_CAP", str(DEFAULT_EVENT_CAP))
-            try:
-                args.cap = _cap(env_cap)
-            except (ValueError, argparse.ArgumentTypeError):
-                raise ValidationError(f"CONDIND_CAP must be an integer >= 0, got {env_cap!r}") from None
         scenario = load_scenario(args.scenario) if args.scenario else canonical_scenario()
         report = dispatch(args, scenario)
         if args.format == "json":

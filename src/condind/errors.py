@@ -24,7 +24,7 @@ class SpaceMismatchError(ValidationError):
 
 
 class CapExceededError(CondIndError):
-    """Event enumeration would exceed the configured cell cap."""
+    """Event enumeration would exceed the cell cap."""
 
     def __init__(self, cells: int, cap: int):
         super().__init__(f"partition has {cells} cells, enumeration cap is {cap}")

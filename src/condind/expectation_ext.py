@@ -35,7 +35,6 @@ from .sampling import (
     sample_measurable,
 )
 from .space import (
-    DEFAULT_EVENT_CAP,
     Event,
     Partition,
     RandomVariable,
@@ -59,7 +58,6 @@ def check_lemm_cond_exp(
     H: Partition,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    cap: int = DEFAULT_EVENT_CAP,
 ) -> CheckReport:
     """Restriction, scalar, and shift identities of the extended operator.
 
@@ -70,7 +68,7 @@ def check_lemm_cond_exp(
     prop = "condexp-ext-identities"
     rng = derive_rng(seed, prop)
     space = H.space
-    events, notes = enumerate_or_sample(H, cap, rng, min(samples, 64))
+    events, notes = enumerate_or_sample(H, rng, min(samples, 64))
 
     def I(X: RandomVariable) -> RandomVariable:
         return ext_cond_expectation_closed_form(X, H)

@@ -28,7 +28,7 @@ from .errors import CapExceededError, SpaceMismatchError, ValidationError
 from .extreal import _FIN, NEG_INF, POS_INF, ZERO, ExtReal, ext
 
 DEFAULT_SAMPLES = 500
-DEFAULT_EVENT_CAP = 20
+EVENT_CAP = 20  # cells past which a partition's 2^k events are not enumerated
 DEFAULT_TOL = Fraction(1, 2**40)  # rho's bisection tolerance
 
 
@@ -508,11 +508,11 @@ def is_refinement(fine: Partition, coarse: Partition) -> bool:
     return True
 
 
-def enumerate_events(partition: Partition, cap: int = DEFAULT_EVENT_CAP) -> list[Event]:
+def enumerate_events(partition: Partition) -> list[Event]:
     """All 2^k unions of cells, empty set and full space included."""
     k = partition.cell_count
-    if k > cap:
-        raise CapExceededError(k, cap)
+    if k > EVENT_CAP:
+        raise CapExceededError(k, EVENT_CAP)
     events = []
     for mask in range(1 << k):
         members: set[int] = set()

@@ -28,7 +28,6 @@ from .indicators import (
 )
 from .sampling import DEFAULT_SAMPLES, derive_rng, iter_cases
 from .space import (
-    DEFAULT_EVENT_CAP,
     Event,
     Filtration,
     Partition,
@@ -122,7 +121,6 @@ def check_projection(
     Z: RandomVariable,
     X: RandomVariable,
     Ft: Partition,
-    cap: int = DEFAULT_EVENT_CAP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> CheckReport:
@@ -130,7 +128,8 @@ def check_projection(
     if not is_measurable(Z, Ft):
         raise ValidationError("Z must be measurable w.r.t. the time-t partition")
     prop = f"projection:{I0.name}"
-    events, notes = enumerate_or_sample(Ft, cap, derive_rng(seed, prop), min(samples, 256))
+    rng = derive_rng(seed, f"projection-events:{I0.name}")
+    events, notes = enumerate_or_sample(Ft, rng, min(samples, 256))
 
     def trials():
         for ev in events:
@@ -148,7 +147,6 @@ def projection_solve(
     Ft: Partition,
     value_grid: Sequence[ExtReal | int | str],
     budget: int = DEFAULT_SOLVE_BUDGET,
-    cap: int = DEFAULT_EVENT_CAP,
     restrict_nonneg: bool | None = None,
 ) -> list[RandomVariable]:
     """Every cell-constant candidate on the grid satisfying the projection
@@ -164,7 +162,7 @@ def projection_solve(
     per_cell_max = esssup_cond(X, Ft)
     nonneg = X.is_nonnegative() if restrict_nonneg is None else restrict_nonneg
 
-    events = enumerate_events(Ft, cap)
+    events = enumerate_events(Ft)
     survivors_per_cell: list[list[ExtReal]] = []
     for ci, cell in enumerate(Ft.cells):
         values = sorted({*grid, per_cell_max.values[cell[0]]})
@@ -193,7 +191,7 @@ def projection_solve(
     solutions: list[RandomVariable] = []
     for combo in itertools.product(*survivors_per_cell):
         Z = RandomVariable.from_cells(Ft, combo)
-        if check_projection(I0, Z, X, Ft, cap=cap).verdict is Verdict.VERIFIED:
+        if check_projection(I0, Z, X, Ft).verdict is Verdict.VERIFIED:
             solutions.append(Z)
     return solutions
 

@@ -57,6 +57,22 @@ def values_reads(monkeypatch, run):
     return result
 
 
+def pairs_doc(n: int) -> dict:
+    """A scenario of n uniform atoms w0..w{n-1}: F0 trivial, H the n/2 pairs
+    {w2j, w2j+1}, F2 discrete, filtration F0 < H < F2, and X = i - 3."""
+    atoms = [f"w{i}" for i in range(n)]
+    return {
+        "atoms": [{"label": a, "prob": f"1/{n}"} for a in atoms],
+        "partitions": {
+            "F0": [atoms],
+            "H": [atoms[i:i + 2] for i in range(0, n, 2)],
+            "F2": [[a] for a in atoms],
+        },
+        "filtration": ["F0", "H", "F2"],
+        "variables": {"X": {a: str(i - 3) for i, a in enumerate(atoms)}},
+    }
+
+
 def set_partitions(items: list):
     """All set partitions of a list, standard recursive enumeration."""
     if not items:

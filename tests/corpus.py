@@ -65,7 +65,6 @@ from condind import (
 from condind.cli import build_parser, dispatch, jsonable
 from condind.errors import CondIndError
 from condind.scenario import CANONICAL_DOC
-from condind.space import DEFAULT_EVENT_CAP
 from test_checks import global_mean_indicator, shifted_esssup, sign_switch_indicator
 
 UNEVEN_DOC = {
@@ -130,7 +129,6 @@ def _indicators(scenario, H: Partition) -> list:
 
 def _cli(scenario, argv: list[str]):
     args = build_parser().parse_args(argv)
-    args.cap = DEFAULT_EVENT_CAP if args.cap is None else args.cap
     return dispatch(args, scenario).to_dict()
 
 

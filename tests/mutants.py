@@ -233,6 +233,24 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_battery.py",
     ),
     Mutant(
+        "projection-row-drops-seed", "src/condind/battery.py",
+        "rep = check_projection(I0, Z, X, Ft, seed=seed)",
+        "rep = check_projection(I0, Z, X, Ft)",
+        "tests/test_battery.py",
+    ),
+    Mutant(
+        "projection-events-on-row-stream", "src/condind/stochastic.py",
+        'rng = derive_rng(seed, f"projection-events:{I0.name}")',
+        "rng = derive_rng(seed, prop)",
+        "tests/test_stochastic.py",
+    ),
+    Mutant(
+        "past-cap-note-dropped", "src/condind/checks.py",
+        'return events, (f"partial: 2^{exc.cells} events exceed cap {exc.cap}; sampled {len(events)}",)',
+        "return events, ()",
+        "tests/test_cli.py",
+    ),
+    Mutant(
         "esssup-keeps-later-equal-key", "src/condind/indicators.py",
         "            if v > m:\n",
         "            if v >= m:\n",
@@ -244,7 +262,6 @@ ROWS: tuple[Mutant, ...] = (
 
 def _run(cmd: list[str], src: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("CONDIND_CAP", None)
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT)
 
 

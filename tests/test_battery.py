@@ -1,6 +1,7 @@
 """Battery structure and cross-cutting invariants at small sample counts."""
 
 import hashlib
+import inspect
 import io
 import itertools
 from contextlib import redirect_stdout
@@ -24,14 +25,13 @@ from condind import (
     verify_all,
 )
 from condind.risk import DEFAULT_TOL
-from condind.space import DEFAULT_EVENT_CAP
 from condind.battery import properties
 from condind.cli import jsonable, run
 from condind.errors import EmptyDomainError
 from condind.indicators import BUILTIN_NAMES, IndicatorSpec
 from condind.extreal import NEG_INF, POS_INF, ext
 from condind.sampling import GRID_VALUES, _draw, derive_rng, sample_measurable
-from conftest import all_partitions
+from conftest import all_partitions, pairs_doc
 
 
 def test_battery_green_and_named(scenario):
@@ -174,12 +174,33 @@ def test_every_property_runs_alone(seed, samples):
     # property can be rerun without the others, and a row holds no used-up state
     scenario = canonical_scenario()
     full = [jsonable(r) for r in verify_all(scenario, seed, samples)]
-    rows = list(properties(scenario, seed, samples, DEFAULT_EVENT_CAP, DEFAULT_TOL))
+    rows = list(properties(scenario, seed, samples, DEFAULT_TOL))
     names = [name for name, _ in rows]
     assert len(names) == len(set(names))
     for _ in range(2):
         alone = [jsonable(replace(check(), prop=name)) for name, check in reversed(rows)]
         assert alone[::-1] == full
+
+
+def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):
+    # past the cap check_projection samples the events it checks, so the
+    # row's seed must reach it or every seed checks the same events
+    from condind import battery, parse_scenario
+
+    inner = battery.check_projection
+    seeds = []
+
+    def spy(*args, **kwargs):
+        call = inspect.signature(inner).bind(*args, **kwargs)
+        call.apply_defaults()
+        seeds.append(call.arguments["seed"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(battery, "check_projection", spy)
+    big = parse_scenario(pairs_doc(42))
+    (row,) = [run for name, run in properties(big, 8, 10, DEFAULT_TOL) if name == "projection:esssup"]
+    assert row().ok
+    assert seeds and set(seeds) == {8}
 
 
 def test_verify_all_on_twelve_atoms_within_budget():

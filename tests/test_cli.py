@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from condind.scenario import (
     parse_scenario,
     scenario_to_dict,
 )
+from conftest import pairs_doc
 
 
 def write_scenario(tmp_path, doc, name="s.json"):
@@ -129,27 +131,22 @@ def test_malformed_scenario_exits_2_with_json_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# inputs outside the scenario: argparse conversions and the env cap
+# inputs outside the scenario: argparse conversions and options that do not exist
 BAD_INVOCATIONS = {
-    "tol-text": (["--tol", "abc"], {}),
-    "tol-zero-denominator": (["--tol", "1/0"], {}),
-    "cap-env-text": ([], {"CONDIND_CAP": "abc"}),
-    "tol-oversized-exponent": (["--tol", "1e2000000"], {}),
-    "tol-zero": (["--tol", "0"], {}),
-    "tol-negative": (["--tol", "-1"], {}),
-    "samples-zero": (["--samples", "0"], {}),
-    "samples-negative": (["--samples", "-1"], {}),
-    "cap-negative": (["--cap", "-5"], {}),
-    "cap-env-negative": ([], {"CONDIND_CAP": "-5"}),
+    "tol-text": ["--tol", "abc"],
+    "tol-zero-denominator": ["--tol", "1/0"],
+    "tol-oversized-exponent": ["--tol", "1e2000000"],
+    "tol-zero": ["--tol", "0"],
+    "tol-negative": ["--tol", "-1"],
+    "samples-zero": ["--samples", "0"],
+    "samples-negative": ["--samples", "-1"],
+    "cap-removed": ["--cap", "5"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
-def test_bad_invocation_exits_2_without_traceback(case, monkeypatch, capsys):
-    extra, env = BAD_INVOCATIONS[case]
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
-    code = run(["apply", "--indicator", "esssup", "--sigma", "H", "--var", "X", *extra])
+def test_bad_invocation_exits_2_without_traceback(case, capsys):
+    code = run(["apply", "--indicator", "esssup", "--sigma", "H", "--var", "X", *BAD_INVOCATIONS[case]])
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION, err
     assert "Traceback" not in err
@@ -347,51 +344,60 @@ def test_verify_all_small_and_deterministic():
 
 
 def test_scenario_flag_and_env_cap(tmp_path, monkeypatch):
+    # --scenario is read; CONDIND_CAP is not, not even a malformed one
+    monkeypatch.setenv("CONDIND_CAP", "abc")
     path = write_scenario(tmp_path, CANONICAL_DOC)
     code, out = capture(["apply", "--scenario", path, "--indicator", "essinf",
                          "--sigma", "H", "--var", "X"])
     assert code == EXIT_OK
     assert json.loads(out)["results"]["value"] == {"a": "1", "b": "1", "c": "2", "d": "2"}
-    monkeypatch.setenv("CONDIND_CAP", "1")
-    code, out = capture(["verify-all", "--samples", "10"])
-    assert code == EXIT_OK
-    notes = {c["property"]: c.get("notes", []) for c in json.loads(out)["checks"]}
-    assert any("exceed cap 1" in n for n in notes["averaging:esssup"])
 
 
-def test_verify_all_past_the_cap_samples_events_and_says_so():
-    # every property that enumerates events samples them past the cap
-    code, out = capture(["verify-all", "--cap", "1", "--samples", "10"])
-    assert code == EXIT_OK
-    notes = {c["property"]: c.get("notes", []) for c in json.loads(out)["checks"]}
-    # H has 2 cells, so 4 distinct events: each is checked once however often it is drawn
-    for prop in ("averaging:esssup", "condexp-ext-identities", "projection:esssup"):
-        assert "partial: 2^2 events exceed cap 1; sampled 4" in notes[prop], prop
-    # locality checks the empty event and the cells, so it never samples, nor
-    # do the guards whose conclusion it is (condexp is additive)
-    for prop, row_notes in notes.items():
-        if prop.startswith(("locality:", "convex-implies-regular:", "additive-implies-regular:condexp")):
-            assert not any(n.startswith("partial:") for n in row_notes), prop
-
-
-@pytest.mark.parametrize("prop", ["additive-implies-regular"])
-def test_implication_guards_honour_the_env_cap(prop, monkeypatch):
-    monkeypatch.setenv("CONDIND_CAP", "1")
-    code, out = capture(["check", "--indicator", "esssup", "--sigma", "H",
-                         "--property", prop, "--samples", "20"])
-    assert code == EXIT_OK
-    (check,) = json.loads(out)["checks"]
-    assert "partial: 2^2 events exceed cap 1; sampled 4" in check["notes"]
-
-
-def test_convex_guard_takes_no_cap(monkeypatch):
-    argv = ["check", "--indicator", "esssup", "--sigma", "H",
-            "--property", "convex-implies-regular", "--samples", "20"]
+def test_env_cap_is_not_read(monkeypatch):
+    argv = ["verify-all", "--samples", "10"]
     monkeypatch.delenv("CONDIND_CAP", raising=False)
     default = capture(argv)
     monkeypatch.setenv("CONDIND_CAP", "1")
     assert capture(argv) == default
     assert default[0] == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def pairs42(tmp_path_factory):
+    # H has 21 cells, one past the event cap of 20
+    return write_scenario(tmp_path_factory.mktemp("pairs42"), pairs_doc(42))
+
+
+PAST_CAP = re.compile(r"partial: 2\^21 events exceed cap 20; sampled [1-9][0-9]*")
+
+
+def test_verify_all_past_the_cap_samples_events_and_says_so(pairs42):
+    # every property that enumerates events of H samples them past the cap;
+    # locality checks the empty event and the cells, so it never samples, nor
+    # do the guards whose conclusion it is
+    code, out = capture(["verify-all", "--scenario", pairs42, "--samples", "10"])
+    assert code == EXIT_OK
+    sampled = {c["property"] for c in json.loads(out)["checks"]
+               if any(PAST_CAP.fullmatch(n) for n in c.get("notes", []))}
+    assert sampled == {
+        "averaging:esssup", "averaging:essinf", "averaging:condexp", "averaging:condexp-ext",
+        "additive-implies-regular:esssup", "additive-implies-regular:condexp-ext",
+        "condexp-ext-identities", "projection:esssup",
+    }
+
+
+def test_check_and_project_past_the_cap(pairs42, capsys):
+    code, out = capture(["check", "--scenario", pairs42, "--indicator", "esssup", "--sigma", "H",
+                         "--property", "additive-implies-regular", "--samples", "10"])
+    assert code == EXIT_OK
+    (check,) = json.loads(out)["checks"]
+    assert any(PAST_CAP.fullmatch(n) for n in check["notes"]), check["notes"]
+    # a projection solution is claimed over every event, so there is no sampled fallback
+    code = run(["project", "--scenario", pairs42, "--var", "X", "--time", "H"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "partition has 21 cells, enumeration cap is 20"
+    }
 
 
 FATOU_SKIP = ("partial: exact checks see finitely many terms, which fix the limit only for "
@@ -439,8 +445,7 @@ print(code, *sorted(m for m in sys.modules if m.startswith("condind.")))
      {"battery", "risk", "expectation_ext"}),
 ], ids=["apply", "envelope"])
 def test_cold_verb_imports_only_the_modules_it_runs(argv, runs, skips):
-    env = {k: v for k, v in os.environ.items() if k != "CONDIND_CAP"}
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     proc = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv],
                           capture_output=True, text=True, timeout=120, env=env, check=True)
     code, *modules = proc.stdout.split()

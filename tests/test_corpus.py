@@ -17,9 +17,9 @@ from opdigest import op_digest
 FAST_CORPUS_SHA256 = "12def80600a0d5b1459283bb971be78ee21d37ba2b58d82dc389430df2c6f961"
 
 # tests/opdigest.py at seed 5: every benchmark op's output, for each
-# workload of perfbench/workloads.py at the default cap; cli-cold's eight
-# ops are its eight verbs, each a `python -m condind.cli` child checked
-# against the in-process cli.run
+# workload of perfbench/workloads.py; cli-cold's eight ops are its eight
+# verbs, each a `python -m condind.cli` child checked against the in-process
+# cli.run
 OP_DIGESTS = {
     ("battery", 4): "46bed6509ce758b9d4164f506eb0bfcc4998c227290792ae5ad3ac39d51611d0",
     ("desk", 6): "9692fa7a847a5793b07f84b15802a8674a0c89684ef83c8696ed0dc0f86808ec",
@@ -36,6 +36,5 @@ def test_fast_corpus_digest_pinned():
 
 
 @pytest.mark.parametrize("workload,ops", sorted(OP_DIGESTS))
-def test_benchmark_op_digest_pinned(workload, ops, monkeypatch):
-    monkeypatch.delenv("CONDIND_CAP", raising=False)
+def test_benchmark_op_digest_pinned(workload, ops):
     assert op_digest(workload, 5, ops) == OP_DIGESTS[workload, ops]

@@ -107,10 +107,11 @@ def test_enumerate_events_is_a_sigma_algebra(space4):
             assert e.union(f).members in evs
 
 
-def test_enumerate_events_cap(space4):
-    discrete = Partition.discrete(space4)
-    with pytest.raises(CapExceededError):
-        enumerate_events(discrete, cap=3)
+def test_enumerate_events_cap():
+    cells21 = Partition.discrete(FiniteProbabilitySpace.uniform([f"w{i}" for i in range(21)]))
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_events(cells21)
+    assert (exc.value.cells, exc.value.cap) == (21, 20)
 
 
 def test_is_measurable(space4, H):

@@ -24,12 +24,13 @@ from condind import (
     esssup_cond,
     esssup_indicator,
     is_indicator_martingale,
+    parse_scenario,
     projection_solve,
 )
 from condind.errors import GridTooLargeError, ValidationError
 from condind.extreal import ext
-from condind.sampling import derive_rng, sample_rv
-from conftest import all_partitions, rv
+from condind.sampling import derive_rng, sample_event, sample_rv
+from conftest import all_partitions, pairs_doc, rv
 
 
 @pytest.fixture()
@@ -82,6 +83,22 @@ def test_projection_examples(scenario, space4):
     # a shifted candidate breaks at the full-space event
     rep_bad = check_projection(I0, Z.shift(1), X, F1)
     assert rep_bad.verdict is Verdict.COUNTEREXAMPLE
+
+
+def test_projection_past_the_cap_samples_on_its_own_stream():
+    # H has 21 cells, past the event cap: the events checked are drawn from
+    # the `projection-events:` stream, not from the stream of the battery row
+    # `projection:esssup` that calls the check
+    big = parse_scenario(pairs_doc(42))
+    H = big.partitions["H"]
+    X = RandomVariable.constant(big.space, 0)
+    Z = RandomVariable.from_cells(H, [ext(1)] + [ext(0)] * 20)
+    rep = check_projection(esssup_indicator(big.partitions["F0"]), Z, X, H, seed=5)
+    # the first event that holds cell 0, where Z exceeds X, is the counterexample
+    rng = derive_rng(5, "projection-events:esssup")
+    first = next(ev for ev in iter(lambda: sample_event(H, rng), None) if 0 in ev.members)
+    assert rep.verdict is Verdict.COUNTEREXAMPLE
+    assert rep.witness["F"] == first
 
 
 def test_projection_requires_measurable_candidate(scenario, space4):
