@@ -204,10 +204,10 @@ def _projection_property(prop, SI, t_index, samples, seed) -> CheckReport:
     inner_notes: dict[str, None] = {}  # past the cap, each inner check's `partial:` note
 
     def trials():
-        for _ in range(samples):
+        for case in range(samples):
             X = sample_rv(filtration.space, rng, allow_inf=False, nonneg=True)
             Z = SI.indicators[t_index](X)
-            rep = check_projection(I0, Z, X, Ft, seed=seed)
+            rep = check_projection(I0, Z, X, Ft, seed=seed + case)
             inner_notes.update(dict.fromkeys(rep.notes))
             yield rep.verdict is Verdict.VERIFIED, dict(X=X, Z=Z, inner=rep.witness)
 

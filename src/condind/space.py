@@ -6,7 +6,9 @@ is a partition of the atom set; refinement of partitions models inclusion of
 sigma-algebras. Random variables are atom-indexed extended rationals, stored
 as infinity tags and integer numerators over one shared denominator, so
 pointwise arithmetic and order run on ints; ExtReal scalars are built only
-when ``values`` is read.
+when ``values`` is read. A measurable result (cell means, weighted
+indicators, ``from_cells``) is fixed by one value per cell, so it is reduced
+over its k cell values before they are copied to its n atoms.
 
 Each space also keeps integer atom weights: with D the least common
 denominator of the probabilities, atom i weighs ``probs[i] * D``. Means are
@@ -264,9 +266,16 @@ def _from_keys(space, keys, den: int, finite: bool) -> "RandomVariable":
 
 
 def _on_cells(partition, kinds, nums, den: int) -> "RandomVariable":
-    # the measurable variable holding tag kinds[c] and value nums[c] / den on cell c
-    cell_of = partition._cell_of
-    return _packed(partition.space, [kinds[c] for c in cell_of], [nums[c] for c in cell_of], den)
+    # The measurable variable holding tag kinds[c] and value nums[c] / den on
+    # cell c. It is reduced over its k cell values before they are copied to
+    # the n atoms: the atoms hold the same numerators, so the gcd is the same,
+    # and `_packed`'s gcd over the atoms is then 1 and divides nothing.
+    g = gcd(*nums, den)
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
+    space, cell_of = partition.space, partition._cell_of
+    tags = [kinds[c] for c in cell_of] if any(kinds) else space._finite_kinds
+    return _packed(space, tags, [nums[c] for c in cell_of], den)
 
 
 def _repeat(space, v: ExtReal) -> tuple[tuple[int, ...], tuple[int, ...], int]:

@@ -100,6 +100,18 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_space.py",
     ),
     Mutant(
+        "cells-den-not-divided", "src/condind/space.py",
+        "nums, den = [n // g for n in nums], den // g",
+        "nums = [n // g for n in nums]",
+        "tests/test_space.py",
+    ),
+    Mutant(
+        "cells-infinite-tags-dropped", "src/condind/space.py",
+        "if any(kinds) else space._finite_kinds",
+        "if all(kinds) else space._finite_kinds",
+        "tests/test_space.py",
+    ),
+    Mutant(
         "inf-plus-neg-inf-is-plus-inf", "src/condind/extreal.py",
         "return ZERO  # inf + (-inf)",
         "return POS_INF  # inf + (-inf)",
@@ -234,8 +246,14 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "projection-row-drops-seed", "src/condind/battery.py",
-        "rep = check_projection(I0, Z, X, Ft, seed=seed)",
+        "rep = check_projection(I0, Z, X, Ft, seed=seed + case)",
         "rep = check_projection(I0, Z, X, Ft)",
+        "tests/test_battery.py",
+    ),
+    Mutant(
+        "projection-row-drops-case", "src/condind/battery.py",
+        "Ft, seed=seed + case)",
+        "Ft, seed=seed)",
         "tests/test_battery.py",
     ),
     Mutant(

@@ -183,12 +183,13 @@ def test_every_property_runs_alone(seed, samples):
 
 
 def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):
-    # past the cap check_projection samples the events it checks, so the
-    # row's seed must reach it or every seed checks the same events
-    from condind import battery, parse_scenario
+    # past the cap check_projection samples the events it checks, so each
+    # trial must reach it with its own seed, the row's seed plus the trial
+    # index, or every trial of every row checks the same events
+    from condind import battery, parse_scenario, stochastic
 
-    inner = battery.check_projection
-    seeds = []
+    inner, sample = battery.check_projection, stochastic.enumerate_or_sample
+    seeds, event_sets = [], []
 
     def spy(*args, **kwargs):
         call = inspect.signature(inner).bind(*args, **kwargs)
@@ -196,11 +197,19 @@ def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):
         seeds.append(call.arguments["seed"])
         return inner(*args, **kwargs)
 
+    def sample_spy(*args):
+        events, notes = sample(*args)
+        assert notes  # 21 cells: past the cap
+        event_sets.append(frozenset(ev.members for ev in events))
+        return events, notes
+
     monkeypatch.setattr(battery, "check_projection", spy)
+    monkeypatch.setattr(stochastic, "enumerate_or_sample", sample_spy)
     big = parse_scenario(pairs_doc(42))
     (row,) = [run for name, run in properties(big, 8, 10, DEFAULT_TOL) if name == "projection:esssup"]
     assert row().ok
-    assert seeds and set(seeds) == {8}
+    assert seeds == list(range(8, 28))  # the row's 20 trials
+    assert len(event_sets) == 20 and len(set(event_sets)) > 1
 
 
 def test_verify_all_on_twelve_atoms_within_budget():

@@ -2,7 +2,9 @@
 
 import itertools
 import operator
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,10 +23,13 @@ from condind import (
     is_refinement,
     patch,
     restrict,
+    weighted_indicator,
 )
 from condind.errors import CapExceededError, SpaceMismatchError, ValidationError
 from condind.extreal import NEG_INF, POS_INF, ZERO, ext
+from condind.battery import sample_normalized_density
 from condind.sampling import ALPHA_GRID
+from condind.space import _cell_means, _pack, _packed, cell_means
 
 from conftest import all_partitions, rv
 
@@ -284,3 +289,64 @@ def test_packed_ops_match_extreal_reference():
         assert other == X and hash(other) == hash(X)
     assert X + Y == RandomVariable.of(space, [1, 2, "8/3"])
     assert hash(X + Y) == hash(RandomVariable.of(space, [1, 2, "8/3"]))
+
+
+def broadcast_packed(H: Partition, kinds, nums, den: int) -> RandomVariable:
+    # each cell's tag and numerator copied to its atoms, then packed
+    cell_of = [H.cell_index_of(i) for i in range(H.space.size)]
+    return _packed(H.space, [kinds[c] for c in cell_of], [nums[c] for c in cell_of], den)
+
+
+def assert_unique_form(got: RandomVariable, want: RandomVariable) -> None:
+    assert (got.kinds, got.nums, got.den) == (want.kinds, want.nums, want.den)
+    assert hash(got) == hash(want)
+    if not any(want.kinds):
+        assert got.kinds is got.space._finite_kinds
+
+
+def measurable_results(H: Partition, X: RandomVariable, density: RandomVariable):
+    # (result, the same value broadcast to the atoms before any reduction)
+    q = [w * n for w, n in zip(H.space._weights, density.nums)]
+    yield cell_means(X, H), broadcast_packed(H, *_cell_means(X, H.cells, H.space._weights))
+    yield weighted_indicator(H, density)(X), broadcast_packed(H, *_cell_means(X, H.cells, q))
+    per_cell = [ext_cond_expectation_closed_form(X, H).values[cell[0]] for cell in H.cells]
+    yield RandomVariable.from_cells(H, per_cell), broadcast_packed(H, *_pack(per_cell))
+
+
+def test_measurable_results_reduce_to_the_unique_packed_form():
+    space = FiniteProbabilitySpace.uniform([f"w{i}" for i in range(8)])
+    H = Partition.from_cells(space, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    density = RandomVariable.of(space, ["1/2", "3/2", 1, 1, 0, 2, "1/3", "5/3"])
+    cases = {
+        # cell means 3, +inf, -inf and inf - inf = 0 over den 2: gcd 2
+        "infinite": ["2", "4", "inf", "1", "-inf", "3", "inf", "-inf"],
+        # cell means 3, 7, 11 and 15 over den 2: gcd 2
+        "finite": ["2", "4", "6", "8", "10", "12", "14", "16"],
+        # cell means 1/2, 1/2, 1/4 and 0 over den 24: gcd 6
+        "fractions": ["1/3", "2/3", "5/6", "1/6", "-1/4", "3/4", "7", "-7"],
+    }
+    for values in cases.values():
+        X = RandomVariable.of(space, values)
+        _, nums, den = _cell_means(X, H.cells, space._weights)
+        assert gcd(*nums, den) != 1
+        for got, want in measurable_results(H, X, density):
+            assert_unique_form(got, want)
+    tags = cell_means(RandomVariable.of(space, cases["infinite"]), H).kinds
+    assert tags == (0, 0, 1, 1, -1, -1, 0, 0)
+
+    # 128 atoms with unequal masses, 4 cells and numerators of 80+ bits
+    rng = random.Random(18)
+    masses = [rng.randint(1, 10**6) for _ in range(128)]
+    big = FiniteProbabilitySpace(
+        tuple(f"a{i}" for i in range(128)), tuple(Fraction(m, sum(masses)) for m in masses)
+    )
+    H4 = Partition.from_cells(big, [range(c, 128, 4) for c in range(4)])
+    density = sample_normalized_density(H4, rng)
+    for tagged in (False, True):
+        values = [ext(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 40))) for _ in range(128)]
+        if tagged:
+            values[5], values[9] = POS_INF, NEG_INF  # cell 1 doubly infinite
+        X = RandomVariable(big, values)
+        for got, want in measurable_results(H4, X, density):
+            assert_unique_form(got, want)
+            assert max(abs(n) for n in want.nums).bit_length() > 80
