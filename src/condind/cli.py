@@ -33,7 +33,7 @@ from .indicators import (
     upper_extension,
 )
 from .scenario import Scenario, _literal, canonical_scenario, load_scenario
-from .space import DEFAULT_SAMPLES, DEFAULT_TOL, Event, Filtration, Partition, RandomVariable
+from .space import DEFAULT_SAMPLES, Event, Filtration, Partition, RandomVariable
 
 if TYPE_CHECKING:
     from .checks import CheckReport
@@ -276,7 +276,7 @@ def _risk(args, scenario):
     from .risk import check_rm_axioms, check_rm_coherent, rho, rho_from_indicator
 
     I = _indicator(args, scenario)
-    results = {"indicator": I.name, "rho": rho(I, scenario.variable(args.var), args.tol)}
+    results = {"indicator": I.name, "rho": rho(I, scenario.variable(args.var))}
     if not args.axioms:
         return results, []
     rm = rho_from_indicator(I)
@@ -315,7 +315,7 @@ def _recover_density(args, scenario):
 def _verify_all(args, scenario):
     from .battery import verify_all
 
-    checks = verify_all(scenario, seed=args.seed, samples=args.samples, tol=args.tol)
+    checks = verify_all(scenario, seed=args.seed, samples=args.samples)
     tallies = {"verified": 0, "counterexample": 0, "skipped": 0}
     for c in checks:
         tallies[c.verdict.value] += 1
@@ -323,17 +323,6 @@ def _verify_all(args, scenario):
 
 
 # -- the verb table ------------------------------------------------------------
-
-
-def _fraction(text: str) -> Fraction:
-    # argparse reports only ValueError/TypeError/ArgumentTypeError as usage errors
-    try:
-        value = _literal(text, "tol")
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not (value.is_finite and value.frac > 0):
-        raise argparse.ArgumentTypeError(f"--tol must be finite and positive, got {text!r}")
-    return value.frac
 
 
 def _at_least(low: int) -> Callable[[str], int]:
@@ -352,7 +341,6 @@ _COMMON = {
     "--scenario": {"help": "path to a scenario JSON (default: built-in 4-atom tree)"},
     "--seed": {"type": int, "default": 7},
     "--samples": {"type": _at_least(1), "default": DEFAULT_SAMPLES},
-    "--tol": {"type": _fraction, "default": DEFAULT_TOL},
     "--format": {"choices": ("json", "text"), "default": "json"},
 }
 

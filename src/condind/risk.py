@@ -64,9 +64,7 @@ def acceptance_contains(I: IndicatorSpec, X: RandomVariable) -> bool:
     return I(X).is_nonnegative()
 
 
-def rho(
-    I: IndicatorSpec, X: RandomVariable, tol: Fraction = DEFAULT_TOL
-) -> RandomVariable:
+def rho(I: IndicatorSpec, X: RandomVariable) -> RandomVariable:
     """Least measurable cash addition making X acceptable, cell by cell.
 
     Translation-invariant indicators give the exact closed form -I(X). The
@@ -74,12 +72,13 @@ def rho(
     [-cellmax(X), -cellmin(X)]: below it the sandwich axiom forbids
     acceptability, at the top it forces it. The cells are bisected together,
     one evaluation of I per step (the lo and hi probes are one each): a cell
-    whose bracket is within tol stops moving, and by regularity every cell
-    sees the same midpoints, and returns the same value, as when bisected
-    alone. Cells with no finite solution come back +inf (empty acceptance
-    intersection convention). Brackets are int numerators over one
-    denominator that doubles at each step, and each probe reads only the
-    packed tag and numerator of the image on every cell.
+    whose bracket is within DEFAULT_TOL = 2^-40, a fixed constant, stops
+    moving, and by regularity every cell sees the same midpoints, and
+    returns the same value, as when bisected alone. Cells with no finite
+    solution come back +inf (empty acceptance intersection convention).
+    Brackets are int numerators over one denominator that doubles at each
+    step, and each probe reads only the packed tag and numerator of the
+    image on every cell.
     """
     if not I.has(Flag.INCREASING):
         raise NotIncreasingError(f"{I.name}: rho needs the increasing flag")
@@ -90,8 +89,6 @@ def rho(
         return -I(X)
     if not I.has(Flag.REGULAR):
         raise NotRegularError(f"{I.name}: bisection path needs the regular flag")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
 
     cells = H.cells
     firsts = [cell[0] for cell in cells]
@@ -101,7 +98,7 @@ def rho(
     lo = [-hi_rv.nums[i] * (d // hi_rv.den) for i in firsts]  # g(lo) < 0 unless lo is optimal
     hi = [-lo_rv.nums[i] * (d // lo_rv.den) for i in firsts]  # g(hi) >= 0 by the sandwich axiom
     finite = [0] * len(cells)
-    tn, td = Fraction(tol).as_integer_ratio()
+    tn, td = DEFAULT_TOL.as_integer_ratio()
 
     def accepts(levels: list[int]) -> list[bool]:
         # One evaluation at X + M, M holding levels[c] / d (d as it is now) on
@@ -155,12 +152,12 @@ def rho_from_indicator(I: IndicatorSpec) -> RiskMeasureSpec:
     )
 
 
-def rho_from_acceptance(I: IndicatorSpec, tol: Fraction = DEFAULT_TOL) -> RiskMeasureSpec:
+def rho_from_acceptance(I: IndicatorSpec) -> RiskMeasureSpec:
     """Risk measure computed through the acceptance-set optimization."""
     return RiskMeasureSpec(
         name=f"rho[acceptance]:{I.name}",
         target=I.target,
-        eval_fn=lambda X: rho(I, X, tol),
+        eval_fn=lambda X: rho(I, X),
     )
 
 
@@ -275,10 +272,7 @@ def _acceptance_set_convex(I: IndicatorSpec) -> bool:
 
 
 def check_dom_closure(
-    I: IndicatorSpec,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    tol: Fraction = DEFAULT_TOL,
+    I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> CheckReport:
     """Closure of the finite-rho domain: scaling, addition, upward closure,
     and convexity, each gated on the flag that claims it."""
@@ -290,7 +284,7 @@ def check_dom_closure(
     notes: list[str] = []
 
     def in_dom(X: RandomVariable) -> bool:
-        return rho(I, X, tol).is_finite()
+        return rho(I, X).is_finite()
 
     members = [
         X for X in iter_cases(space, rng, max(8, samples // 4), allow_inf=False)
@@ -334,10 +328,7 @@ def check_dom_closure(
 
 
 def check_prop_rm(
-    I: IndicatorSpec,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    tol: Fraction = DEFAULT_TOL,
+    I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> CheckReport:
     """rho built from an increasing indicator is a risk measure; convexity,
     homogeneity and subadditivity are inherited from the matching flags."""
@@ -345,10 +336,10 @@ def check_prop_rm(
         raise NotIncreasingError(f"{I.name}: check_prop_rm needs the increasing flag")
     prop = f"prop-rm:{I.name}"
     exact = I.has(Flag.TRANSLATION_INVARIANT)
-    rm = rho_from_acceptance(I, tol)
-    axiom_tol = Fraction(0) if exact else tol
+    rm = rho_from_acceptance(I)
+    axiom_tol = Fraction(0) if exact else DEFAULT_TOL
     reports = [check_rm_axioms(rm, samples, seed, tol=axiom_tol)]
-    notes = [f"fast-path={'exact' if exact else f'bisection tol={tol}'}"]
+    notes = [f"fast-path={'exact' if exact else f'bisection tol={DEFAULT_TOL}'}"]
     if _acceptance_set_convex(I):
         reports.append(check_rm_convexity(rm, samples, seed, tol=axiom_tol))
     else:

@@ -37,7 +37,7 @@ from .space import (
     restrict,
 )
 
-DEFAULT_SOLVE_BUDGET = 200_000
+SOLVE_BUDGET = 200_000  # the most (candidate, event) pairs one projection sweep may check
 
 
 @dataclass(frozen=True)
@@ -146,21 +146,19 @@ def projection_solve(
     X: RandomVariable,
     Ft: Partition,
     value_grid: Sequence[ExtReal | int | str],
-    budget: int = DEFAULT_SOLVE_BUDGET,
-    restrict_nonneg: bool | None = None,
 ) -> list[RandomVariable]:
     """Every cell-constant candidate on the grid satisfying the projection
     equality against X.
 
     The grid is always augmented with the exact per-cell maxima of X so
     discretization cannot miss the canonical solution. For X >= 0 the
-    candidate values are restricted to >= 0 (the uniqueness regime) unless
-    `restrict_nonneg` overrides the default; signed X searches the whole
-    grid and makes no uniqueness claim.
+    candidate values are restricted to >= 0 (the uniqueness regime); signed
+    X searches the whole grid and makes no uniqueness claim. A sweep of more
+    than SOLVE_BUDGET (candidate, event) pairs raises GridTooLargeError.
     """
     grid = [ext(v) for v in value_grid]
     per_cell_max = esssup_cond(X, Ft)
-    nonneg = X.is_nonnegative() if restrict_nonneg is None else restrict_nonneg
+    nonneg = X.is_nonnegative()
 
     events = enumerate_events(Ft)
     survivors_per_cell: list[list[ExtReal]] = []
@@ -182,9 +180,9 @@ def projection_solve(
     combos = 1
     for kept in survivors_per_cell:
         combos *= len(kept)
-        if combos * len(events) > budget:
+        if combos * len(events) > SOLVE_BUDGET:
             raise GridTooLargeError(
-                f"candidate sweep needs > {budget} evaluations; shrink the grid"
+                f"candidate sweep needs > {SOLVE_BUDGET} evaluations; shrink the grid"
             )
 
     # cells go by first atom, so the product of ascending lists is ascending atomwise

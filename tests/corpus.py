@@ -21,7 +21,8 @@ three partitions each:
   samples 10, canonical scenario only);
 - outside the fast subset, the parser: the `--help` text of `condind` and of
   each verb at a fixed width, each verb's usage error for a missing required
-  option, and an unknown option, a bad `--family`, `--tol abc`, an unknown
+  option, and an unknown option, a bad `--family`, `risk --tol abc` (no
+  verb takes `--tol`: rho bisects to the fixed `DEFAULT_TOL`), an unknown
   verb and an unknown `--property`.
 
 A case that raises a package error records the error's type and message.

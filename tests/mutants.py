@@ -269,6 +269,48 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_cli.py",
     ),
     Mutant(
+        "rho-tol-not-default", "src/condind/risk.py",
+        "tn, td = DEFAULT_TOL.as_integer_ratio()",
+        "tn, td = (2 * DEFAULT_TOL).as_integer_ratio()",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "projection-solve-signed-for-nonneg-x", "src/condind/stochastic.py",
+        "nonneg = X.is_nonnegative()",
+        "nonneg = False",
+        "tests/test_stochastic.py",
+    ),
+    Mutant(
+        "projection-row-note-dropped", "src/condind/battery.py",
+        "return replace(report, notes=tuple(fewest))",
+        "return report",
+        "tests/test_battery.py",
+    ),
+    Mutant(
+        "projection-row-note-not-fewest", "src/condind/battery.py",
+        'int(note.rsplit(" ", 1)[1]))[:1]',
+        'int(note.rsplit(" ", 1)[1]))[-1:]',
+        "tests/test_battery.py",
+    ),
+    Mutant(
+        "structural-regular-on-another-stream", "src/condind/checks.py",
+        "    if flag is Flag.REGULAR:\n        return check_regular(I, samples, seed)",
+        "    if flag is Flag.REGULAR:\n        return check_regular(I, samples, seed + 1)",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "battery-fallback-partition-discrete", "src/condind/battery.py",
+        'part_items = [("trivial", Partition.trivial(space))]',
+        'part_items = [("trivial", Partition.discrete(space))]',
+        "tests/test_battery.py",
+    ),
+    Mutant(
+        "default-sigma-in-listed-order", "src/condind/cli.py",
+        "return next(iter(sorted(scenario.partitions.items())))[1]",
+        "return next(iter(scenario.partitions.items()))[1]",
+        "tests/test_cli.py",
+    ),
+    Mutant(
         "esssup-keeps-later-equal-key", "src/condind/indicators.py",
         "            if v > m:\n",
         "            if v >= m:\n",

@@ -24,7 +24,6 @@ from condind import (
     mix_self_dual,
     verify_all,
 )
-from condind.risk import DEFAULT_TOL
 from condind.battery import properties
 from condind.cli import jsonable, run
 from condind.errors import EmptyDomainError
@@ -57,6 +56,17 @@ def test_battery_without_filtration_skips_tower():
     assert not battery_failed(reports)
     skipped = [r for r in reports if r.verdict is Verdict.SKIPPED]
     assert any(r.prop == "tower" for r in skipped)
+
+
+def test_battery_without_partitions_runs_on_the_trivial_partition():
+    space = FiniteProbabilitySpace.uniform(["a", "b"])
+    reports = verify_all(Scenario(space=space, partitions={}, variables={}), seed=1, samples=15)
+    assert not battery_failed(reports)
+    names = [r.prop for r in reports]
+    assert len(names) == 74
+    assert {f"locality:{name}@trivial" for name in BUILTIN_NAMES} <= set(names)
+    # the trivial partition's one cell has both atoms, so only tower skips
+    assert [r.prop for r in reports if r.verdict is Verdict.SKIPPED] == ["tower"]
 
 
 def test_battery_seed_sensitivity_is_only_in_cases(scenario):
@@ -174,7 +184,7 @@ def test_every_property_runs_alone(seed, samples):
     # property can be rerun without the others, and a row holds no used-up state
     scenario = canonical_scenario()
     full = [jsonable(r) for r in verify_all(scenario, seed, samples)]
-    rows = list(properties(scenario, seed, samples, DEFAULT_TOL))
+    rows = list(properties(scenario, seed, samples))
     names = [name for name, _ in rows]
     assert len(names) == len(set(names))
     for _ in range(2):
@@ -206,10 +216,30 @@ def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):
     monkeypatch.setattr(battery, "check_projection", spy)
     monkeypatch.setattr(stochastic, "enumerate_or_sample", sample_spy)
     big = parse_scenario(pairs_doc(42))
-    (row,) = [run for name, run in properties(big, 8, 10, DEFAULT_TOL) if name == "projection:esssup"]
+    (row,) = [run for name, run in properties(big, 8, 10) if name == "projection:esssup"]
     assert row().ok
     assert seeds == list(range(8, 28))  # the row's 20 trials
     assert len(event_sets) == 20 and len(set(event_sets)) > 1
+
+
+def test_projection_row_reports_one_past_cap_note(monkeypatch):
+    # each trial samples its own events, so their counts differ; the row says
+    # once, like the other past-cap rows, the fewest events any trial checked
+    from condind import parse_scenario, stochastic
+
+    sample, counts = stochastic.enumerate_or_sample, []
+
+    def sample_spy(*args):
+        events, notes = sample(*args)
+        counts.append(len(events))
+        return events, notes
+
+    monkeypatch.setattr(stochastic, "enumerate_or_sample", sample_spy)
+    big = parse_scenario(pairs_doc(42))
+    (row,) = [run for name, run in properties(big, 8, 10) if name == "projection:esssup"]
+    rep = row()
+    assert rep.ok and len(counts) == 20 and len(set(counts)) > 1
+    assert rep.notes == (f"partial: 2^21 events exceed cap 20; sampled {min(counts)}",)
 
 
 def test_verify_all_on_twelve_atoms_within_budget():

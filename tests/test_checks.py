@@ -179,6 +179,14 @@ def test_structural_flag_and_its_name_share_a_stream(H, name):
             assert by_name == jsonable(check_structural(I, flag, 500, 7)), flag
 
 
+def test_structural_regular_is_check_regular(space4, H):
+    # the regular flag has one check, whichever entry point names it
+    for I in (esssup_indicator(H), shifted_esssup(space4, H)):
+        want = jsonable(check_regular(I, 60, 5))
+        assert jsonable(check_structural(I, Flag.REGULAR, 60, 5)) == want
+        assert jsonable(check_structural(I, "regular", 60, 5)) == want
+
+
 def test_structural_condexp_linear(space4, H):
     rep = check_structural(condexp_indicator(H), Flag.LINEAR, samples=250, seed=11)
     assert rep.verdict is Verdict.VERIFIED, rep.witness

@@ -108,7 +108,7 @@ def test_rho_bisection_soundness(space4, H):
             assert any(shaved.values[i] < ext(0) for i in cell)
 
 
-def reference_rho(I: IndicatorSpec, X: RandomVariable, tol: Fraction) -> tuple[RandomVariable, list[int]]:
+def reference_rho(I: IndicatorSpec, X: RandomVariable) -> tuple[RandomVariable, list[int]]:
     # the per-cell bisection: each probe of each cell is one evaluation of
     # I(X + y); returns the result and the evaluations spent on each cell
     out = [ZERO] * X.space.size
@@ -128,7 +128,7 @@ def reference_rho(I: IndicatorSpec, X: RandomVariable, tol: Fraction) -> tuple[R
         elif g(hi) < ZERO:
             val = POS_INF
         else:
-            while hi - lo > tol:
+            while hi - lo > DEFAULT_TOL:
                 mid = (lo + hi) / 2
                 if g(mid) >= ZERO:
                     hi = mid
@@ -176,10 +176,14 @@ def space12_H12() -> tuple[FiniteProbabilitySpace, Partition]:
 
 
 def reference_cases(space4, H) -> list[tuple]:
-    # X is constant on the last cell of H12, so its lo probe is already optimal
+    # X is constant on the last cell of H12, so its lo probe is already
+    # optimal. In the third case, t = tol: its first bracket starts on tol
+    # and its second, of width 8t, lands on tol after 3 halvings.
     space12, H12 = space12_H12()
     rng = derive_rng(3, "rho-reference")
-    cases = [(space4, H, rv(space4, 1, 3, 2, 6)), (space4, H, rv(space4, 0, 0, 5, 5))]
+    t = DEFAULT_TOL
+    cases = [(space4, H, rv(space4, 1, 3, 2, 6)), (space4, H, rv(space4, 0, 0, 5, 5)),
+             (space4, H, rv(space4, 0, t, 0, 8 * t))]
     cases += [(space4, H, sample_rv(space4, rng, allow_inf=False)) for _ in range(6)]
     for _ in range(6):
         X = sample_rv(space12, rng, allow_inf=False)
@@ -192,19 +196,18 @@ def test_rho_bisection_equals_per_cell_reference(space4, H):
     bisected = infinite = 0
     for space, part, X in reference_cases(space4, H):
         for I in bisected_indicators(part):
-            for tol in (DEFAULT_TOL, Fraction(1, 8)):
-                want, spent = reference_rho(I, X, tol)
-                counted, args = recording(I)
-                assert rho(counted, X, tol) == want
-                # one evaluation per step for all cells: as many as the
-                # costliest cell alone
-                assert len(args) == max(spent)
-                bisected += max(spent) > 2
-                infinite += POS_INF in want.values
+            want, spent = reference_rho(I, X)
+            counted, args = recording(I)
+            assert rho(counted, X) == want
+            # one evaluation per step for all cells: as many as the
+            # costliest cell alone
+            assert len(args) == max(spent)
+            bisected += max(spent) > 2
+            infinite += POS_INF in want.values
     assert bisected > 0 and infinite > 0
 
 
-def fraction_rho(I: IndicatorSpec, X: RandomVariable, tol: Fraction) -> RandomVariable:
+def fraction_rho(I: IndicatorSpec, X: RandomVariable) -> RandomVariable:
     # rho's joint bisection on another route: Fraction levels, probes built
     # from ExtReal per-cell values and read off the image's `values`
     H = I.target
@@ -227,7 +230,7 @@ def fraction_rho(I: IndicatorSpec, X: RandomVariable, tol: Fraction) -> RandomVa
         for c, g in enumerate(image(hi)):
             if val[c] is None and g < ZERO:
                 val[c] = POS_INF
-    todo = [c for c, v in enumerate(val) if v is None and hi[c] - lo[c] > tol]
+    todo = [c for c, v in enumerate(val) if v is None and hi[c] - lo[c] > DEFAULT_TOL]
     while todo:
         probe = list(hi)
         for c in todo:
@@ -238,20 +241,18 @@ def fraction_rho(I: IndicatorSpec, X: RandomVariable, tol: Fraction) -> RandomVa
                 hi[c] = probe[c]
             else:
                 lo[c] = probe[c]
-        todo = [c for c in todo if hi[c] - lo[c] > tol]
+        todo = [c for c in todo if hi[c] - lo[c] > DEFAULT_TOL]
     return RandomVariable.from_cells(H, [ext(h) if v is None else v for v, h in zip(val, hi)])
 
 
 def test_rho_probes_equal_fraction_bisection(space4, H):
     # rho passes I the same arguments, in the same order, as the Fraction
-    # bisection and returns the same variable. At tol 3/8 the last case's
-    # first bracket starts on tol and its second, of width 3, lands on tol
-    # after 3 halvings. "liar" is -esssup on the first cell and condexp on
-    # the others, flagged increasing but decreasing on the first cell. Its
-    # first cell settles at lo < hi while the others bisect: that cell must
-    # keep lo whatever its hi probe reads, and sit at hi in later probes.
-    cases = reference_cases(space4, H) + [(space4, H, rv(space4, 0, "3/8", 0, 3))]
-    for space, part, X in cases:
+    # bisection and returns the same variable. "liar" is -esssup on the first
+    # cell and condexp on the others, flagged increasing but decreasing on the
+    # first cell. Its first cell settles at lo < hi while the others bisect:
+    # that cell must keep lo whatever its hi probe reads, and sit at hi in
+    # later probes.
+    for space, part, X in reference_cases(space4, H):
         first = Event(space, frozenset(part.cells[0]))
         ce = condexp_indicator(part)
         liar = IndicatorSpec(
@@ -259,11 +260,10 @@ def test_rho_probes_equal_fraction_bisection(space4, H):
             flags=frozenset({Flag.INCREASING, Flag.REGULAR}),
         )
         for I in [*bisected_indicators(part), liar]:
-            for tol in (DEFAULT_TOL, Fraction(1, 8), Fraction(1, 3), Fraction(3, 8)):
-                new, new_args = recording(I)
-                old, old_args = recording(I)
-                assert rho(new, X, tol) == fraction_rho(old, X, tol)
-                assert new_args == old_args
+            new, new_args = recording(I)
+            old, old_args = recording(I)
+            assert rho(new, X) == fraction_rho(old, X)
+            assert new_args == old_args
 
 
 def test_rho_bisection_reads_no_values(monkeypatch):
@@ -362,7 +362,7 @@ def test_rm_axioms_cash_invariance_within_tol(H, at_first, at_shift, verdict):
 
 def test_rm_axioms_reads_no_values(monkeypatch, H):
     # the axioms compare whole variables, never their ExtReal tuples
-    rm = rho_from_acceptance(condexp_ext_indicator(H), DEFAULT_TOL)
+    rm = rho_from_acceptance(condexp_ext_indicator(H))
     rep = values_reads(monkeypatch, lambda: check_rm_axioms(rm, samples=60, seed=3, tol=DEFAULT_TOL))
     assert rep.verdict is Verdict.VERIFIED and rep.cases > 60
 

@@ -30,6 +30,7 @@ from condind import (
 from condind.errors import GridTooLargeError, ValidationError
 from condind.extreal import ext
 from condind.sampling import derive_rng, sample_event, sample_rv
+from condind.stochastic import SOLVE_BUDGET
 from conftest import all_partitions, pairs_doc, rv
 
 
@@ -124,6 +125,9 @@ def test_projection_solve_zero_and_measurable(scenario, space4):
     I0 = esssup_indicator(F0)
     zero = rv(space4, 0, 0, 0, 0)
     assert projection_solve(I0, zero, F1, [ext(v) for v in range(4)]) == [zero]
+    # X >= 0 searches only nonnegative candidates: (-1, -1, 0, 0), among
+    # others, would verify too, but negative grid values are never tried
+    assert projection_solve(I0, zero, F1, [ext(v) for v in range(-2, 4)]) == [zero]
     Xm = rv(space4, 2, 2, 5, 5)
     assert projection_solve(I0, Xm, F1, [ext(v) for v in range(7)]) == [Xm]
 
@@ -141,13 +145,15 @@ def test_projection_solve_signed_keeps_all_grid_solutions(scenario, space4):
 
 
 def test_projection_solve_budget(scenario, space4):
+    # signed X: every one of the 12 nonpositive grid values survives on each
+    # of F2's 4 cells, so the sweep needs 12^4 combos x 16 events > SOLVE_BUDGET
     F0 = scenario.partitions["F0"]
     F2 = scenario.partitions["F2"]
     I0 = esssup_indicator(F0)
-    X = rv(space4, 0, 0, 0, 0)
+    X = rv(space4, 0, 0, 0, -1)
+    assert 12**4 * 16 > SOLVE_BUDGET
     with pytest.raises(GridTooLargeError):
-        projection_solve(I0, X, F2, [ext(0)] * 1 + [ext(v) for v in range(9)],
-                         budget=4)
+        projection_solve(I0, X, F2, [ext(-v) for v in range(12)])
 
 
 def test_uniqueness_premises(scenario, space4):
@@ -288,15 +294,16 @@ def test_shift_rigidity_negative_carried_values(scenario, space4):
 
 
 def test_strictly_positive_payoff_unique_even_among_signed_candidates(scenario, space4):
-    # for X > 0 no signed candidate survives, so the restriction to
+    # for X > 0 no signed candidate verifies, so the restriction to
     # nonnegative values is immaterial and uniqueness holds outright
     F0 = scenario.partitions["F0"]
     F1 = scenario.partitions["H"]
     I0 = esssup_indicator(F0)
     X = rv(space4, 1, 3, 2, 6)
-    grid = [ext(v) for v in (-3, -1, 0, 1, 2, 3, 6)]
-    sols = projection_solve(I0, X, F1, grid, restrict_nonneg=False)
-    assert sols == [esssup_cond(X, F1)]
+    grid = (-3, -1, 0, 1, 2, 3, 6)
+    candidates = [RandomVariable.from_cells(F1, (ext(u), ext(v))) for u in grid for v in grid]
+    verified = [Z for Z in candidates if check_projection(I0, Z, X, F1).verdict is Verdict.VERIFIED]
+    assert len(candidates) == 49 and verified == [esssup_cond(X, F1)]
 
 
 def test_negative_side_uniqueness_through_duality(scenario, space4):
