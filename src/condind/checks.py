@@ -17,7 +17,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapExceededError
 from .indicators import Flag, IndicatorSpec, essinf_cond, esssup_cond
 from .sampling import (
     DEFAULT_SAMPLES,
@@ -31,6 +30,8 @@ from .sampling import (
     sample_rv,
 )
 from .space import (
+    EVENT_CAP,
+    EVENT_SAMPLES,
     Event,
     Partition,
     RandomVariable,
@@ -186,15 +187,16 @@ def check_axioms(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
 # -- events of a partition, within the enumeration cap ---------------------------
 
 
-def enumerate_or_sample(H: Partition, rng, count: int) -> tuple[list[Event], tuple[str, ...]]:
-    """Every event of H, or past the cap the distinct events among `count`
-    draws from rng, in first-drawn order, and the note saying how many; a
-    check never claims events it did not see."""
-    try:
+def enumerate_or_sample(H: Partition, rng) -> tuple[list[Event], tuple[str, ...]]:
+    """Every event of H, or past EVENT_CAP the first EVENT_SAMPLES distinct
+    events drawn from rng, in first-drawn order, and the note saying how
+    many; a check never claims events it did not see."""
+    if H.cell_count <= EVENT_CAP:
         return enumerate_events(H), ()
-    except CapExceededError as exc:
-        events = list(dict.fromkeys(sample_event(H, rng) for _ in range(count)))
-        return events, (f"partial: 2^{exc.cells} events exceed cap {exc.cap}; sampled {len(events)}",)
+    events: dict[Event, None] = {}
+    while len(events) < EVENT_SAMPLES:
+        events[sample_event(H, rng)] = None
+    return list(events), (f"partial: 2^{H.cell_count} events exceed cap {EVENT_CAP}; sampled {len(events)}",)
 
 
 # -- regularity (cell locality) -----------------------------------------------
@@ -414,7 +416,7 @@ def check_additive_implies_regular(
     if sub.verdict is Verdict.VERIFIED:
         rng = derive_rng(seed, prop)
         H = I.target
-        events, partial = enumerate_or_sample(H, rng, 32)
+        events, partial = enumerate_or_sample(H, rng)
 
         def trials():
             for X in iter_cases(H.space, rng, samples):

@@ -24,12 +24,7 @@ class SpaceMismatchError(ValidationError):
 
 
 class CapExceededError(CondIndError):
-    """Event enumeration would exceed the cell cap."""
-
-    def __init__(self, cells: int, cap: int):
-        super().__init__(f"partition has {cells} cells, enumeration cap is {cap}")
-        self.cells = cells
-        self.cap = cap
+    """A partition has more cells than `space.EVENT_CAP`; its events are not enumerated."""
 
 
 class MixedTargetsError(ValidationError):

@@ -68,7 +68,7 @@ def check_lemm_cond_exp(
     prop = "condexp-ext-identities"
     rng = derive_rng(seed, prop)
     space = H.space
-    events, notes = enumerate_or_sample(H, rng, min(samples, 64))
+    events, notes = enumerate_or_sample(H, rng)
 
     def I(X: RandomVariable) -> RandomVariable:
         return ext_cond_expectation_closed_form(X, H)

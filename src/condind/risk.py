@@ -347,7 +347,7 @@ def check_prop_rm(
     if I.has(Flag.POS_HOMOGENEOUS) and exact:
         reports.append(check_rm_pos_hom(rm, samples, seed))
     elif I.has(Flag.POS_HOMOGENEOUS):
-        notes.append("pos-hom inheritance observed only within tol (bisection path)")
+        notes.append("pos-hom inheritance not checked (bisection path)")
     else:
         notes.append("pos-hom inheritance skipped (flag absent)")
     if I.has(Flag.SUPERADDITIVE):

@@ -31,6 +31,7 @@ from .extreal import _FIN, NEG_INF, POS_INF, ZERO, ExtReal, ext
 
 DEFAULT_SAMPLES = 500
 EVENT_CAP = 20  # cells past which a partition's 2^k events are not enumerated
+EVENT_SAMPLES = 64  # distinct events a check samples instead, past the cap
 DEFAULT_TOL = Fraction(1, 2**40)  # rho's bisection tolerance
 
 
@@ -518,18 +519,15 @@ def is_refinement(fine: Partition, coarse: Partition) -> bool:
 
 
 def enumerate_events(partition: Partition) -> list[Event]:
-    """All 2^k unions of cells, empty set and full space included."""
+    """All 2^k unions of cells, empty set and full space included; event i
+    holds cell c iff bit c of i is set."""
     k = partition.cell_count
     if k > EVENT_CAP:
-        raise CapExceededError(k, EVENT_CAP)
-    events = []
-    for mask in range(1 << k):
-        members: set[int] = set()
-        for ci in range(k):
-            if mask >> ci & 1:
-                members.update(partition.cells[ci])
-        events.append(Event(partition.space, frozenset(members)))
-    return events
+        raise CapExceededError(f"partition has {k} cells, enumeration cap is {EVENT_CAP}")
+    unions: list[frozenset[int]] = [frozenset()]
+    for cell in partition.cells:
+        unions += [u.union(cell) for u in unions]
+    return [Event(partition.space, u) for u in unions]
 
 
 def is_measurable(X: RandomVariable, partition: Partition) -> bool:

@@ -32,7 +32,6 @@ from .space import (
     Filtration,
     Partition,
     RandomVariable,
-    enumerate_events,
     is_measurable,
     restrict,
 )
@@ -121,15 +120,15 @@ def check_projection(
     Z: RandomVariable,
     X: RandomVariable,
     Ft: Partition,
-    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> CheckReport:
-    """I_0(X 1_F) = I_0(Z 1_F) over every event of the time-t algebra."""
+    """I_0(X 1_F) = I_0(Z 1_F) over every event of the time-t algebra; past
+    the cap, over EVENT_SAMPLES events drawn at `seed` (`enumerate_or_sample`)."""
     if not is_measurable(Z, Ft):
         raise ValidationError("Z must be measurable w.r.t. the time-t partition")
     prop = f"projection:{I0.name}"
     rng = derive_rng(seed, f"projection-events:{I0.name}")
-    events, notes = enumerate_or_sample(Ft, rng, min(samples, 256))
+    events, notes = enumerate_or_sample(Ft, rng)
 
     def trials():
         for ev in events:
@@ -154,13 +153,20 @@ def projection_solve(
     discretization cannot miss the canonical solution. For X >= 0 the
     candidate values are restricted to >= 0 (the uniqueness regime); signed
     X searches the whole grid and makes no uniqueness claim. A sweep of more
-    than SOLVE_BUDGET (candidate, event) pairs raises GridTooLargeError.
+    than SOLVE_BUDGET (candidate, event) pairs over the 2^k events raises
+    GridTooLargeError as soon as a cell's survivors show it, at once for k >= 18.
     """
     grid = [ext(v) for v in value_grid]
     per_cell_max = esssup_cond(X, Ft)
     nonneg = X.is_nonnegative()
 
-    events = enumerate_events(Ft)
+    def within_budget(combos: int) -> int:
+        if combos << Ft.cell_count > SOLVE_BUDGET:
+            raise GridTooLargeError(f"candidate sweep over 2^{Ft.cell_count} events needs > "
+                                    f"{SOLVE_BUDGET} evaluations; shrink the grid")
+        return combos
+
+    combos = within_budget(1)
     survivors_per_cell: list[list[ExtReal]] = []
     for ci, cell in enumerate(Ft.cells):
         values = sorted({*grid, per_cell_max.values[cell[0]]})
@@ -176,14 +182,7 @@ def projection_solve(
             if I0.in_domain(z_cell) and I0(z_cell) == target:
                 kept.append(v)
         survivors_per_cell.append(kept)
-
-    combos = 1
-    for kept in survivors_per_cell:
-        combos *= len(kept)
-        if combos * len(events) > SOLVE_BUDGET:
-            raise GridTooLargeError(
-                f"candidate sweep needs > {SOLVE_BUDGET} evaluations; shrink the grid"
-            )
+        combos = within_budget(combos * len(kept))
 
     # cells go by first atom, so the product of ascending lists is ascending atomwise
     solutions: list[RandomVariable] = []

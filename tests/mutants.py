@@ -264,8 +264,8 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "past-cap-note-dropped", "src/condind/checks.py",
-        'return events, (f"partial: 2^{exc.cells} events exceed cap {exc.cap}; sampled {len(events)}",)',
-        "return events, ()",
+        'return list(events), (f"partial: 2^{H.cell_count} events exceed cap {EVENT_CAP}; sampled {len(events)}",)',
+        "return list(events), ()",
         "tests/test_cli.py",
     ),
     Mutant(
@@ -282,15 +282,33 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "projection-row-note-dropped", "src/condind/battery.py",
-        "return replace(report, notes=tuple(fewest))",
-        "return report",
+        "return replace(falsify(prop, trials()), notes=tuple(inner_notes))",
+        "return falsify(prop, trials())",
         "tests/test_battery.py",
     ),
     Mutant(
-        "projection-row-note-not-fewest", "src/condind/battery.py",
-        'int(note.rsplit(" ", 1)[1]))[:1]',
-        'int(note.rsplit(" ", 1)[1]))[-1:]',
-        "tests/test_battery.py",
+        "event-doubling-reversed", "src/condind/space.py",
+        "unions += [u.union(cell) for u in unions]",
+        "unions = [u.union(cell) for u in unions] + unions",
+        "tests/test_space.py",
+    ),
+    Mutant(
+        "past-cap-draws-one-too-many", "src/condind/checks.py",
+        "while len(events) < EVENT_SAMPLES:",
+        "while len(events) <= EVENT_SAMPLES:",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "solve-budget-ignores-events", "src/condind/stochastic.py",
+        "if combos << Ft.cell_count > SOLVE_BUDGET:",
+        "if combos > SOLVE_BUDGET:",
+        "tests/test_stochastic.py",
+    ),
+    Mutant(
+        "prop-rm-pos-hom-note-reverted", "src/condind/risk.py",
+        '"pos-hom inheritance not checked (bisection path)"',
+        '"pos-hom inheritance observed only within tol (bisection path)"',
+        "tests/test_risk.py",
     ),
     Mutant(
         "structural-regular-on-another-stream", "src/condind/checks.py",

@@ -223,23 +223,24 @@ def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):
 
 
 def test_projection_row_reports_one_past_cap_note(monkeypatch):
-    # each trial samples its own events, so their counts differ; the row says
-    # once, like the other past-cap rows, the fewest events any trial checked
+    # each trial samples its own events, EVENT_SAMPLES distinct ones, so the
+    # row says once, like the other past-cap rows, how many each trial checked
     from condind import parse_scenario, stochastic
+    from condind.space import EVENT_SAMPLES
 
     sample, counts = stochastic.enumerate_or_sample, []
 
     def sample_spy(*args):
         events, notes = sample(*args)
-        counts.append(len(events))
+        counts.append(len(set(events)))
         return events, notes
 
     monkeypatch.setattr(stochastic, "enumerate_or_sample", sample_spy)
     big = parse_scenario(pairs_doc(42))
     (row,) = [run for name, run in properties(big, 8, 10) if name == "projection:esssup"]
     rep = row()
-    assert rep.ok and len(counts) == 20 and len(set(counts)) > 1
-    assert rep.notes == (f"partial: 2^21 events exceed cap 20; sampled {min(counts)}",)
+    assert rep.ok and counts == [EVENT_SAMPLES] * 20
+    assert rep.notes == ("partial: 2^21 events exceed cap 20; sampled 64",)
 
 
 def test_verify_all_on_twelve_atoms_within_budget():

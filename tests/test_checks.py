@@ -35,14 +35,21 @@ from condind import (
     recover_density,
     restrict,
 )
-from condind.checks import falsify, scaling_trials
+from condind.checks import enumerate_or_sample, falsify, scaling_trials
 from condind.cli import jsonable
 from condind.errors import HypothesisFailedError
 from condind.expectation_ext import _hypothesis_reports
 from condind.extreal import ZERO
 from condind.indicators import BUILTIN_NAMES, builtin_indicator
-from condind.sampling import ALPHA_GRID, derive_rng, iter_cases, sample_dominating_pair, sample_rv
-from condind.space import _packed
+from condind.sampling import (
+    ALPHA_GRID,
+    derive_rng,
+    iter_cases,
+    sample_dominating_pair,
+    sample_event,
+    sample_rv,
+)
+from condind.space import EVENT_SAMPLES, _packed, enumerate_events
 from conftest import rv
 
 
@@ -253,6 +260,19 @@ def test_subadditive_half_inequality_note(space4, H):
     rep = check_additive_implies_regular(esssup_indicator(H), samples=80, seed=1)
     assert rep.verdict is Verdict.VERIFIED
     assert any("half inequality" in n for n in rep.notes)
+
+
+def test_enumerate_or_sample_past_the_cap_keeps_event_samples_distinct_draws():
+    # 21 cells: the first EVENT_SAMPLES distinct events drawn, in drawn order, and a note saying so
+    cells21 = Partition.discrete(FiniteProbabilitySpace.uniform([f"w{i}" for i in range(21)]))
+    events, notes = enumerate_or_sample(cells21, derive_rng(3, "events"))
+    assert len(events) == len(set(events)) == EVENT_SAMPLES == 64
+    rng = derive_rng(3, "events")
+    drawn = dict.fromkeys(sample_event(cells21, rng) for _ in range(2 * EVENT_SAMPLES))
+    assert events == list(drawn)[:EVENT_SAMPLES]
+    assert notes == ("partial: 2^21 events exceed cap 20; sampled 64",)
+    cells4 = Partition.discrete(FiniteProbabilitySpace.uniform([f"w{i}" for i in range(4)]))
+    assert enumerate_or_sample(cells4, rng) == (enumerate_events(cells4), ())
 
 
 def test_counterexample_witness_reevaluates(space4, H):

@@ -148,6 +148,41 @@ def test_bad_invocation_exits_2_without_traceback(case, capsys):
     assert "error" in json.loads(err)
 
 
+BAD_INDICATORS = {
+    "famsup:,": "'famsup:,': empty family",
+    "lowext:esssup": "'lowext:esssup': expected lowext:<name>:<E-vars>",
+    "nope:x": "unknown indicator 'nope:x'",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INDICATORS))
+def test_bad_indicator_name_exits_2_with_its_error(name, capsys):
+    code = run(["apply", "--indicator", name, "--sigma", "H", "--var", "X"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {"error": BAD_INDICATORS[name]}
+
+
+FILTRATION_VERBS = {
+    "tower": ["--family", "esssup", "--s", "F0", "--t", "H"],
+    "envelope": ["--family", "esssup", "--payoff", "X"],
+    "project": ["--var", "X", "--time", "H"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(FILTRATION_VERBS))
+def test_verb_without_scenario_filtration_exits_2(verb, tmp_path, capsys):
+    doc = mutated_doc()
+    del doc["filtration"]
+    code = run([verb, "--scenario", write_scenario(tmp_path, doc), *FILTRATION_VERBS[verb]])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {"error": f"{verb} needs a scenario filtration"}
+
+
+def test_help_exits_0_with_usage_text(capsys):
+    assert run(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: condind")
+
+
 BAD_GRIDS = {
     "grid-text": "abc",
     "grid-zero-denominator": "1/0",
@@ -400,10 +435,11 @@ def test_check_and_project_past_the_cap(pairs42, capsys):
     (check,) = json.loads(out)["checks"]
     assert any(PAST_CAP.fullmatch(n) for n in check["notes"]), check["notes"]
     # a projection solution is claimed over every event, so there is no sampled fallback
+    # and a sweep over 2^21 events is over its budget whatever the grid
     code = run(["project", "--scenario", pairs42, "--var", "X", "--time", "H"])
     assert code == EXIT_VALIDATION
     assert json.loads(capsys.readouterr().err) == {
-        "error": "partition has 21 cells, enumeration cap is 20"
+        "error": "candidate sweep over 2^21 events needs > 200000 evaluations; shrink the grid"
     }
 
 

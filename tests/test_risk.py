@@ -457,6 +457,21 @@ def test_prop_rm_subadditivity_within_two_tol_on_bisection_path():
     )
 
 
+def test_prop_rm_says_pos_hom_is_not_checked_on_bisection_path(H):
+    # condexp-ext is positively homogeneous but not translation invariant, so
+    # rho bisects and no homogeneity trial runs: every case is an axiom case
+    I = condexp_ext_indicator(H)
+    rep = check_prop_rm(I, 60, 1)
+    assert rep.verdict is Verdict.VERIFIED, rep.witness
+    assert rep.cases == check_rm_axioms(rho_from_acceptance(I), 60, 1, tol=DEFAULT_TOL).cases
+    assert rep.notes == (
+        f"fast-path=bisection tol={DEFAULT_TOL}",
+        "convexity inheritance skipped (acceptance set not certified convex)",
+        "pos-hom inheritance not checked (bisection path)",
+        "subadditivity inheritance skipped (superadditive flag absent)",
+    )
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_prop_rm_convexity_within_tol_on_bisection_path(seed):
     # each bisected rho lies in [exact, exact + tol], so convexity holds within tol

@@ -116,7 +116,18 @@ def test_enumerate_events_cap():
     cells21 = Partition.discrete(FiniteProbabilitySpace.uniform([f"w{i}" for i in range(21)]))
     with pytest.raises(CapExceededError) as exc:
         enumerate_events(cells21)
-    assert (exc.value.cells, exc.value.cap) == (21, 20)
+    assert str(exc.value) == "partition has 21 cells, enumeration cap is 20"
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_enumerate_events_bit_order(k):
+    # k cells of two atoms each: event i is the union of the cells c whose bit c of i is set
+    space = FiniteProbabilitySpace.uniform([f"w{i}" for i in range(2 * k)])
+    part = Partition.from_labels(space, [[f"w{2 * c}", f"w{2 * c + 1}"] for c in range(k)])
+    events = enumerate_events(part)
+    assert len(events) == 1 << k
+    for i, ev in enumerate(events):
+        assert ev.members == {a for c in range(k) if i >> c & 1 for a in part.cells[c]}, i
 
 
 def test_is_measurable(space4, H):

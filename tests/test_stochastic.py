@@ -156,6 +156,22 @@ def test_projection_solve_budget(scenario, space4):
         projection_solve(I0, X, F2, [ext(-v) for v in range(12)])
 
 
+def test_projection_solve_sizes_its_sweep_without_building_events(monkeypatch):
+    # 20 cells: one candidate per cell already needs 2^20 events, over the
+    # budget, and the sweep says so before it builds any event
+    space20 = FiniteProbabilitySpace.uniform([f"w{i}" for i in range(20)])
+    F20 = Partition.discrete(space20)
+    I0 = esssup_indicator(Partition.trivial(space20))
+    X = RandomVariable.constant(space20, 1)
+
+    def built(self):
+        raise AssertionError("projection_solve built an Event")
+
+    monkeypatch.setattr(Event, "__post_init__", built)
+    with pytest.raises(GridTooLargeError, match=r"over 2\^20 events"):
+        projection_solve(I0, X, F20, [0, 1])
+
+
 def test_uniqueness_premises(scenario, space4):
     F0 = scenario.partitions["F0"]
     assert (
