@@ -1,7 +1,7 @@
 """Extended rationals with fixed tag conventions.
 
-Values are exact ``Fraction``s or the two infinity tags. All arithmetic
-follows one convention table, total on every tag pair:
+Values are exact rationals, held as reduced int pairs, or the two infinity
+tags. All arithmetic follows one convention table, total on every tag pair:
 
     r + inf = inf,  r - inf = -inf        (finite r)
     inf + inf = inf,  -inf + -inf = -inf
@@ -17,6 +17,7 @@ which the rest of the package relies on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
@@ -25,42 +26,47 @@ _FIN = 0
 _POS = 1
 _NEG = -1
 
-_ZERO_FRAC = Fraction(0)
+_TAGS = {"inf": _POS, "+inf": _POS, "oo": _POS, "+oo": _POS, "-inf": _NEG, "-oo": _NEG}
 
 
 class ExtReal:
-    """An exact rational or one of the two infinities, totally ordered."""
+    """An exact rational or one of the two infinities, totally ordered.
 
-    __slots__ = ("kind", "frac")
+    Stored as ints: ``kind`` (-1/0/+1 for -inf, finite, +inf) and the value
+    ``num / den``, reduced with ``den > 0`` (0/1 on an infinity). ``frac``
+    builds the ``Fraction`` on demand.
+    """
 
-    def __init__(self, value: RationalLike | "ExtReal" = 0, _kind: int | None = None):
+    __slots__ = ("kind", "num", "den")
+
+    def __init__(self, value: RationalLike | "ExtReal" = 0, _kind: int | None = None, _den: int = 1):
         if _kind is not None:
-            object.__setattr__(self, "kind", _kind)
-            object.__setattr__(self, "frac", value if _kind == _FIN else _ZERO_FRAC)
-            return
-        if isinstance(value, ExtReal):
-            object.__setattr__(self, "kind", value.kind)
-            object.__setattr__(self, "frac", value.frac)
-            return
-        if isinstance(value, str):
+            # internal: value / _den already reduced, 0 / 1 on an infinity
+            kind, num, den = _kind, value, _den
+        elif isinstance(value, ExtReal):
+            kind, num, den = value.kind, value.num, value.den
+        elif isinstance(value, str):
             s = value.strip()
-            if s in ("inf", "+inf", "oo", "+oo"):
-                object.__setattr__(self, "kind", _POS)
-                object.__setattr__(self, "frac", _ZERO_FRAC)
-                return
-            if s in ("-inf", "-oo"):
-                object.__setattr__(self, "kind", _NEG)
-                object.__setattr__(self, "frac", _ZERO_FRAC)
-                return
-            value = Fraction(s)
-        if isinstance(value, float):
-            # exact per the printed decimal, never per the binary float
-            value = Fraction(repr(value))
-        object.__setattr__(self, "kind", _FIN)
-        object.__setattr__(self, "frac", Fraction(value))
+            if s in _TAGS:
+                kind, num, den = _TAGS[s], 0, 1
+            else:
+                f = Fraction(s)
+                kind, num, den = _FIN, f.numerator, f.denominator
+        else:
+            if not isinstance(value, (int, Fraction)):
+                # a float is exact per its printed decimal, never per the binary float
+                value = Fraction(repr(value) if isinstance(value, float) else value)
+            kind, num, den = _FIN, value.numerator, value.denominator
+        _set_kind(self, kind)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtReal is immutable")
+
+    @property
+    def frac(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     # -- predicates -------------------------------------------------------
 
@@ -79,7 +85,7 @@ class ExtReal:
     def sign(self) -> int:
         if self.kind != _FIN:
             return self.kind
-        return (self.frac > 0) - (self.frac < 0)
+        return (self.num > 0) - (self.num < 0)
 
     # -- ordering (total: -inf < finite < +inf) ---------------------------
 
@@ -88,13 +94,11 @@ class ExtReal:
             return True
         if not isinstance(other, ExtReal):
             return NotImplemented
-        # every frac is a reduced Fraction, so equal values have equal terms;
-        # comparing them skips Fraction.__eq__ and its numbers.Rational check
-        a, b = self.frac, other.frac
-        return self.kind == other.kind and a.numerator == b.numerator and a.denominator == b.denominator
+        # the stored form is reduced, so equal values have equal terms
+        return self.kind == other.kind and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.kind, self.frac))
+        return hash((self.kind, self.num, self.den))
 
     # A non-ExtReal operand has no `kind`: returning NotImplemented lets
     # Python raise TypeError. try/except keeps isinstance off the hot path.
@@ -109,7 +113,7 @@ class ExtReal:
             return NotImplemented
         if self.kind != ok:
             return self.kind < ok
-        return self.kind == _FIN and self.frac < other.frac
+        return self.kind == _FIN and self.num * other.den < other.num * self.den
 
     def __le__(self, other: "ExtReal") -> bool:
         try:
@@ -118,7 +122,7 @@ class ExtReal:
             return NotImplemented
         if self.kind != ok:
             return self.kind < ok
-        return self.kind != _FIN or self.frac <= other.frac
+        return self.kind != _FIN or self.num * other.den <= other.num * self.den
 
     def __gt__(self, other: "ExtReal") -> bool:
         return other.__lt__(self)
@@ -130,13 +134,16 @@ class ExtReal:
 
     def __neg__(self) -> "ExtReal":
         if self.kind == _FIN:
-            return ExtReal(-self.frac, _kind=_FIN)
+            return ExtReal(-self.num, _FIN, self.den)
         return NEG_INF if self.kind == _POS else POS_INF
 
     def __add__(self, other: "ExtReal") -> "ExtReal":
         sk, ok = self.kind, other.kind
         if sk == _FIN and ok == _FIN:
-            return ExtReal(self.frac + other.frac, _kind=_FIN)
+            n = self.num * other.den + other.num * self.den
+            d = self.den * other.den
+            g = gcd(n, d)
+            return ExtReal(n // g, _FIN, d // g)
         if sk == _FIN:
             return other
         if ok == _FIN:
@@ -151,7 +158,9 @@ class ExtReal:
     def __mul__(self, other: "ExtReal") -> "ExtReal":
         sk, ok = self.kind, other.kind
         if sk == _FIN and ok == _FIN:
-            return ExtReal(self.frac * other.frac, _kind=_FIN)
+            n, d = self.num * other.num, self.den * other.den
+            g = gcd(n, d)
+            return ExtReal(n // g, _FIN, d // g)
         s = self.sign() * other.sign()
         if s == 0:
             return ZERO  # 0 * (+-inf) = 0
@@ -173,13 +182,16 @@ class ExtReal:
             return "inf"
         if self.kind == _NEG:
             return "-inf"
-        return str(self.frac)
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
 
-POS_INF = ExtReal(_ZERO_FRAC, _kind=_POS)
-NEG_INF = ExtReal(_ZERO_FRAC, _kind=_NEG)
-ZERO = ExtReal(_ZERO_FRAC, _kind=_FIN)
-ONE = ExtReal(Fraction(1), _kind=_FIN)
+# the slots' own setters, which skip the guarding __setattr__
+_set_kind, _set_num, _set_den = (ExtReal.__dict__[name].__set__ for name in ExtReal.__slots__)
+
+POS_INF = ExtReal(0, _POS)
+NEG_INF = ExtReal(0, _NEG)
+ZERO = ExtReal(0, _FIN)
+ONE = ExtReal(1, _FIN)
 
 
 def ext(value: RationalLike | ExtReal) -> ExtReal:

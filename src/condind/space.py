@@ -138,29 +138,37 @@ class Partition:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for cell in self.cells:
+        # One pass fills the atom-to-cell table and checks each cell in turn:
+        # nonempty, strictly ascending, disjoint from the earlier cells. Indices
+        # outside the space fail the cover check after the last cell, as gaps do.
+        n = self.space.size
+        cell_of = [-1] * n
+        stray: set[int] = set()
+        ordered, head = True, -1
+        for c, cell in enumerate(self.cells):
             if not cell:
                 raise ValidationError("partition cells must be nonempty")
-            if list(cell) != sorted(set(cell)):
-                raise ValidationError("cell indices must be distinct and sorted ascending")
-            if seen & set(cell):
-                raise ValidationError("partition cells must be disjoint")
-            seen.update(cell)
-        if seen != set(range(self.space.size)):
-            raise ValidationError("partition cells must cover all atoms")
-        if list(self.cells) != sorted(self.cells, key=lambda c: c[0]):
-            raise ValidationError("cells must be ordered by smallest atom index")
-        object.__setattr__(
-            self, "_cell_of", tuple(self._build_cell_of())
-        )
-
-    def _build_cell_of(self) -> list[int]:
-        lookup = [0] * self.space.size
-        for ci, cell in enumerate(self.cells):
+            prev, clash = cell[0] - 1, False
             for i in cell:
-                lookup[i] = ci
-        return lookup
+                if i <= prev:
+                    raise ValidationError("cell indices must be distinct and sorted ascending")
+                prev = i
+                if 0 <= i < n:
+                    clash = clash or cell_of[i] >= 0
+                    cell_of[i] = c
+                elif i in stray:
+                    clash = True
+                else:
+                    stray.add(i)
+            if clash:
+                raise ValidationError("partition cells must be disjoint")
+            ordered = ordered and cell[0] > head
+            head = cell[0]
+        if stray or -1 in cell_of:
+            raise ValidationError("partition cells must cover all atoms")
+        if not ordered:
+            raise ValidationError("cells must be ordered by smallest atom index")
+        object.__setattr__(self, "_cell_of", tuple(cell_of))
 
     @staticmethod
     def from_cells(space: FiniteProbabilitySpace, cells: Iterable[Iterable[int]]) -> "Partition":
@@ -212,16 +220,16 @@ _MUL_TAGS = _tag_table(operator.mul)
 @lru_cache(maxsize=256)
 def _finite(num: int, den: int) -> ExtReal:
     # shared: the `values` of many variables hold the same few scalars
-    return ExtReal(Fraction(num, den), _kind=_FIN)
+    g = gcd(num, den)
+    return ExtReal(num // g, _FIN, den // g)
 
 
 _INFINITE = {1: POS_INF, -1: NEG_INF}
 
 
 def _pack(values: Sequence[ExtReal]) -> tuple[tuple[int, ...], list[int], int]:
-    fracs = [v.frac for v in values]
-    den = lcm(*[f.denominator for f in fracs])
-    return tuple([v.kind for v in values]), [f.numerator * (den // f.denominator) for f in fracs], den
+    den = lcm(*[v.den for v in values])
+    return tuple([v.kind for v in values]), [v.num * (den // v.den) for v in values], den
 
 
 def _pack_triples(triples: Sequence[tuple[int, int, int]]) -> tuple[list[int], list[int], int]:
@@ -233,8 +241,9 @@ def _pack_triples(triples: Sequence[tuple[int, int, int]]) -> tuple[list[int], l
 class _Unsealed:
     # RandomVariable's storage without its guard against assignment: `_packed`
     # fills one and then seals it by switching its class, which is cheaper
-    # than going through object.__setattr__ once per field.
-    __slots__ = ("space", "kinds", "nums", "den", "_values")
+    # than going through object.__setattr__ once per field. `_values` and
+    # `_pairs` are views built on first use (see `values` and `_keys`).
+    __slots__ = ("space", "kinds", "nums", "den", "_values", "_pairs")
 
 
 def _packed(space, kinds, nums, den: int, values=None) -> "RandomVariable":
@@ -253,6 +262,7 @@ def _packed(space, kinds, nums, den: int, values=None) -> "RandomVariable":
     rv.nums = tuple(nums)
     rv.den = den
     rv._values = values
+    rv._pairs = None
     rv.__class__ = RandomVariable
     rv.__post_init__()
     return rv
@@ -282,7 +292,7 @@ def _on_cells(partition, kinds, nums, den: int) -> "RandomVariable":
 def _repeat(space, v: ExtReal) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     n = space.size
     kinds = (v.kind,) * n if v.kind else space._finite_kinds
-    return kinds, (v.frac.numerator,) * n, v.frac.denominator
+    return kinds, (v.num,) * n, v.den
 
 
 class RandomVariable(_Unsealed):
@@ -293,7 +303,8 @@ class RandomVariable(_Unsealed):
     the one denominator, the lcm of the finite values' reduced denominators.
     The form is unique, so ``==`` and ``hash`` compare it directly. An
     all-finite variable shares its space's tuple of 0 tags. ``values``, the
-    ExtReal tuple, is built on first use and kept.
+    ExtReal tuple, and a non-finite variable's order keys (see ``_keys``)
+    are built on first use and kept.
     """
 
     __slots__ = ()
@@ -422,12 +433,17 @@ class RandomVariable(_Unsealed):
         kinds = [1 if k < 0 else 0 for k in self.kinds]
         return _packed(self.space, kinds, [-n if n < 0 else 0 for n in self.nums], self.den)
 
-    def _keys(self) -> tuple[list | tuple, bool]:
+    def _keys(self) -> tuple[tuple, bool]:
         """Order keys of the atoms over ``den``, and whether X is finite:
-        the numerators when it is, else (tag, numerator) pairs."""
+        the numerators when it is, else (tag, numerator) pairs, built on
+        first use and kept."""
         if self.kinds is self.space._finite_kinds:
             return self.nums, True
-        return list(zip(self.kinds, self.nums)), False
+        pairs = self._pairs
+        if pairs is None:
+            pairs = tuple(zip(self.kinds, self.nums))
+            object.__setattr__(self, "_pairs", pairs)
+        return pairs, False
 
     def _aligned(self, other: "RandomVariable") -> tuple[list, list, int, bool]:
         """Both variables' order keys over one common denominator d."""

@@ -118,6 +118,24 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_extreal.py",
     ),
     Mutant(
+        "extreal-add-without-gcd", "src/condind/extreal.py",
+        "            d = self.den * other.den\n            g = gcd(n, d)\n",
+        "            d = self.den * other.den\n            g = 1\n",
+        "tests/test_extreal.py",
+    ),
+    Mutant(
+        "extreal-order-without-cross-multiply", "src/condind/extreal.py",
+        "return self.kind == _FIN and self.num * other.den < other.num * self.den",
+        "return self.kind == _FIN and self.num < other.num",
+        "tests/test_extreal.py",
+    ),
+    Mutant(
+        "partition-overlap-unchecked", "src/condind/space.py",
+        "clash = clash or cell_of[i] >= 0",
+        "clash = clash",
+        "tests/test_space.py",
+    ),
+    Mutant(
         "sandwich-witness-hi-is-lo", "src/condind/checks.py",
         'dict(axiom="sandwich", X=X, value=IX, lo=lo, hi=hi)',
         'dict(axiom="sandwich", X=X, value=IX, lo=lo, hi=lo)',

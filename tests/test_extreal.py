@@ -1,11 +1,15 @@
 """Convention-table arithmetic: every tag pair is pinned."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from condind import NEG_INF, POS_INF, ZERO, ext, ext_add, ext_mul, ext_sub
+from condind.errors import ValidationError
+from condind.extreal import ExtReal
+from condind.scenario import _literal
 
 FIN = ext(Fraction(3, 2))
 TAGS = (NEG_INF, ext(-2), ZERO, FIN, POS_INF)
@@ -165,3 +169,98 @@ def test_equality_of_unreduced_literals_and_across_kinds():
             assert (a != b) is (a is not b)
     assert ext("inf") == POS_INF and ext("-inf") == NEG_INF
     assert ext(1) != 1 and not ext(0) == 0
+
+
+# -- ExtReal on ints against Fraction arithmetic --------------------------------
+
+# signed finite values, unreduced inputs among them, and both infinities; a
+# value is modelled as (tag, Fraction), the tag -1/0/+1 for -inf/finite/+inf
+GRID = [ext(Fraction(n, d)) for n in (-6, -3, -2, -1, 0, 1, 2, 4, 6) for d in (1, 2, 3, 4)]
+GRID += [ext("2/4"), ext("-6/8"), ext(Fraction(2, 4)), POS_INF, NEG_INF]
+
+
+def _model(a):
+    return (-1 if a.is_neg_inf else 1 if a.is_pos_inf else 0, a.frac)
+
+
+def _model_add(x, y):
+    (s, p), (t, q) = x, y
+    if s == t == 0:
+        return (0, p + q)
+    if s == 0 or t == 0:
+        return (s or t, Fraction(0))
+    return (s, Fraction(0)) if s == t else (0, Fraction(0))  # inf + -inf = 0
+
+
+def _model_mul(x, y):
+    (s, p), (t, q) = x, y
+    if s == t == 0:
+        return (0, p * q)
+    sign = lambda k, f: k or (f > 0) - (f < 0)
+    return (sign(s, p) * sign(t, q), Fraction(0))  # 0 * inf = 0
+
+
+def test_terms_are_reduced_with_positive_denominator():
+    for a in GRID:
+        assert a.den > 0 and gcd(a.num, a.den) == 1
+        assert a.frac == Fraction(a.num, a.den)
+        if not a.is_finite:
+            assert (a.num, a.den) == (0, 1)
+        assert type(a.num) is int and type(a.den) is int
+    for a in GRID:
+        for b in GRID:
+            for c in (a + b, a - b, a * b, -a):
+                assert c.den > 0 and gcd(c.num, c.den) == 1
+
+
+def test_order_equality_and_hash_match_fraction():
+    for a in GRID:
+        for b in GRID:
+            x, y = _model(a), _model(b)
+            assert (a == b) is (x == y)
+            assert (a != b) is (x != y)
+            assert (a < b) is (x < y) and (a <= b) is (x <= y)
+            assert (a > b) is (x > y) and (a >= b) is (x >= y)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_arithmetic_and_rendering_match_fraction():
+    for a in GRID:
+        x = _model(a)
+        assert _model(-a) == (-x[0], -x[1])
+        assert str(a) == {1: "inf", -1: "-inf", 0: str(x[1])}[x[0]]
+        for b in GRID:
+            y = _model(b)
+            assert _model(a + b) == _model_add(x, y)
+            assert _model(a - b) == _model_add(x, (-y[0], -y[1]))
+            assert _model(a * b) == _model_mul(x, y)
+
+
+@pytest.mark.parametrize(
+    "raw, want",
+    [
+        (3, Fraction(3)), (-7, Fraction(-7)), (0, Fraction(0)), (True, Fraction(1)),
+        (Fraction(2, 4), Fraction(1, 2)), (Fraction(-9, 6), Fraction(-3, 2)),
+        ("2/4", Fraction(1, 2)), (" -6/8 ", Fraction(-3, 4)), ("0.125", Fraction(1, 8)),
+        ("7", Fraction(7)), (0.1, Fraction(1, 10)), (-2.5, Fraction(-5, 2)), (1e-3, Fraction(1, 1000)),
+    ],
+)
+def test_ext_reads_ints_strings_fractions_and_floats(raw, want):
+    a = ext(raw)
+    assert a.is_finite and a.frac == want and (a.num, a.den) == (want.numerator, want.denominator)
+    assert ext(a) is a and ExtReal(a) == a and hash(ExtReal(a)) == hash(a)
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        ("abc", ValueError), ("1/0", ZeroDivisionError), ("", ValueError), ("1/2/3", ValueError),
+        (float("nan"), ValueError), (float("inf"), ValueError), (None, TypeError), ([1], TypeError),
+    ],
+)
+def test_bad_literals_raise_what_the_scenario_parser_catches(raw, error):
+    with pytest.raises(error):
+        ext(raw)
+    with pytest.raises(ValidationError, match="bad value"):
+        _literal(raw, "X")

@@ -31,7 +31,7 @@ from condind.battery import sample_normalized_density
 from condind.sampling import ALPHA_GRID
 from condind.space import _cell_means, _pack, _packed, cell_means
 
-from conftest import all_partitions, rv
+from conftest import all_partitions, rv, set_partitions
 
 
 def test_space_rejects_null_atoms():
@@ -58,6 +58,80 @@ def test_partition_must_cover_and_be_disjoint(space4):
         Partition.from_labels(space4, [["a", "b"], ["b", "c", "d"]])
     with pytest.raises(ValidationError):
         Partition.from_labels(space4, [["a", "b"], ["c"]])
+
+
+def _reference_cell_of(n: int, cells) -> tuple[int, ...]:
+    # The set-based validator Partition used before its one-pass form: the
+    # same checks and messages in the same order, then the atom-to-cell table.
+    seen: set[int] = set()
+    for cell in cells:
+        if not cell:
+            raise ValidationError("partition cells must be nonempty")
+        if list(cell) != sorted(set(cell)):
+            raise ValidationError("cell indices must be distinct and sorted ascending")
+        if seen & set(cell):
+            raise ValidationError("partition cells must be disjoint")
+        seen.update(cell)
+    if seen != set(range(n)):
+        raise ValidationError("partition cells must cover all atoms")
+    if list(cells) != sorted(cells, key=lambda c: c[0]):
+        raise ValidationError("cells must be ordered by smallest atom index")
+    lookup = [0] * n
+    for ci, cell in enumerate(cells):
+        for i in cell:
+            lookup[i] = ci
+    return tuple(lookup)
+
+
+def _verdict(validate):
+    try:
+        return "ok", validate()
+    except ValidationError as exc:
+        return "rejected", str(exc)
+
+
+def _partition_cases():
+    # every canonical partition of 1-4 atoms, each cut, swapped and
+    # unsorted, then random cell lists over indices -2..n+1
+    for n in range(1, 5):
+        for blocks in set_partitions(list(range(n))):
+            canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
+            yield n, canon
+            yield n, canon[:-1]
+            yield n, canon[::-1]
+            yield n, canon + ((),)
+            yield n, tuple(c[::-1] for c in canon)
+            yield n, canon + (canon[0],)
+    yield from [
+        (3, ()), (3, ((),)), (3, ((0, 1, 2), ())), (3, ((), (0, 1, 2))), (3, ((0, 0, 1, 2),)),
+        (3, ((0, 1), (1, 2))), (3, ((0, 2), (1, 1))), (3, ((0, 1), (2, 1))), (3, ((0, 1), (3,), (2,))),
+        (3, ((-1, 0, 1, 2),)), (3, ((0, 1, 2, 3),)), (3, ((-1,), (-1,), (0, 1, 2))),
+        (3, ((2,), (0, 1))), (3, ((1, 2), (0,))), (3, ((0,), (2,), (1,))), (3, ((-2, -1), (0, 1, 2))),
+        (3, ((0, 1), (1, 0))), (3, ((5, 4), (0, 1, 2))), (3, ((0, 1, 2), (3, 3))),
+    ]
+    rng = random.Random(20)
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        cells = []
+        for _ in range(rng.randint(0, 4)):
+            cell = [rng.randint(-2, n + 1) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.7:
+                cell.sort()
+            cells.append(tuple(cell))
+        if rng.random() < 0.5:
+            cells.sort(key=lambda c: c[0] if c else -9)
+        yield n, tuple(cells)
+
+
+def test_partition_validation_matches_the_set_based_reference():
+    spaces = {n: FiniteProbabilitySpace.uniform([f"s{i}" for i in range(n)]) for n in range(1, 6)}
+    verdicts = set()
+    for n, cells in _partition_cases():
+        want = _verdict(lambda: _reference_cell_of(n, cells))
+        got = _verdict(lambda: Partition(spaces[n], cells)._cell_of)
+        assert got == want, (n, cells)
+        verdicts.add(want[0] if want[0] == "ok" else want[1])
+    assert len(verdicts) == 6  # accepted, and each of the five messages
 
 
 def test_refinement_examples(space4):
@@ -135,6 +209,23 @@ def test_is_measurable(space4, H):
     assert not is_measurable(rv(space4, 1, 3, 2, 6), H)
     discrete = Partition.discrete(space4)
     assert is_measurable(rv(space4, 1, 3, 2, 6), discrete)
+
+
+def test_order_keys_are_built_once_per_variable(space4):
+    values = ("-inf", "1/2", "inf", "-3")
+    X = rv(space4, *values)
+    keys, finite = X._keys()
+    assert not finite and keys == tuple(zip(X.kinds, X.nums))
+    assert X._keys()[0] is keys
+    Y = rv(space4, 1, "2/3", -4, 0)
+    assert Y._keys() == (Y.nums, True) and Y._keys()[0] is Y.nums
+    for Z in (X, Y):
+        for P in all_partitions(space4):
+            fresh = RandomVariable(space4, Z.values)
+            assert fresh._pairs is None
+            assert esssup_cond(fresh, P) == esssup_cond(Z, P)
+            assert essinf_cond(fresh, P) == essinf_cond(Z, P)
+            assert is_measurable(fresh, P) is is_measurable(Z, P)
 
 
 def test_restrict(space4):
