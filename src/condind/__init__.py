@@ -27,22 +27,19 @@ _EXPORTS = {
                        "check_esssup_shift_rigidity check_projection "
                        "check_projection_uniqueness_premises check_tower "
                        "is_indicator_martingale projection_solve"),
-        ("risk", "RiskMeasureSpec acceptance_contains check_dom_closure check_prop_rm "
+        ("risk", "RiskMeasureSpec check_dom_closure check_prop_rm "
                  "check_rho_correspondence check_rm_axioms check_rm_coherent check_rm_convexity "
                  "check_rm_pos_hom rho rho_from_acceptance rho_from_indicator"),
         ("expectation_ext", "DensityReport additivity_set check_additivity_on_F check_contractive "
                             "check_lemm_cond_exp is_conditional_expectation "
-                            "recover_density weighted_expectation weighted_indicator"),
+                            "recover_density weighted_indicator"),
         ("scenario", "Scenario canonical_scenario dump_scenario load_scenario parse_scenario "
                      "scenario_to_dict"),
-        ("battery", "battery_failed verify_all"),
+        ("battery", "verify_all"),
     )
     for name in names.split()
 }
-_SUBMODULES = frozenset((
-    "battery", "checks", "cli", "errors", "expectation_ext", "extreal", "indicators", "risk",
-    "sampling", "scenario", "space", "stochastic",
-))
+_SUBMODULES = frozenset({*_EXPORTS.values(), "cli", "errors", "sampling"})
 __all__ = [*_EXPORTS, "errors"]
 
 

@@ -54,19 +54,13 @@ from .indicators import (
 from .risk import check_dom_closure, check_prop_rm, check_rho_correspondence
 from .sampling import (
     ALPHA_GRID,
-    DEFAULT_SAMPLES,
     derive_rng,
     iter_cases,
     sample_measurable,
     sample_rv,
 )
 from .scenario import Scenario
-from .space import (
-    Event,
-    Partition,
-    RandomVariable,
-    restrict,
-)
+from .space import DEFAULT_SAMPLES, Event, Partition, RandomVariable, restrict
 from .stochastic import (
     AdaptedProcess,
     StochasticIndicator,
@@ -456,7 +450,3 @@ def verify_all(
     """Run the whole lemma battery against one scenario; the runner names
     every report after its row."""
     return [replace(run(), prop=name) for name, run in properties(scenario, seed, samples)]
-
-
-def battery_failed(reports: list[CheckReport]) -> bool:
-    return any(not r.ok for r in reports)

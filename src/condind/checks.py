@@ -19,7 +19,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .indicators import Flag, IndicatorSpec, essinf_cond, esssup_cond
 from .sampling import (
-    DEFAULT_SAMPLES,
     NONNEG_ALPHA_GRID,
     UNIT_GRID,
     derive_rng,
@@ -30,6 +29,7 @@ from .sampling import (
     sample_rv,
 )
 from .space import (
+    DEFAULT_SAMPLES,
     EVENT_CAP,
     EVENT_SAMPLES,
     Event,

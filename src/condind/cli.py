@@ -236,7 +236,7 @@ def _project(args, scenario):
     Ft = filtration.at(args.time)
     grid = [_literal(v, "--grid") for v in (args.grid.split(",") if args.grid else [])]
     if not grid:
-        grid = sorted({*X.values, ext(0)})
+        grid = sorted(dict.fromkeys([*X.values, ext(0)]))
     solutions = projection_solve(I0, X, Ft, grid)
     results = {
         "i0": I0.name,

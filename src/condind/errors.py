@@ -69,4 +69,5 @@ class HypothesisFailedError(CondIndError):
 
 
 class UnknownNameError(CondIndError):
-    """A scenario name (variable, partition, indicator, time) did not resolve."""
+    """An indicator name or spec, or a `--property` name, did not resolve;
+    unknown variable, partition and time names raise ValidationError."""

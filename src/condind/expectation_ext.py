@@ -27,7 +27,6 @@ from .extreal import ONE, ZERO, ext
 from .indicators import _EXT_FLAGS, EvalFn, IndicatorSpec, ext_cond_expectation_closed_form
 from .sampling import (
     ALPHA_GRID,
-    DEFAULT_SAMPLES,
     FINITE_GRID,
     derive_rng,
     exhaustive_grid_rvs,
@@ -35,6 +34,7 @@ from .sampling import (
     sample_measurable,
 )
 from .space import (
+    DEFAULT_SAMPLES,
     Event,
     Partition,
     RandomVariable,
@@ -196,14 +196,6 @@ def _weighted_cell_means(H: Partition, density: RandomVariable) -> EvalFn:
         return cell_means(X, H, q)
 
     return means
-
-
-def weighted_expectation(
-    X: RandomVariable, H: Partition, density: RandomVariable
-) -> RandomVariable:
-    """E(rho X | H) for a normalized density rho (finite, >= 0, both means 1)."""
-    _validate_density(density, H)
-    return _weighted_cell_means(H, density)(X)
 
 
 def weighted_indicator(H: Partition, density: RandomVariable, label: str = "weighted") -> IndicatorSpec:

@@ -199,17 +199,17 @@ def condexp_ext_indicator(H: Partition) -> IndicatorSpec:
     )
 
 
-BUILTIN_NAMES = ("esssup", "essinf", "condexp", "condexp-ext")
+_BUILTINS = {
+    "esssup": esssup_indicator,
+    "essinf": essinf_indicator,
+    "condexp": condexp_indicator,
+    "condexp-ext": condexp_ext_indicator,
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_indicator(name: str, H: Partition) -> IndicatorSpec:
-    factories = {
-        "esssup": esssup_indicator,
-        "essinf": essinf_indicator,
-        "condexp": condexp_indicator,
-        "condexp-ext": condexp_ext_indicator,
-    }
-    return factories[name](H)
+    return _BUILTINS[name](H)
 
 
 # -- dual, mix, families ------------------------------------------------------

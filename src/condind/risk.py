@@ -27,7 +27,6 @@ from .errors import (
 )
 from .indicators import Flag, IndicatorSpec, essinf_cond, esssup_cond
 from .sampling import (
-    DEFAULT_SAMPLES,
     NONNEG_ALPHA_GRID,
     UNIT_GRID,
     derive_rng,
@@ -36,7 +35,7 @@ from .sampling import (
     sample_measurable,
     sample_rv,
 )
-from .space import DEFAULT_TOL, Partition, RandomVariable, _on_cells
+from .space import DEFAULT_SAMPLES, DEFAULT_TOL, Partition, RandomVariable, _on_cells
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,6 @@ class RiskMeasureSpec:
         if not self.in_domain(X):
             raise DomainViolationError(f"{self.name}: argument outside declared domain")
         return self.eval_fn(X)
-
-
-def acceptance_contains(I: IndicatorSpec, X: RandomVariable) -> bool:
-    """Membership in the acceptance set: the indicator's value is >= 0."""
-    if not I.in_domain(X):
-        raise DomainViolationError(f"{I.name}: X outside the indicator domain")
-    return I(X).is_nonnegative()
 
 
 def rho(I: IndicatorSpec, X: RandomVariable) -> RandomVariable:

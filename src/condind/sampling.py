@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .extreal import NEG_INF, POS_INF, ExtReal, ext
-from .space import DEFAULT_SAMPLES  # noqa: F401 - the checkers import it from here
 from .space import Event, FiniteProbabilitySpace, Partition, RandomVariable
 from .space import _on_cells, _pack, _pack_triples, _packed
 

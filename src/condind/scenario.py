@@ -27,7 +27,6 @@ class Scenario:
     space: FiniteProbabilitySpace
     partitions: dict[str, Partition]
     variables: dict[str, RandomVariable]
-    filtration_names: tuple[str, ...] = ()
     filtration: Filtration | None = None
 
     def partition(self, name: str) -> Partition:
@@ -141,7 +140,6 @@ def parse_scenario(doc: dict) -> Scenario:
         space=space,
         partitions=partitions,
         variables=variables,
-        filtration_names=filtration_names,
         filtration=filtration,
     )
 
@@ -168,7 +166,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "partitions": {
             name: part.label_cells() for name, part in sorted(s.partitions.items())
         },
-        "filtration": list(s.filtration_names),
+        "filtration": list(s.filtration.times if s.filtration else ()),
         "variables": {
             name: rv.as_mapping() for name, rv in sorted(s.variables.items())
         },

@@ -26,8 +26,9 @@ from .indicators import (
     builtin_indicator,
     esssup_cond,
 )
-from .sampling import DEFAULT_SAMPLES, derive_rng, iter_cases
+from .sampling import derive_rng, iter_cases
 from .space import (
+    DEFAULT_SAMPLES,
     Event,
     Filtration,
     Partition,
@@ -169,7 +170,7 @@ def projection_solve(
     combos = within_budget(1)
     survivors_per_cell: list[list[ExtReal]] = []
     for ci, cell in enumerate(Ft.cells):
-        values = sorted({*grid, per_cell_max.values[cell[0]]})
+        values = sorted(dict.fromkeys([*grid, per_cell_max.values[cell[0]]]))
         candidates = [v for v in values if not (nonneg and v < ZERO)]
         ev = Ft.cell_event(ci)
         x_cell = restrict(X, ev)

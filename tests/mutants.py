@@ -59,9 +59,15 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "projection-candidates-unsorted", "src/condind/stochastic.py",
-        "values = sorted({*grid, per_cell_max.values[cell[0]]})",
+        "values = sorted(dict.fromkeys([*grid, per_cell_max.values[cell[0]]]))",
         "values = list(dict.fromkeys([*grid, per_cell_max.values[cell[0]]]))",
         "tests/test_stochastic.py",
+    ),
+    Mutant(
+        "dump-drops-filtration", "src/condind/scenario.py",
+        '"filtration": list(s.filtration.times if s.filtration else ()),',
+        '"filtration": [],',
+        "tests/test_cli.py",
     ),
     Mutant(
         "structural-stream-by-argument", "src/condind/checks.py",

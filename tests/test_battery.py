@@ -16,7 +16,6 @@ from condind import (
     RandomVariable,
     Scenario,
     Verdict,
-    battery_failed,
     builtin_indicator,
     canonical_scenario,
     essinf_cond,
@@ -35,7 +34,7 @@ from conftest import all_partitions, pairs_doc
 
 def test_battery_green_and_named(scenario):
     reports = verify_all(scenario, seed=3, samples=30)
-    assert not battery_failed(reports)
+    assert all(r.ok for r in reports)
     names = [r.prop for r in reports]
     assert names[0] == "conv-table"
     assert len(names) == len(set(names))  # properties addressable by name
@@ -53,7 +52,7 @@ def test_battery_without_filtration_skips_tower():
         variables={},
     )
     reports = verify_all(bare, seed=1, samples=15)
-    assert not battery_failed(reports)
+    assert all(r.ok for r in reports)
     skipped = [r for r in reports if r.verdict is Verdict.SKIPPED]
     assert any(r.prop == "tower" for r in skipped)
 
@@ -61,7 +60,7 @@ def test_battery_without_filtration_skips_tower():
 def test_battery_without_partitions_runs_on_the_trivial_partition():
     space = FiniteProbabilitySpace.uniform(["a", "b"])
     reports = verify_all(Scenario(space=space, partitions={}, variables={}), seed=1, samples=15)
-    assert not battery_failed(reports)
+    assert all(r.ok for r in reports)
     names = [r.prop for r in reports]
     assert len(names) == 74
     assert {f"locality:{name}@trivial" for name in BUILTIN_NAMES} <= set(names)
@@ -146,7 +145,6 @@ def _random_scenario(seed: int) -> Scenario:
         space=space,
         partitions={"P0": coarse, "P1": mid, "P2": fine},
         variables={},
-        filtration_names=("P0", "P1", "P2"),
         filtration=Filtration(("P0", "P1", "P2"), (coarse, mid, fine)),
     )
 
@@ -263,6 +261,6 @@ def test_verify_all_on_twelve_atoms_within_budget():
     start = time.perf_counter()
     reports = verify_all(parse_scenario(doc), seed=7, samples=20)
     elapsed = time.perf_counter() - start
-    assert not battery_failed(reports)
+    assert all(r.ok for r in reports)
     assert any(r.prop == "locality:esssup@F2" for r in reports)
     assert elapsed < 10, f"verify-all on 12 atoms took {elapsed:.2f}s (budget 10s)"

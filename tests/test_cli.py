@@ -613,5 +613,5 @@ def test_scenario_to_dict_round_trips_exactly(doc):
     back = parse_scenario(scenario_to_dict(s))
     assert back.space == s.space
     assert back.partitions == s.partitions
-    assert back.filtration_names == s.filtration_names and back.filtration == s.filtration
+    assert back.filtration == s.filtration
     assert back.variables == s.variables

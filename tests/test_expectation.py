@@ -23,7 +23,6 @@ from condind import (
     ext_cond_expectation_closed_form,
     is_conditional_expectation,
     recover_density,
-    weighted_expectation,
     weighted_indicator,
 )
 from condind.battery import sample_normalized_density
@@ -137,25 +136,25 @@ def test_additivity_off_F_skips(space4):
 def test_weighted_expectation_example(space4, H):
     rho0 = rv(space4, "1/2", "3/2", 1, 1)
     X = rv(space4, 2, 2, 0, 4)
-    assert weighted_expectation(X, H, rho0) == rv(space4, 2, 2, 2, 2)
+    assert weighted_indicator(H, rho0)(X) == rv(space4, 2, 2, 2, 2)
     # density 1 is the plain conditional expectation
     ones = rv(space4, 1, 1, 1, 1)
     Y = rv(space4, 1, 3, 2, 6)
-    assert weighted_expectation(Y, H, ones) == ext_cond_expectation_closed_form(Y, H)
+    assert weighted_indicator(H, ones)(Y) == ext_cond_expectation_closed_form(Y, H)
     # measurable X comes back unchanged thanks to conditional mean one
     Xm = rv(space4, 7, 7, -1, -1)
-    assert weighted_expectation(Xm, H, rho0) == Xm
+    assert weighted_indicator(H, rho0)(Xm) == Xm
 
 
 def test_weighted_expectation_validates_density(space4, H):
     X = rv(space4, 1, 2, 3, 4)
     with pytest.raises(BadDensityError):
-        weighted_expectation(X, H, rv(space4, -1, 3, 1, 1))  # negative
+        weighted_indicator(H, rv(space4, -1, 3, 1, 1))(X)  # negative
     with pytest.raises(BadDensityError):
-        weighted_expectation(X, H, rv(space4, 2, 2, 2, 2))  # mass 2
+        weighted_indicator(H, rv(space4, 2, 2, 2, 2))(X)  # mass 2
     with pytest.raises(BadDensityError):
         # global mass 1 but conditional means 3/2 and 1/2
-        weighted_expectation(X, H, rv(space4, "3/2", "3/2", "1/2", "1/2"))
+        weighted_indicator(H, rv(space4, "3/2", "3/2", "1/2", "1/2"))(X)
 
 
 def test_recover_density_roundtrip_exact(space4, H):
@@ -303,7 +302,6 @@ def test_weighted_kernel_matches_product_reference():
             for X in inputs:
                 expected = ext_cond_expectation_closed_form(rho0 * X, H)
                 assert I(X) == expected, (H.cells, rho0.values, X.values)
-                assert weighted_expectation(X, H, rho0) == expected
                 cases += 1
     assert cases == 3087
 

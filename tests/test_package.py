@@ -1,5 +1,6 @@
 """The package's public API: lazy exports that resolve to the same objects."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -12,7 +13,7 @@ PUBLIC_NAMES = sorted("""
     AdaptedProcess BUILTIN_NAMES CheckReport DEFAULT_TOL DensityReport Event ExtReal
     Filtration FiniteProbabilitySpace Flag IndicatorSpec NEG_INF ONE POS_INF Partition
     RandomVariable RiskMeasureSpec Scenario StochasticIndicator Verdict ZERO
-    acceptance_contains additivity_set backward_envelope battery_failed builtin_indicator
+    additivity_set backward_envelope builtin_indicator
     canonical_scenario check_additive_implies_regular check_additivity_on_F check_axioms
     check_contractive check_convex_implies_regular check_dom_closure
     check_esssup_shift_rigidity check_hplus_decomposition check_lemm_cond_exp
@@ -25,15 +26,52 @@ PUBLIC_NAMES = sorted("""
     is_conditional_expectation is_indicator_martingale is_measurable is_refinement
     load_scenario lower_extension mix_self_dual parse_ext parse_scenario patch
     projection_solve recover_density restrict rho rho_from_acceptance rho_from_indicator
-    scenario_to_dict upper_extension verify_all weighted_expectation weighted_indicator
+    scenario_to_dict upper_extension verify_all weighted_indicator
 """.split())
 SUBMODULES = ("battery", "checks", "cli", "errors", "expectation_ext", "extreal", "indicators",
               "risk", "sampling", "scenario", "space", "stochastic")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "condind")
+
+# exports that nothing in the package calls, each kept for a reason
+UNCALLED_EXPORTS = {
+    "ext_add": "the acceptance gate imports it",
+    "ext_sub": "the acceptance gate imports it",
+    "ext_mul": "the acceptance gate imports it",
+    "dump_scenario": "the scenario round trip the README promises",
+    "check_contractive": "ROADMAP item 11: the characterization rows will call it",
+    "is_conditional_expectation": "ROADMAP item 11: the characterization rows will call it",
+}
+
+
+def _references(node: ast.AST, defining: frozenset = frozenset()) -> set[str]:
+    """Names a module's code reads: loaded names, attributes and the modules
+    of relative imports, none counted inside the definition of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        defining = defining | {node.name}
+    found = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+        found.add(node.module)
+    for child in ast.iter_child_nodes(node):
+        found |= _references(child, defining)
+    return found - defining
 
 
 def test_all_is_the_public_api():
-    assert len(PUBLIC_NAMES) == 86
+    assert len(PUBLIC_NAMES) == 83
     assert sorted(condind.__all__) == PUBLIC_NAMES
+
+
+def test_every_export_has_a_caller_or_a_recorded_reason():
+    referenced = set()
+    for file in os.listdir(SRC):
+        if file.endswith(".py") and file != "__init__.py":
+            with open(os.path.join(SRC, file)) as fh:
+                referenced |= _references(ast.parse(fh.read()))
+    assert set(condind.__all__) - referenced == set(UNCALLED_EXPORTS)
 
 
 def test_each_name_is_its_defining_modules_object():

@@ -28,7 +28,7 @@ from condind import (
     projection_solve,
 )
 from condind.errors import GridTooLargeError, ValidationError
-from condind.extreal import ext
+from condind.extreal import ExtReal, ext
 from condind.sampling import derive_rng, sample_event, sample_rv
 from condind.stochastic import SOLVE_BUDGET
 from conftest import all_partitions, pairs_doc, rv
@@ -142,6 +142,32 @@ def test_projection_solve_signed_keeps_all_grid_solutions(scenario, space4):
     assert sols == [rv(space4, -1, -1, 5, 5), rv(space4, 0, 0, 5, 5)]
     sols = projection_solve(I0, rv(space4, -1, 0, -2, -1), F1, [ext(0), ext(-1)])
     assert sols == [rv(space4, -1, -1, 0, 0), rv(space4, 0, 0, -1, -1), rv(space4, 0, 0, 0, 0)]
+
+
+def test_projection_solve_comparisons_do_not_follow_hash_order(monkeypatch, space4):
+    # the candidates are deduplicated in grid order, not in a set's hash
+    # order, so the sort's comparison count is the same under any hash that
+    # agrees with ==
+    F0 = Partition.trivial(space4)
+    Ft = Partition.from_labels(space4, [["a", "b"], ["c", "d"]])
+    X = rv(space4, "1/2", 3, 0, 2)
+    grid = [ext(Fraction(v)) for v in (0, "1/2", 1, "3/2", 2, "5/2", 3, "7/2", "1/3", "2/3")]
+    less = ExtReal.__lt__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return less(self, other)
+
+    def comparisons():
+        calls.clear()
+        solutions = projection_solve(esssup_indicator(F0), X, Ft, grid)
+        return len(calls), solutions
+
+    monkeypatch.setattr(ExtReal, "__lt__", counted)
+    by_class_hash = comparisons()
+    monkeypatch.setattr(ExtReal, "__hash__", lambda v: hash((v.den, v.num, v.kind)))
+    assert comparisons() == by_class_hash
 
 
 def test_projection_solve_budget(scenario, space4):
