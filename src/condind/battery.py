@@ -190,7 +190,7 @@ def _projection_property(prop, SI, t_index, samples, seed) -> CheckReport:
     filtration = SI.filtration
     I0 = SI.indicators[0]
     Ft = filtration.partitions[t_index]
-    inner_notes: set[str] = set()  # past the cap, the one "partial: ..." note every trial gives
+    inner_notes: set[str] = set()  # past 64 events, the one "partial: sampled" note of every trial
 
     def trials():
         for case in range(samples):

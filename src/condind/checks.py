@@ -30,7 +30,6 @@ from .sampling import (
 )
 from .space import (
     DEFAULT_SAMPLES,
-    EVENT_CAP,
     EVENT_SAMPLES,
     Event,
     Partition,
@@ -184,19 +183,20 @@ def check_axioms(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
     return falsify(f"axioms:{I.name}", trials())
 
 
-# -- events of a partition, within the enumeration cap ---------------------------
+# -- events of a partition: all of them, or EVENT_SAMPLES drawn ------------------
 
 
 def enumerate_or_sample(H: Partition, rng) -> tuple[list[Event], tuple[str, ...]]:
-    """Every event of H, or past EVENT_CAP the first EVENT_SAMPLES distinct
-    events drawn from rng, in first-drawn order, and the note saying how
-    many; a check never claims events it did not see."""
-    if H.cell_count <= EVENT_CAP:
+    """Every event of H when there are at most EVENT_SAMPLES of them (k <= 6
+    cells); else the first EVENT_SAMPLES distinct events drawn from rng, in
+    first-drawn order, and the note saying how many of the 2^k; a check
+    never claims events it did not see."""
+    if 1 << H.cell_count <= EVENT_SAMPLES:
         return enumerate_events(H), ()
     events: dict[Event, None] = {}
     while len(events) < EVENT_SAMPLES:
         events[sample_event(H, rng)] = None
-    return list(events), (f"partial: 2^{H.cell_count} events exceed cap {EVENT_CAP}; sampled {len(events)}",)
+    return list(events), (f"partial: sampled {len(events)} of 2^{H.cell_count} events",)
 
 
 # -- regularity (cell locality) -----------------------------------------------

@@ -30,8 +30,8 @@ from .errors import CapExceededError, SpaceMismatchError, ValidationError
 from .extreal import _FIN, NEG_INF, POS_INF, ZERO, ExtReal, ext
 
 DEFAULT_SAMPLES = 500
-EVENT_CAP = 20  # cells past which a partition's 2^k events are not enumerated
-EVENT_SAMPLES = 64  # distinct events a check samples instead, past the cap
+EVENT_CAP = 20  # cells past which enumerate_events refuses to list a partition's 2^k events
+EVENT_SAMPLES = 64  # a check lists all 2^k events up to this many, else samples this many distinct
 DEFAULT_TOL = Fraction(1, 2**40)  # rho's bisection tolerance
 
 

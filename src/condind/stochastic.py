@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .checks import CheckReport, Verdict, additivity_trials, enumerate_or_sample, falsify
+from .checks import CheckReport, additivity_trials, enumerate_or_sample, falsify
 from .errors import (
     GridTooLargeError,
     SpaceMismatchError,
@@ -33,6 +33,7 @@ from .space import (
     Filtration,
     Partition,
     RandomVariable,
+    enumerate_events,
     is_measurable,
     restrict,
 )
@@ -123,22 +124,21 @@ def check_projection(
     Ft: Partition,
     seed: int = 0,
 ) -> CheckReport:
-    """I_0(X 1_F) = I_0(Z 1_F) over every event of the time-t algebra; past
-    the cap, over EVENT_SAMPLES events drawn at `seed` (`enumerate_or_sample`)."""
+    """I_0(X 1_F) = I_0(Z 1_F) over every event of the time-t algebra up to
+    k = 6 cells, else over EVENT_SAMPLES drawn at `seed` (`enumerate_or_sample`)."""
     if not is_measurable(Z, Ft):
         raise ValidationError("Z must be measurable w.r.t. the time-t partition")
-    prop = f"projection:{I0.name}"
     rng = derive_rng(seed, f"projection-events:{I0.name}")
     events, notes = enumerate_or_sample(Ft, rng)
+    return falsify(f"projection:{I0.name}", _projection_trials(I0, Z, X, events), notes=notes)
 
-    def trials():
-        for ev in events:
-            lhs_arg, rhs_arg = restrict(X, ev), restrict(Z, ev)
-            if I0.in_domain(lhs_arg) and I0.in_domain(rhs_arg):
-                lhs, rhs = I0(lhs_arg), I0(rhs_arg)
-                yield lhs == rhs, dict(F=ev, lhs=lhs, rhs=rhs)
 
-    return falsify(prop, trials(), notes=notes)
+def _projection_trials(I0, Z, X, events):
+    for ev in events:
+        lhs_arg, rhs_arg = restrict(X, ev), restrict(Z, ev)
+        if I0.in_domain(lhs_arg) and I0.in_domain(rhs_arg):
+            lhs, rhs = I0(lhs_arg), I0(rhs_arg)
+            yield lhs == rhs, dict(F=ev, lhs=lhs, rhs=rhs)
 
 
 def projection_solve(
@@ -153,8 +153,9 @@ def projection_solve(
     The grid is always augmented with the exact per-cell maxima of X so
     discretization cannot miss the canonical solution. For X >= 0 the
     candidate values are restricted to >= 0 (the uniqueness regime); signed
-    X searches the whole grid and makes no uniqueness claim. A sweep of more
-    than SOLVE_BUDGET (candidate, event) pairs over the 2^k events raises
+    X searches the whole grid and makes no uniqueness claim. Each candidate
+    is checked on all 2^k events, listed once: a solution is claimed exact. A
+    sweep of more than SOLVE_BUDGET (candidate, event) pairs raises
     GridTooLargeError as soon as a cell's survivors show it, at once for k >= 18.
     """
     grid = [ext(v) for v in value_grid]
@@ -186,10 +187,11 @@ def projection_solve(
         combos = within_budget(combos * len(kept))
 
     # cells go by first atom, so the product of ascending lists is ascending atomwise
+    events = enumerate_events(Ft) if combos else []
     solutions: list[RandomVariable] = []
     for combo in itertools.product(*survivors_per_cell):
         Z = RandomVariable.from_cells(Ft, combo)
-        if check_projection(I0, Z, X, Ft).verdict is Verdict.VERIFIED:
+        if all(ok for ok, _ in _projection_trials(I0, Z, X, events)):
             solutions.append(Z)
     return solutions
 

@@ -288,7 +288,7 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "past-cap-note-dropped", "src/condind/checks.py",
-        'return list(events), (f"partial: 2^{H.cell_count} events exceed cap {EVENT_CAP}; sampled {len(events)}",)',
+        'return list(events), (f"partial: sampled {len(events)} of 2^{H.cell_count} events",)',
         "return list(events), ()",
         "tests/test_cli.py",
     ),
@@ -321,6 +321,24 @@ ROWS: tuple[Mutant, ...] = (
         "while len(events) < EVENT_SAMPLES:",
         "while len(events) <= EVENT_SAMPLES:",
         "tests/test_checks.py",
+    ),
+    Mutant(
+        "event-samples-threshold-strict", "src/condind/checks.py",
+        "if 1 << H.cell_count <= EVENT_SAMPLES:",
+        "if 1 << H.cell_count < EVENT_SAMPLES:",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "event-samples-threshold-on-cells", "src/condind/checks.py",
+        "if 1 << H.cell_count <= EVENT_SAMPLES:",
+        "if H.cell_count <= EVENT_SAMPLES:",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "projection-solve-samples-events", "src/condind/stochastic.py",
+        "events = enumerate_events(Ft) if combos else []",
+        'events = enumerate_or_sample(Ft, derive_rng(0, "projection-events"))[0] if combos else []',
+        "tests/test_stochastic.py",
     ),
     Mutant(
         "solve-budget-ignores-events", "src/condind/stochastic.py",

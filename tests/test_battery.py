@@ -191,7 +191,7 @@ def test_every_property_runs_alone(seed, samples):
 
 
 def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):
-    # past the cap check_projection samples the events it checks, so each
+    # past 64 events check_projection samples the events it checks, so each
     # trial must reach it with its own seed, the row's seed plus the trial
     # index, or every trial of every row checks the same events
     from condind import battery, parse_scenario, stochastic
@@ -207,7 +207,7 @@ def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):
 
     def sample_spy(*args):
         events, notes = sample(*args)
-        assert notes  # 21 cells: past the cap
+        assert notes  # 21 cells: sampled
         event_sets.append(frozenset(ev.members for ev in events))
         return events, notes
 
@@ -222,7 +222,7 @@ def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):
 
 def test_projection_row_reports_one_past_cap_note(monkeypatch):
     # each trial samples its own events, EVENT_SAMPLES distinct ones, so the
-    # row says once, like the other past-cap rows, how many each trial checked
+    # row says once, like the other sampling rows, how many each trial checked
     from condind import parse_scenario, stochastic
     from condind.space import EVENT_SAMPLES
 
@@ -238,7 +238,7 @@ def test_projection_row_reports_one_past_cap_note(monkeypatch):
     (row,) = [run for name, run in properties(big, 8, 10) if name == "projection:esssup"]
     rep = row()
     assert rep.ok and counts == [EVENT_SAMPLES] * 20
-    assert rep.notes == ("partial: 2^21 events exceed cap 20; sampled 64",)
+    assert rep.notes == ("partial: sampled 64 of 2^21 events",)
 
 
 def test_verify_all_on_twelve_atoms_within_budget():
@@ -263,4 +263,19 @@ def test_verify_all_on_twelve_atoms_within_budget():
     elapsed = time.perf_counter() - start
     assert all(r.ok for r in reports)
     assert any(r.prop == "locality:esssup@F2" for r in reports)
+    # H has 6 cells, so 64 = EVENT_SAMPLES events: every event check lists them all
+    assert not [r.prop for r in reports if any(n.startswith("partial: sampled") for n in r.notes)]
     assert elapsed < 10, f"verify-all on 12 atoms took {elapsed:.2f}s (budget 10s)"
+
+
+def test_verify_all_has_no_event_cliff():
+    # past 64 events every event check samples 64 of them, so the cost of a
+    # draw no longer grows 4x per two cells: H has 16 cells, 65,536 events
+    import time
+    from condind import parse_scenario
+
+    start = time.perf_counter()
+    reports = verify_all(parse_scenario(pairs_doc(32)), seed=7, samples=10)
+    elapsed = time.perf_counter() - start
+    assert [r.prop for r in reports if not r.ok] == []
+    assert elapsed < 10, f"verify-all on pairs_doc(32) took {elapsed:.2f}s (budget 10s)"

@@ -270,9 +270,25 @@ def test_enumerate_or_sample_past_the_cap_keeps_event_samples_distinct_draws():
     rng = derive_rng(3, "events")
     drawn = dict.fromkeys(sample_event(cells21, rng) for _ in range(2 * EVENT_SAMPLES))
     assert events == list(drawn)[:EVENT_SAMPLES]
-    assert notes == ("partial: 2^21 events exceed cap 20; sampled 64",)
+    assert notes == ("partial: sampled 64 of 2^21 events",)
     cells4 = Partition.discrete(FiniteProbabilitySpace.uniform([f"w{i}" for i in range(4)]))
     assert enumerate_or_sample(cells4, rng) == (enumerate_events(cells4), ())
+
+
+def test_enumerate_or_sample_lists_every_event_only_up_to_event_samples():
+    # 6 cells have 64 = EVENT_SAMPLES events, all listed and no note; 7 cells
+    # have 128, so the first EVENT_SAMPLES distinct draws are checked and said so
+    cells6 = Partition.discrete(FiniteProbabilitySpace.uniform([f"w{i}" for i in range(6)]))
+    rng = derive_rng(3, "events")
+    assert enumerate_or_sample(cells6, rng) == (enumerate_events(cells6), ())
+    assert rng.getstate() == derive_rng(3, "events").getstate()
+    cells7 = Partition.discrete(FiniteProbabilitySpace.uniform([f"w{i}" for i in range(7)]))
+    events, notes = enumerate_or_sample(cells7, rng)
+    assert len(events) == len(set(events)) == EVENT_SAMPLES < 2**7
+    rng = derive_rng(3, "events")
+    drawn = dict.fromkeys(sample_event(cells7, rng) for _ in range(8 * EVENT_SAMPLES))
+    assert events == list(drawn)[:EVENT_SAMPLES]
+    assert notes == ("partial: sampled 64 of 2^7 events",)
 
 
 def test_counterexample_witness_reevaluates(space4, H):

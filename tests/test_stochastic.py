@@ -87,7 +87,7 @@ def test_projection_examples(scenario, space4):
 
 
 def test_projection_past_the_cap_samples_on_its_own_stream():
-    # H has 21 cells, past the event cap: the events checked are drawn from
+    # H has 21 cells, past 64 events: the events checked are drawn from
     # the `projection-events:` stream, not from the stream of the battery row
     # `projection:esssup` that calls the check
     big = parse_scenario(pairs_doc(42))
@@ -180,6 +180,36 @@ def test_projection_solve_budget(scenario, space4):
     assert 12**4 * 16 > SOLVE_BUDGET
     with pytest.raises(GridTooLargeError):
         projection_solve(I0, X, F2, [ext(-v) for v in range(12)])
+
+
+def test_projection_solve_checks_every_event_listed_once(monkeypatch):
+    # H has 7 cells, 128 events, past EVENT_SAMPLES: a check would sample 64
+    # of them, but a solution is claimed exact, so every candidate is checked
+    # on all 128, from one list built once per call
+    from condind import checks, stochastic
+
+    scenario = parse_scenario(pairs_doc(14))
+    H, X = scenario.partitions["H"], scenario.variable("X")
+    trials, listing = stochastic._projection_trials, stochastic.enumerate_events
+    seen, built = [], []
+
+    def trials_spy(I0, Z, X, events):
+        seen.append(frozenset(ev.members for ev in events))
+        return trials(I0, Z, X, events)
+
+    def listing_spy(partition):
+        built.append(partition)
+        return listing(partition)
+
+    monkeypatch.setattr(stochastic, "_projection_trials", trials_spy)
+    monkeypatch.setattr(stochastic, "enumerate_events", listing_spy)
+    monkeypatch.setattr(checks, "enumerate_events", listing_spy)
+    grid = sorted(dict.fromkeys([*X.values, ext(0)]))
+    solutions = projection_solve(esssup_indicator(scenario.partitions["F0"]), X, H, grid)
+    assert len(solutions) == 16 and len(seen) >= 16
+    assert set(seen) == {frozenset(ev.members for ev in listing(H))}
+    assert len(next(iter(seen))) == 2**7
+    assert built == [H]
 
 
 def test_projection_solve_sizes_its_sweep_without_building_events(monkeypatch):
