@@ -28,6 +28,7 @@ from .checks import (
     check_structural,
     enumerate_or_sample,
     falsify,
+    grid_coefficients,
     scaling_trials,
     self_duality_trials,
 )
@@ -403,7 +404,8 @@ def properties(scenario: Scenario, seed: int, samples: int) -> Iterator[Row]:
 
     condexp = builtin_indicator("condexp", main)
     # additive + self-dual collapses to exact rational scaling on a finite space
-    yield _named("linear-scaling:condexp", _law, seed, scaling_trials, condexp, samples, ALPHA_GRID, False)
+    scales = grid_coefficients(main, ALPHA_GRID)
+    yield _named("linear-scaling:condexp", _law, seed, scaling_trials, condexp, samples, scales, False)
     yield "condexp-ext-identities", partial(check_lemm_cond_exp, main, samples, seed)
 
     for name in ("esssup", "essinf", "condexp"):

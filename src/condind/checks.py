@@ -129,23 +129,53 @@ def self_duality_trials(
 
 
 def scaling_trials(
-    I: IndicatorSpec, rng, samples: int, grid: Sequence[Fraction], allow_inf: bool = True
+    F, rng, samples: int, coefficients: Callable[[Any], Iterable[tuple]], allow_inf: bool = True
 ) -> Iterator[Trial]:
-    """I(AX) = A I(X) for the constants of the grid and one sampled finite
-    measurable A, which is nonnegative exactly when the grid is."""
-    H = I.target
-    nonneg = all(a >= 0 for a in grid)
-    for X in iter_cases(H.space, rng, samples, allow_inf=allow_inf):
-        if not I.in_domain(X):
+    """F(AX) = A F(X) for each pair (alpha, A) of coefficients(rng), drawn
+    once X is in F's domain; alpha is the coefficient the witness shows."""
+    for X in iter_cases(F.target.space, rng, samples, allow_inf=allow_inf):
+        if not F.in_domain(X):
             continue
-        IX = I(X)
-        coeffs = [RandomVariable.constant(H.space, a) for a in grid]
-        coeffs.append(sample_measurable(H, rng, nonneg=nonneg))
-        for A in coeffs:
+        FX = F(X)
+        for alpha, A in coefficients(rng):
             AX = A * X
-            if I.in_domain(AX):
-                lhs, rhs = I(AX), A * IX
-                yield lhs == rhs, dict(X=X, alpha=A, lhs=lhs, rhs=rhs)
+            if F.in_domain(AX):
+                lhs, rhs = F(AX), A * FX
+                yield lhs == rhs, dict(X=X, alpha=alpha, lhs=lhs, rhs=rhs)
+
+
+def grid_coefficients(H: Partition, grid: Sequence[Fraction]) -> Callable[[Any], list[tuple]]:
+    """The scaling coefficients: the constants of the grid, then one sampled
+    finite H-measurable A, nonnegative exactly when the grid is."""
+    constants = [RandomVariable.constant(H.space, a) for a in grid]
+    nonneg = all(a >= 0 for a in grid)
+    return lambda rng: [(A, A) for A in (*constants, sample_measurable(H, rng, nonneg=nonneg))]
+
+
+def combination_trials(
+    F,
+    rng,
+    samples: int,
+    coefficients: Callable[[Any], Iterable[tuple]],
+    holds: Callable[[RandomVariable, RandomVariable], bool],
+    allow_inf: bool = True,
+) -> Iterator[Trial]:
+    """holds(F(AX + BY), A F(X) + B F(Y)) for each triple (alpha, A, B) of
+    coefficients(rng), drawn once X and Y are in F's domain; alpha is the
+    coefficient the witness shows. F(Z), F(X) and F(Y) are evaluated in
+    that order for every triple, never cached per draw: from the second
+    triple on, a measure that reads its call history sees F(Z) right after
+    F(X) and F(Y)."""
+    space = F.target.space
+    for X in iter_cases(space, rng, samples, allow_inf=allow_inf):
+        Y = sample_rv(space, rng, allow_inf=allow_inf)
+        if not (F.in_domain(X) and F.in_domain(Y)):
+            continue
+        for alpha, A, B in coefficients(rng):
+            Z = A * X + B * Y
+            if F.in_domain(Z):
+                lhs, rhs = F(Z), A * F(X) + B * F(Y)
+                yield holds(lhs, rhs), dict(X=X, Y=Y, alpha=alpha, lhs=lhs, rhs=rhs)
 
 
 # -- core axioms ---------------------------------------------------------------
@@ -315,36 +345,22 @@ def check_structural(
                     yield lhs == rhs, dict(X=X, alpha=M, lhs=lhs, rhs=rhs)
 
         elif flag is Flag.POS_HOMOGENEOUS:
-            yield from scaling_trials(I, rng, samples, NONNEG_ALPHA_GRID)
+            yield from scaling_trials(I, rng, samples, grid_coefficients(H, NONNEG_ALPHA_GRID))
 
         elif flag is Flag.LINEAR:
-            for X in iter_cases(space, rng, samples):
-                Y = sample_rv(space, rng)
-                if not (I.in_domain(X) and I.in_domain(Y)):
-                    continue
-                A = sample_measurable(H, rng, allow_inf=False)
-                for coeff in (RandomVariable.constant(space, 1), A):
-                    Z = coeff * X + Y
-                    if I.in_domain(Z):
-                        lhs, rhs = I(Z), coeff * I(X) + I(Y)
-                        yield lhs == rhs, dict(X=X, Y=Y, alpha=coeff, lhs=lhs, rhs=rhs)
+            # A X + Y for A = 1 and one sampled finite measurable A
+            one = RandomVariable.constant(space, 1)
+            triples = lambda r: [(A, A, one) for A in (one, sample_measurable(H, r))]
+            yield from combination_trials(I, rng, samples, triples, RandomVariable.__eq__)
 
         elif flag in (Flag.SUBADDITIVE, Flag.SUPERADDITIVE):
             holds = RandomVariable.le if flag is Flag.SUBADDITIVE else RandomVariable.ge
             yield from additivity_trials(I, rng, samples, holds)
 
         elif flag is Flag.CONVEX:
-            for X in iter_cases(space, rng, samples):
-                Y = sample_rv(space, rng)
-                if not (I.in_domain(X) and I.in_domain(Y)):
-                    continue
-                for a in UNIT_GRID:
-                    A = RandomVariable.constant(space, a)
-                    one_minus = RandomVariable.constant(space, 1) - A
-                    Z = A * X + one_minus * Y
-                    if I.in_domain(Z):
-                        lhs, rhs = I(Z), A * I(X) + one_minus * I(Y)
-                        yield lhs.le(rhs), dict(X=X, Y=Y, alpha=A, lhs=lhs, rhs=rhs)
+            one = RandomVariable.constant(space, 1)
+            weights = [(A, A, one - A) for A in [RandomVariable.constant(space, a) for a in UNIT_GRID]]
+            yield from combination_trials(I, rng, samples, lambda _: weights, RandomVariable.le)
 
     return falsify(prop, trials())
 

@@ -20,6 +20,7 @@ from .checks import (
     additivity_trials,
     enumerate_or_sample,
     falsify,
+    grid_coefficients,
     self_duality_trials,
 )
 from .errors import BadDensityError, HypothesisFailedError
@@ -69,6 +70,7 @@ def check_lemm_cond_exp(
     rng = derive_rng(seed, prop)
     space = H.space
     events, notes = enumerate_or_sample(H, rng)
+    scales = grid_coefficients(H, ALPHA_GRID)
 
     def I(X: RandomVariable) -> RandomVariable:
         return ext_cond_expectation_closed_form(X, H)
@@ -80,9 +82,7 @@ def check_lemm_cond_exp(
                 ok = I(restrict(X, ev)) == restrict(IX, ev)
                 yield ok, dict(identity="restriction", X=X, H=ev)
 
-            alphas = [RandomVariable.constant(space, a) for a in ALPHA_GRID]
-            alphas.append(sample_measurable(H, rng, allow_inf=False))
-            for A in alphas:
+            for _, A in scales(rng):
                 lhs, rhs = I(A * X), A * IX
                 yield lhs == rhs, dict(identity="scalar", X=X, alpha=A, lhs=lhs, rhs=rhs)
 

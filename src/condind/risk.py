@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable
 
-from .checks import CheckReport, Verdict, additivity_trials, falsify
+from .checks import CheckReport, Verdict, additivity_trials, combination_trials, falsify, scaling_trials
 from .errors import (
     DomainViolationError,
     NotIncreasingError,
@@ -199,45 +199,26 @@ def check_rm_convexity(
     """rho(aX + (1-a)Y) <= a rho(X) + (1-a) rho(Y). `tol` stays 0 except
     when judging a bisection-backed measure, which overshoots by at most tol."""
     prop = f"rm-convex:{rm.name}"
-    rng = derive_rng(seed, prop)
     space = rm.target.space
     slack = RandomVariable.constant(space, tol)
+    const = lambda a: RandomVariable.constant(space, a)
+    weights = [(a, const(a), const(1 - a)) for a in UNIT_GRID]
 
-    def trials():
-        for X in iter_cases(space, rng, samples, allow_inf=False):
-            Y = sample_rv(space, rng, allow_inf=False)
-            if not (rm.in_domain(X) and rm.in_domain(Y)):
-                continue
-            for a in UNIT_GRID:
-                A = RandomVariable.constant(space, a)
-                B = RandomVariable.constant(space, Fraction(1) - a)
-                Z = A * X + B * Y
-                if rm.in_domain(Z):
-                    lhs, rhs = rm(Z), A * rm(X) + B * rm(Y)
-                    yield lhs.le(rhs + slack), dict(alpha=a, X=X, Y=Y, lhs=lhs, rhs=rhs)
+    def holds(lhs: RandomVariable, rhs: RandomVariable) -> bool:
+        return lhs.le(rhs + slack)
 
-    return falsify(prop, trials())
+    rng = derive_rng(seed, prop)
+    trials = combination_trials(rm, rng, samples, lambda _: weights, holds, allow_inf=False)
+    return falsify(prop, trials)
 
 
 def check_rm_pos_hom(
     rm: RiskMeasureSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> CheckReport:
     prop = f"rm-pos-hom:{rm.name}"
-    rng = derive_rng(seed, prop)
-    space = rm.target.space
-
-    def trials():
-        for X in iter_cases(space, rng, samples, allow_inf=False):
-            if not rm.in_domain(X):
-                continue
-            for a in NONNEG_ALPHA_GRID:
-                A = RandomVariable.constant(space, a)
-                AX = A * X
-                if rm.in_domain(AX):
-                    lhs, rhs = rm(AX), A * rm(X)
-                    yield lhs == rhs, dict(alpha=a, X=X, lhs=lhs, rhs=rhs)
-
-    return falsify(prop, trials())
+    scales = [(a, RandomVariable.constant(rm.target.space, a)) for a in NONNEG_ALPHA_GRID]
+    trials = scaling_trials(rm, derive_rng(seed, prop), samples, lambda _: scales, allow_inf=False)
+    return falsify(prop, trials)
 
 
 def check_rm_coherent(

@@ -12,18 +12,25 @@ with unequal masses, infinities and a density that is 0 on one atom, under
 three partitions each:
 - every checker and every structural flag (and fatou) on the built-ins, the
   violators of `tests/test_checks.py`, duals, self-dual mixes, families and
-  a weighted indicator;
+  a weighted indicator; outside the fast subset also `check_prop_rm` and
+  `check_rm_coherent` of `rho_from_indicator` on each of them;
 - `rho` (exact fast path and bisection), `recover_density`, the lower and
   upper extensions;
 - each CLI verb through `cli.dispatch`, `project` (`projection_solve`)
-  included;
+  included; outside the fast subset also an American `envelope` whose
+  exercise variable is measurable, and `apply` on each head of the indicator
+  grammar (`dual:`, `famsup:`, `faminf:`, `lowext:`, `upext:`) and on four
+  malformed specs;
 - `verify-all` at seeds 1-5 x samples {10, 30} (the fast subset: seed 1,
   samples 10, canonical scenario only);
 - outside the fast subset, the parser: the `--help` text of `condind` and of
   each verb at a fixed width, each verb's usage error for a missing required
   option, and an unknown option, a bad `--family`, `risk --tol abc` (no
   verb takes `--tol`: rho bisects to the fixed `DEFAULT_TOL`), an unknown
-  verb and an unknown `--property`.
+  verb and an unknown `--property`; and `check_additive_implies_regular`
+  on a 7-cell partition, whose 2^7 events are more than `EVENT_SAMPLES`, so
+  the checker samples them; and `check_prop_rm` on esssup declared
+  superadditive, which it is not.
 
 A case that raises a package error records the error's type and message.
 """
@@ -36,17 +43,21 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Callable, Iterator
 from unittest import mock
 
 from condind import (
+    FiniteProbabilitySpace,
     Flag,
     Partition,
     check_additive_implies_regular,
     check_axioms,
     check_convex_implies_regular,
     check_hplus_decomposition,
+    check_prop_rm,
     check_regular,
+    check_rm_coherent,
     check_structural,
     condexp_ext_indicator,
     condexp_indicator,
@@ -60,6 +71,7 @@ from condind import (
     parse_scenario,
     recover_density,
     rho,
+    rho_from_indicator,
     upper_extension,
     weighted_indicator,
 )
@@ -102,6 +114,10 @@ CHECKERS = {
 STRUCTURAL = [f.value for f in Flag if f is not Flag.REGULAR] + ["fatou"]
 VERBS = ("apply", "check", "tower", "project", "envelope", "risk", "condexp-ext",
          "additivity-set", "recover-density", "verify-all")
+# the indicator grammar of `cli.resolve_indicator`, and four malformed specs
+GRAMMAR = ("dual:esssup", "famsup:esssup,condexp", "faminf:essinf,condexp-ext",
+           "lowext:esssup:Y,Z", "upext:condexp:Y")
+MALFORMED = ("famsup:", "famsup:,", "lowext:esssup", "nope:esssup")
 USAGE_ERRORS = [
     ["apply", "--indicator", "esssup", "--var", "X", "--bogus"],
     ["tower", "--family", "nope", "--s", "F0", "--t", "F2"],
@@ -168,6 +184,10 @@ def cases(fast: bool) -> Iterator[tuple[str, Callable[[], object]]]:
                         yield f"{at}/{I.name}/{cname}/{seed}", lambda: check(I, samples, seed)
                     for flag in STRUCTURAL:
                         yield f"{at}/{I.name}/{flag}/{seed}", lambda: check_structural(I, flag, samples, seed)
+                    if not fast:
+                        yield f"{at}/{I.name}/prop-rm/{seed}", lambda: check_prop_rm(I, samples, seed)
+                        yield (f"{at}/{I.name}/rm-coherent/{seed}",
+                               lambda: check_rm_coherent(rho_from_indicator(I), samples, seed))
                 for v in finite:
                     yield f"{at}/{I.name}/rho/{v}", lambda: rho(I, scenario.variable(v))
                 for v in variables:
@@ -185,6 +205,9 @@ def cases(fast: bool) -> Iterator[tuple[str, Callable[[], object]]]:
                       for i in ("esssup", "condexp-ext") for v in finite]
             verbs += [["check", "--indicator", "condexp", "--property", p] for p in sorted(CHECKERS)]
             verbs += [["recover-density", "--indicator", i] for i in ("condexp", "weighted:rho0")]
+            if not fast:
+                verbs += [["apply", "--indicator", i, "--var", v] for i in GRAMMAR for v in variables]
+                verbs += [["apply", "--indicator", i, "--var", "X"] for i in MALFORMED]
             for argv in verbs:
                 argv = [argv[0], "--sigma", pname, "--seed", "3", "--samples", str(samples), *argv[1:]]
                 yield f"{at}/cli/{' '.join(argv)}", lambda: _cli(scenario, argv)
@@ -193,6 +216,8 @@ def cases(fast: bool) -> Iterator[tuple[str, Callable[[], object]]]:
         verbs += [["envelope", "--family", f, "--payoff", v] for f in ("esssup", "essinf", "condexp-ext")
                   for v in variables]
         verbs += [["envelope", "--family", "esssup", "--payoff", "Z", "--american", "H=X"]]
+        if not fast:  # Z is H-measurable on the canonical scenario only, X on neither
+            verbs += [["envelope", "--family", "esssup", "--payoff", "X", "--american", "H=Z"]]
         verbs += [["project", "--var", v, "--time", t] for v in finite for t in ("H", "F2")]
         verbs += [["project", "--var", "Z", "--time", "H", "--i0", "condexp", "--grid", "-2,0,1/3,1"]]
         for argv in verbs:
@@ -206,6 +231,17 @@ def cases(fast: bool) -> Iterator[tuple[str, Callable[[], object]]]:
                 yield f"{sname}/cli/{' '.join(argv)}", lambda: _cli(scenario, argv)
     if fast:
         return
+    # seven cells have 2^7 events, more than EVENT_SAMPLES: the checker samples them
+    space8 = FiniteProbabilitySpace.uniform(list("abcdefgh"))
+    seven = Partition.from_cells(space8, [[0, 1], *[[i] for i in range(2, 8)]])
+    yield "seven-cells/esssup/additive-implies-regular", lambda: check_additive_implies_regular(
+        esssup_indicator(seven), samples, seeds[-1])
+    # a declared flag the indicator lacks: prop-rm reports the inherited law's counterexample
+    sup = esssup_indicator(parse_scenario(CANONICAL_DOC).partition("H"))
+    declared = replace(sup, flags=sup.flags | {Flag.SUPERADDITIVE})
+    for seed in seeds:
+        yield f"canonical/H/esssup-declared-superadditive/prop-rm/{seed}", lambda: check_prop_rm(
+            declared, samples, seed)
     for argv in [["--help"]] + [[verb, "--help"] for verb in VERBS]:
         yield f"parser/{' '.join(argv)}", lambda: _help(argv)
     scenario = parse_scenario(CANONICAL_DOC)

@@ -227,8 +227,8 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "rm-convexity-without-slack", "src/condind/risk.py",
-        "yield lhs.le(rhs + slack), dict(alpha=a, X=X, Y=Y, lhs=lhs, rhs=rhs)",
-        "yield lhs.le(rhs), dict(alpha=a, X=X, Y=Y, lhs=lhs, rhs=rhs)",
+        "return lhs.le(rhs + slack)",
+        "return lhs.le(rhs)",
         "tests/test_risk.py",
     ),
     Mutant(
@@ -369,6 +369,24 @@ ROWS: tuple[Mutant, ...] = (
         "return next(iter(sorted(scenario.partitions.items())))[1]",
         "return next(iter(scenario.partitions.items()))[1]",
         "tests/test_cli.py",
+    ),
+    Mutant(
+        "combination-drops-second-coefficient", "src/condind/checks.py",
+        "lhs, rhs = F(Z), A * F(X) + B * F(Y)",
+        "lhs, rhs = F(Z), A * F(X) + F(Y)",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "scaling-compares-with-unscaled-image", "src/condind/checks.py",
+        "lhs, rhs = F(AX), A * FX",
+        "lhs, rhs = F(AX), FX",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "grid-coefficients-without-measurable", "src/condind/checks.py",
+        "[(A, A) for A in (*constants, sample_measurable(H, rng, nonneg=nonneg))]",
+        "[(A, A) for A in constants]",
+        "tests/test_checks.py",
     ),
     Mutant(
         "esssup-keeps-later-equal-key", "src/condind/indicators.py",

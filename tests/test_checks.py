@@ -23,6 +23,8 @@ from condind import (
     check_regular,
     check_projection_uniqueness_premises,
     check_prop_rm,
+    check_rm_convexity,
+    check_rm_pos_hom,
     check_structural,
     condexp_ext_indicator,
     condexp_indicator,
@@ -34,8 +36,9 @@ from condind import (
     expectation,
     recover_density,
     restrict,
+    rho_from_indicator,
 )
-from condind.checks import enumerate_or_sample, falsify, scaling_trials
+from condind.checks import enumerate_or_sample, falsify, grid_coefficients, scaling_trials
 from condind.cli import jsonable
 from condind.errors import HypothesisFailedError
 from condind.expectation_ext import _hypothesis_reports
@@ -318,9 +321,10 @@ def _density_hypothesis_reports(I, seed):
     return err.value.reports
 
 
-# Counterexample paths of the shared additivity, self-duality and scaling
-# laws: the verify-all digests only cover verified reports. The digests are
-# those of the hand-written loops the shared laws replaced, on the same inputs.
+# Counterexample paths of the shared additivity, self-duality, scaling and
+# combination laws: the verify-all digests only cover verified reports. The
+# digests are those of the hand-written loops the shared laws replaced, on the
+# same inputs.
 COUNTEREXAMPLE_PATHS = {
     "superadditive:esssup": lambda H, seed: check_structural(
         esssup_indicator(H), Flag.SUPERADDITIVE, 40, seed),
@@ -343,7 +347,16 @@ COUNTEREXAMPLE_PATHS = {
     "linear-scaling:global-mean": lambda H, seed: falsify(
         "linear-scaling:global-mean",
         scaling_trials(global_mean_indicator(H.space, H), derive_rng(seed, "linear-scaling:global-mean"),
-                       40, ALPHA_GRID, allow_inf=False)),
+                       40, grid_coefficients(H, ALPHA_GRID), allow_inf=False)),
+    # global-mean is neither linear nor convex: the mean ignores the cells
+    "linear:global-mean": lambda H, seed: check_structural(
+        global_mean_indicator(H.space, H), Flag.LINEAR, 40, seed),
+    "convex:global-mean": lambda H, seed: check_structural(
+        global_mean_indicator(H.space, H), Flag.CONVEX, 40, seed),
+    "rm-convex:esssup": lambda H, seed: check_rm_convexity(
+        rho_from_indicator(esssup_indicator(H)), 40, seed),
+    "rm-pos-hom:esssup+1": lambda H, seed: check_rm_pos_hom(
+        rho_from_indicator(shifted_esssup(H.space, H)), 40, seed),
     # verified, but condexp's domain makes the case counts depend on the draws
     "recover-density-hypotheses:condexp": lambda H, seed: _hypothesis_reports(condexp_indicator(H), 40, seed),
 }
@@ -361,6 +374,10 @@ COUNTEREXAMPLE_DIGESTS = {
         "2282c9b506708593b40b311e307895e5c8957e8f35a4c2466e4c576779ab2025",
     "pos-homogeneous:global-mean": "c3aec3ca6069ad3a636a21b96197b8ae2bccbf5177ce19153fb845dff9d70f6b",
     "linear-scaling:global-mean": "10d7ccd3c4a63e021789887c18c51753941e1e087be28062ace14eefa78e77d3",
+    "linear:global-mean": "31fa9384680c15f0696751ad6da6b96056816ad38f4bd0d0f8b2ee502d0a63c7",
+    "convex:global-mean": "a468cdc7fe4943ec3d4cb9a33dd8d42397635ba186911b7bfefcbcf2e95a19d6",
+    "rm-convex:esssup": "e289db68ffbeb7fd40b63abf34f075d56ea873f9932fd71746e3418d357be39f",
+    "rm-pos-hom:esssup+1": "5861dd069ab0b9c83e70acffcc2fc3eda76e42abd172e09ab0138af7403d5397",
     "recover-density-hypotheses:condexp": "061d6fcf58bd40cc9c2c1f13653d62054f4286aef90e4b5584972fbe779ea7b6",
 }
 
