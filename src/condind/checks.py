@@ -162,19 +162,22 @@ def combination_trials(
 ) -> Iterator[Trial]:
     """holds(F(AX + BY), A F(X) + B F(Y)) for each triple (alpha, A, B) of
     coefficients(rng), drawn once X and Y are in F's domain; alpha is the
-    coefficient the witness shows. F(Z), F(X) and F(Y) are evaluated in
-    that order for every triple, never cached per draw: from the second
-    triple on, a measure that reads its call history sees F(Z) right after
-    F(X) and F(Y)."""
+    coefficient the witness shows. F(X) and F(Y) are evaluated once per
+    draw, right after F(Z) of the first triple whose Z is in F's domain; a
+    draw with no such Z evaluates nothing."""
     space = F.target.space
     for X in iter_cases(space, rng, samples, allow_inf=allow_inf):
         Y = sample_rv(space, rng, allow_inf=allow_inf)
         if not (F.in_domain(X) and F.in_domain(Y)):
             continue
+        FX = FY = None
         for alpha, A, B in coefficients(rng):
             Z = A * X + B * Y
             if F.in_domain(Z):
-                lhs, rhs = F(Z), A * F(X) + B * F(Y)
+                lhs = F(Z)
+                if FX is None:
+                    FX, FY = F(X), F(Y)
+                rhs = A * FX + B * FY
                 yield holds(lhs, rhs), dict(X=X, Y=Y, alpha=alpha, lhs=lhs, rhs=rhs)
 
 

@@ -251,15 +251,21 @@ def recover_density(
 
     space = I.target.space
     H = I.target
-    whole, w = (range(space.size),), space._weights  # type: ignore[attr-defined]
+    n, w, finite = space.size, space._weights, space._finite_kinds  # type: ignore[attr-defined]
+    D = sum(w)
     mu: list[tuple[int, int, int]] = []  # atom i's measure: tag, num / den
-    for i in range(space.size):
-        one_atom = RandomVariable.indicator(Event(space, frozenset({i})))
-        (tag,), (num,), den = _cell_means(I(one_atom), whole, w)
-        mu.append((tag, num, den))
+    for i in range(n):
+        unit = [0] * n
+        unit[i] = 1
+        V = I(_packed(space, finite, unit, 1))
+        if V.kinds is finite:
+            # the mean of the one cell, as _cell_means gives it: sum_j w_j V_j / D
+            mu.append((0, sum(map(operator.mul, w, V.nums)), V.den * D))
+        else:
+            (tag,), (num,), den = _cell_means(V, (range(n),), w)
+            mu.append((tag, num, den))
     # density_i = mu_i / p_i = num_i * D / (den_i * w_i), over their lcm L;
     # an infinite measure keeps its tag and numerator 0
-    D = sum(w)
     L = lcm(*[den * wi for (_, _, den), wi in zip(mu, w)])
     nums = [num * D * (L // (den * wi)) for (_, num, den), wi in zip(mu, w)]
     density = _packed(space, [tag for tag, _, _ in mu], nums, L)

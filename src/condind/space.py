@@ -169,6 +169,9 @@ class Partition:
         if not ordered:
             raise ValidationError("cells must be ordered by smallest atom index")
         object.__setattr__(self, "_cell_of", tuple(cell_of))
+        # copies k per-cell values to the n atoms in one call; a one-index
+        # itemgetter would return a bare value, so one atom takes `tuple`
+        object.__setattr__(self, "_broadcast", operator.itemgetter(*cell_of) if n > 1 else tuple)
 
     @staticmethod
     def from_cells(space: FiniteProbabilitySpace, cells: Iterable[Iterable[int]]) -> "Partition":
@@ -284,9 +287,9 @@ def _on_cells(partition, kinds, nums, den: int) -> "RandomVariable":
     g = gcd(*nums, den)
     if g != 1:
         nums, den = [n // g for n in nums], den // g
-    space, cell_of = partition.space, partition._cell_of
-    tags = [kinds[c] for c in cell_of] if any(kinds) else space._finite_kinds
-    return _packed(space, tags, [nums[c] for c in cell_of], den)
+    space, broadcast = partition.space, partition._broadcast
+    tags = broadcast(kinds) if any(kinds) else space._finite_kinds
+    return _packed(space, tags, broadcast(nums), den)
 
 
 def _repeat(space, v: ExtReal) -> tuple[tuple[int, ...], tuple[int, ...], int]:

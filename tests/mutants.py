@@ -372,8 +372,14 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "combination-drops-second-coefficient", "src/condind/checks.py",
-        "lhs, rhs = F(Z), A * F(X) + B * F(Y)",
-        "lhs, rhs = F(Z), A * F(X) + F(Y)",
+        "rhs = A * FX + B * FY",
+        "rhs = A * FX + FY",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "combination-second-image-reuses-first", "src/condind/checks.py",
+        "FX, FY = F(X), F(Y)",
+        "FX = FY = F(X)",
         "tests/test_checks.py",
     ),
     Mutant(
@@ -387,6 +393,24 @@ ROWS: tuple[Mutant, ...] = (
         "[(A, A) for A in (*constants, sample_measurable(H, rng, nonneg=nonneg))]",
         "[(A, A) for A in constants]",
         "tests/test_checks.py",
+    ),
+    Mutant(
+        "atom-measure-den-without-D", "src/condind/expectation_ext.py",
+        "mu.append((0, sum(map(operator.mul, w, V.nums)), V.den * D))",
+        "mu.append((0, sum(map(operator.mul, w, V.nums)), V.den))",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "atom-measure-finite-test-inverted", "src/condind/expectation_ext.py",
+        "        if V.kinds is finite:\n",
+        "        if V.kinds is not finite:\n",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "broadcast-bare-one-index-itemgetter", "src/condind/space.py",
+        "operator.itemgetter(*cell_of) if n > 1 else tuple",
+        "operator.itemgetter(*cell_of)",
+        "tests/test_space.py",
     ),
     Mutant(
         "esssup-keeps-later-equal-key", "src/condind/indicators.py",

@@ -353,6 +353,31 @@ def test_recover_density_reports_pinned(case, H):
     assert digest == DENSITY_DIGESTS[case]
 
 
+def test_recover_density_reads_an_infinite_atom_measure():
+    # condexp, except +-inf on the nonzero multiples of the last atom's
+    # indicator: 8 samples take the corners only up to 1_4, so both sampled
+    # hypotheses pass and only the per-atom loop meets an infinite image
+    H, _ = _space12()
+    space = H.space
+    last = space.size - 1
+    ce = condexp_indicator(H)
+    calls = [0]
+
+    def ev(X):
+        calls[0] += 1
+        c = X.nums[last]
+        if X.is_finite() and c and not any(X.nums[:last]):
+            return RandomVariable.constant(space, POS_INF if c > 0 else NEG_INF)
+        return ce(X)
+
+    report = recover_density(IndicatorSpec("inf-on-last", H, ev), samples=8, seed=0)
+    assert report.density == RandomVariable(space, (ext(1),) * last + (POS_INF,))
+    assert not report.conditional_mean_one and not report.reconstruction_ok
+    # no replay: 8 additivity trials of 3 evaluations, 8 self-duality trials
+    # of 2, and one evaluation per atom
+    assert report.mismatch_witness is None and calls[0] == 8 * 3 + 8 * 2 + 12
+
+
 @pytest.mark.parametrize(
     "n,grid",
     [(1, GRID_VALUES), (2, GRID_VALUES), (3, GRID_VALUES), (4, (ext(-1), ext(0), ext(1), ext(2)))],

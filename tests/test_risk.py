@@ -379,20 +379,22 @@ def test_rm_convexity_violation_squared_mean(space4, H):
 
 def convexity_gap_on_mixtures(H: Partition, gap) -> tuple[RiskMeasureSpec, list[int]]:
     """-E(X|H) plus `gap` on atom 0 when X is a strict mixture aP + (1-a)Q of
-    the last two arguments, as the convexity trial's left side is from its
-    second weight on; its right side is then -E(X|H) exactly."""
+    the draw's pair (P, Q), as the convexity trial's left side is from its
+    second weight on; its right side is then -E(X|H) exactly. The pair is
+    the last two distinct arguments that were not such a mixture: X and Y
+    are evaluated before any strict mixture of them, in whatever order."""
     space = H.space
     ce = condexp_indicator(H)
     bump = RandomVariable.of(space, [gap] + [0] * (space.size - 1))
     mixes = [(RandomVariable.constant(space, a), RandomVariable.constant(space, 1 - a))
              for a in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
-    seen: list[RandomVariable] = []
+    pair: list[RandomVariable] = []
     hits = [0]
 
     def ev(X):
-        mixed = len(seen) > 1 and seen[-2] != seen[-1] and any(
-            X == A * seen[-2] + B * seen[-1] for A, B in mixes)
-        seen.append(X)
+        mixed = len(pair) == 2 and any(X == A * pair[0] + B * pair[1] for A, B in mixes)
+        if not mixed and (not pair or X != pair[-1]):
+            pair[:] = [*pair[-1:], X]
         hits[0] += mixed
         return -ce(X) + bump if mixed else -ce(X)
 

@@ -436,6 +436,15 @@ def test_measurable_results_reduce_to_the_unique_packed_form():
     tags = cell_means(RandomVariable.of(space, cases["infinite"]), H).kinds
     assert tags == (0, 0, 1, 1, -1, -1, 0, 0)
 
+    # one atom: one cell, whose tag and value the atom takes as a 1-tuple
+    single = FiniteProbabilitySpace(("s",), (Fraction(1),))
+    H1 = Partition.trivial(single)
+    for value in ("6/4", "inf", "-inf"):
+        X = RandomVariable.of(single, [value])
+        for got, want in measurable_results(H1, X, RandomVariable.constant(single, 1)):
+            assert_unique_form(got, want)
+            assert got == X
+
     # 128 atoms with unequal masses, 4 cells and numerators of 80+ bits
     rng = random.Random(18)
     masses = [rng.randint(1, 10**6) for _ in range(128)]
