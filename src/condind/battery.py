@@ -26,9 +26,11 @@ from .checks import (
     check_hplus_decomposition,
     check_regular,
     check_structural,
+    domain_cases,
     enumerate_or_sample,
     falsify,
     grid_coefficients,
+    restricted_images,
     scaling_trials,
     self_duality_trials,
 )
@@ -122,36 +124,27 @@ def _dual_involution(I, rng, samples) -> Iterator[Trial]:
         and (Flag.SUPERADDITIVE in I.flags) == (Flag.SUBADDITIVE in star.flags)
     )
     yield swap_ok, dict(step="flag-swap", flags=sorted(fl.value for fl in star.flags))
-    for X in iter_cases(I.target.space, rng, samples):
-        if I.in_domain(X) and double.in_domain(X):
-            lhs, rhs = double(X), I(X)
-            yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
+    # dual(dual(I)) has I's domain: -(-X) is X
+    for X in domain_cases(I, rng, samples):
+        lhs, rhs = double(X), I(X)
+        yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
 
 
 def _averaging(prop, I, samples, seed) -> CheckReport:
     rng = derive_rng(seed, prop)
     events, notes = enumerate_or_sample(I.target, rng)
-    paired = [(ev, ev.complement()) for ev in events]
-    zero = RandomVariable.constant(I.target.space, 0)
 
     def trials():
-        for X in iter_cases(I.target.space, rng, samples):
-            if not I.in_domain(X):
-                continue
-            for ev, rest in paired:
-                XH = restrict(X, ev)
-                if I.in_domain(XH):
-                    IXH = I(XH)
-                    yield restrict(IXH, rest) == zero, dict(X=X, H=ev, value=IXH)
+        for X in domain_cases(I, rng, samples):
+            for ev, IXH in restricted_images(I, X, events):
+                yield IXH == restrict(IXH, ev), dict(X=X, H=ev, value=IXH)
 
     return falsify(prop, trials(), notes=notes)
 
 
 def _extension_sandwich(I, rng, samples) -> Iterator[Trial]:
     space = I.target.space
-    for X in iter_cases(space, rng, samples):
-        if not I.in_domain(X):
-            continue
+    for X in domain_cases(I, rng, samples):
         anchors = [sample_rv(space, rng) for _ in range(2)] + [X]
         anchors = [A for A in anchors if I.in_domain(A)]
         low = lower_extension(I, anchors, X)

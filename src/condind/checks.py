@@ -95,6 +95,50 @@ def falsify(prop: str, trials: Iterable[Trial], notes: tuple[str, ...] = ()) -> 
     return CheckReport.verified(prop, cases, notes=notes)
 
 
+# -- domain guards ---------------------------------------------------------------
+#
+# An indicator need not be total (condexp's domain is the cellwise integrable or
+# measurable variables), so a law drops every draw outside its subject's domain.
+# A helper drops a draw only once all of it is drawn, so a rejected draw uses
+# the stream as a kept one does and the draws do not depend on the domain.
+# Guards left inline: check_regular counts a draw it never evaluated as a passing
+# trial, check_hplus_decomposition draws h before its guard, the martingale and
+# envelope laws guard on every time's indicator, and every guard on a derived
+# variable (X + Y, AX, X + M, -X, hX, a splice).
+
+Pair = tuple[RandomVariable, RandomVariable]
+
+
+def domain_cases(F, rng, samples: int, allow_inf=True, nonneg=False) -> Iterator[RandomVariable]:
+    """The cases of iter_cases in F's domain."""
+    return filter(F.in_domain, iter_cases(F.target.space, rng, samples, allow_inf, nonneg))
+
+
+def domain_pairs(F, rng, samples: int, allow_inf: bool = True) -> Iterator[Pair]:
+    """Each case X with a Y drawn right after it, kept when both are in F's domain."""
+    space = F.target.space
+    for X in iter_cases(space, rng, samples, allow_inf=allow_inf):
+        Y = sample_rv(space, rng, allow_inf=allow_inf)
+        if F.in_domain(X) and F.in_domain(Y):
+            yield X, Y
+
+
+def dominated_pairs(F, rng, samples: int, allow_inf: bool = True) -> Iterator[Pair]:
+    """The draws of sample_dominating_pair, kept when both variables are in F's domain."""
+    for _ in range(samples):
+        lower, upper = sample_dominating_pair(F.target.space, rng, allow_inf)
+        if F.in_domain(lower) and F.in_domain(upper):
+            yield lower, upper
+
+
+def restricted_images(F, X: RandomVariable, events: Iterable[Event]) -> Iterator[tuple[Event, RandomVariable]]:
+    """Each event H, in order, with F(X 1_H), whenever X 1_H is in F's domain."""
+    for ev in events:
+        XH = restrict(X, ev)
+        if F.in_domain(XH):
+            yield ev, F(XH)
+
+
 # -- shared laws -----------------------------------------------------------------
 #
 # The laws an indicator may or may not share with the conditional expectation,
@@ -110,10 +154,8 @@ def additivity_trials(
     allow_inf: bool = True,
 ) -> Iterator[Trial]:
     """holds(F(X+Y), F(X)+F(Y)); F is an indicator or a risk measure."""
-    space = F.target.space
-    for X in iter_cases(space, rng, samples, allow_inf=allow_inf):
-        Y = sample_rv(space, rng, allow_inf=allow_inf)
-        if F.in_domain(X) and F.in_domain(Y) and F.in_domain(X + Y):
+    for X, Y in domain_pairs(F, rng, samples, allow_inf):
+        if F.in_domain(X + Y):
             lhs, rhs = F(X + Y), F(X) + F(Y)
             yield holds(lhs, rhs), dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
 
@@ -122,8 +164,8 @@ def self_duality_trials(
     I: IndicatorSpec, rng, samples: int, allow_inf: bool = True
 ) -> Iterator[Trial]:
     """I(X) = -I(-X)."""
-    for X in iter_cases(I.target.space, rng, samples, allow_inf=allow_inf):
-        if I.in_domain(X) and I.in_domain(-X):
+    for X in domain_cases(I, rng, samples, allow_inf):
+        if I.in_domain(-X):
             lhs, rhs = I(X), -I(-X)
             yield lhs == rhs, dict(X=X, lhs=lhs, rhs=rhs)
 
@@ -133,9 +175,7 @@ def scaling_trials(
 ) -> Iterator[Trial]:
     """F(AX) = A F(X) for each pair (alpha, A) of coefficients(rng), drawn
     once X is in F's domain; alpha is the coefficient the witness shows."""
-    for X in iter_cases(F.target.space, rng, samples, allow_inf=allow_inf):
-        if not F.in_domain(X):
-            continue
+    for X in domain_cases(F, rng, samples, allow_inf):
         FX = F(X)
         for alpha, A in coefficients(rng):
             AX = A * X
@@ -165,11 +205,7 @@ def combination_trials(
     coefficient the witness shows. F(X) and F(Y) are evaluated once per
     draw, right after F(Z) of the first triple whose Z is in F's domain; a
     draw with no such Z evaluates nothing."""
-    space = F.target.space
-    for X in iter_cases(space, rng, samples, allow_inf=allow_inf):
-        Y = sample_rv(space, rng, allow_inf=allow_inf)
-        if not (F.in_domain(X) and F.in_domain(Y)):
-            continue
+    for X, Y in domain_pairs(F, rng, samples, allow_inf):
         FX = FY = None
         for alpha, A, B in coefficients(rng):
             Z = A * X + B * Y
@@ -194,9 +230,7 @@ def check_axioms(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 0
 
     def trials():
         yield I.in_domain(zero), dict(axiom="domain-contains-zero")
-        for X in iter_cases(space, rng, samples):
-            if not I.in_domain(X):
-                continue
+        for X in domain_cases(I, rng, samples):
             IX = I(X)
             lo, hi = essinf_cond(X, H), esssup_cond(X, H)
             yield lo.le(IX) and IX.le(hi), dict(axiom="sandwich", X=X, value=IX, lo=lo, hi=hi)
@@ -257,7 +291,6 @@ def check_regular(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 
     H = I.target
     space = H.space
     events = [Event.empty(space)] + [H.cell_event(c) for c in range(H.cell_count)]
-    paired = [(ev, ev.complement()) for ev in events]
     failed: set[str] = set()
 
     def draws():
@@ -267,13 +300,13 @@ def check_regular(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 
             first = None
             if I.in_domain(X) and I.in_domain(Y):
                 IX, IY = I(X), I(Y)
-                for ev, rest in paired:
+                for ev in events:
                     XH = restrict(X, ev)
                     spliced = patch(X, ev, Y)
                     if not (I.in_domain(XH) and I.in_domain(spliced)):
                         continue
                     IXH, ISp, IX_ev = I(XH), I(spliced), restrict(IX, ev)
-                    glued = IX_ev + restrict(IY, rest)
+                    glued = patch(IX, ev, IY)
                     for name, ok, witness in (
                         ("agree", restrict(ISp, ev) == IX_ev, dict(X=X, Y=spliced, H=ev)),
                         ("restrict", IXH == IX_ev, dict(X=X, H=ev, lhs=IXH, rhs=IX_ev)),
@@ -331,16 +364,12 @@ def check_structural(
             yield from self_duality_trials(I, rng, samples)
 
         elif flag is Flag.INCREASING:
-            for _ in range(samples):
-                X, Y = sample_dominating_pair(space, rng)
-                if I.in_domain(X) and I.in_domain(Y):
-                    lhs, rhs = I(X), I(Y)
-                    yield lhs.le(rhs), dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
+            for X, Y in dominated_pairs(I, rng, samples):
+                lhs, rhs = I(X), I(Y)
+                yield lhs.le(rhs), dict(X=X, Y=Y, lhs=lhs, rhs=rhs)
 
         elif flag is Flag.TRANSLATION_INVARIANT:
-            for X in iter_cases(space, rng, samples):
-                if not I.in_domain(X):
-                    continue
+            for X in domain_cases(I, rng, samples):
                 M = sample_measurable(H, rng, allow_inf=False)
                 XM = X + M
                 if I.in_domain(XM):
@@ -438,15 +467,11 @@ def check_additive_implies_regular(
         events, partial = enumerate_or_sample(H, rng)
 
         def trials():
-            for X in iter_cases(H.space, rng, samples):
-                if not I.in_domain(X):
-                    continue
+            for X in domain_cases(I, rng, samples):
                 IX = I(X)
-                for ev in events:
-                    XH = restrict(X, ev)
-                    if I.in_domain(XH):
-                        lhs, rhs = restrict(IX, ev), I(XH)
-                        yield lhs.le(rhs), dict(X=X, H=ev, lhs=lhs, rhs=rhs)
+                for ev, IXH in restricted_images(I, X, events):
+                    lhs = restrict(IX, ev)
+                    yield lhs.le(IXH), dict(X=X, H=ev, lhs=lhs, rhs=IXH)
 
         return falsify(prop, trials(), notes=("subadditive only: checked the half inequality", *partial))
     return CheckReport.verified(prop, sub.cases + sup.cases, notes=("premise falsified; implication vacuous",))

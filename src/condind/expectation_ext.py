@@ -18,14 +18,17 @@ from .checks import (
     CheckReport,
     Verdict,
     additivity_trials,
+    domain_cases,
     enumerate_or_sample,
     falsify,
     grid_coefficients,
+    restricted_images,
     self_duality_trials,
 )
 from .errors import BadDensityError, HypothesisFailedError
 from .extreal import ONE, ZERO, ext
-from .indicators import _EXT_FLAGS, EvalFn, IndicatorSpec, ext_cond_expectation_closed_form
+from .indicators import (_EXT_FLAGS, EvalFn, IndicatorSpec, condexp_ext_indicator,
+                         ext_cond_expectation_closed_form)
 from .sampling import (
     ALPHA_GRID,
     FINITE_GRID,
@@ -71,16 +74,13 @@ def check_lemm_cond_exp(
     space = H.space
     events, notes = enumerate_or_sample(H, rng)
     scales = grid_coefficients(H, ALPHA_GRID)
-
-    def I(X: RandomVariable) -> RandomVariable:
-        return ext_cond_expectation_closed_form(X, H)
+    I = condexp_ext_indicator(H)
 
     def trials():
         for X in iter_cases(space, rng, samples):
             IX = I(X)
-            for ev in events:
-                ok = I(restrict(X, ev)) == restrict(IX, ev)
-                yield ok, dict(identity="restriction", X=X, H=ev)
+            for ev, IXH in restricted_images(I, X, events):
+                yield IXH == restrict(IX, ev), dict(identity="restriction", X=X, H=ev)
 
             for _, A in scales(rng):
                 lhs, rhs = I(A * X), A * IX
@@ -285,9 +285,7 @@ def recover_density(
         if space.size <= 4:
             trial.extend(exhaustive_grid_rvs(space, small_grid))
         trial.extend(iter_cases(space, rng, samples, allow_inf=False))
-        for X in trial:
-            if not I.in_domain(X):
-                continue
+        for X in filter(I.in_domain, trial):
             # the product rho * X, not the weighted kernel: an independent route
             if I(X) != ext_cond_expectation_closed_form(density * X, H):
                 mismatch = X
@@ -320,9 +318,8 @@ def check_contractive(
     rng = derive_rng(seed, f"contractive:{I.name}")
 
     def trials():
-        for X in iter_cases(I.target.space, rng, samples, allow_inf=False):
-            if I.in_domain(X):
-                yield expectation(abs_rv(I(X))) <= expectation(abs_rv(X)), dict(X=X)
+        for X in domain_cases(I, rng, samples, allow_inf=False):
+            yield expectation(abs_rv(I(X))) <= expectation(abs_rv(X)), dict(X=X)
 
     return falsify(f"contractive:{I.name}", trials())
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable
 
-from .checks import CheckReport, Verdict, additivity_trials, combination_trials, falsify, scaling_trials
+from .checks import (CheckReport, Verdict, additivity_trials, combination_trials, domain_cases,
+                     dominated_pairs, falsify, scaling_trials)
 from .errors import (
     DomainViolationError,
     NotIncreasingError,
@@ -30,8 +31,6 @@ from .sampling import (
     NONNEG_ALPHA_GRID,
     UNIT_GRID,
     derive_rng,
-    iter_cases,
-    sample_dominating_pair,
     sample_measurable,
     sample_rv,
 )
@@ -176,10 +175,7 @@ def check_rm_axioms(
         if rm.in_domain(zero):
             r0 = rm(zero)
             yield within(r0, zero), dict(axiom="normalization", value=r0)
-        for _ in range(samples):
-            X2, X1 = sample_dominating_pair(space, rng, allow_inf=False)  # X1 >= X2
-            if not (rm.in_domain(X1) and rm.in_domain(X2)):
-                continue
+        for X2, X1 in dominated_pairs(rm, rng, samples, allow_inf=False):  # X1 >= X2
             r1, r2 = rm(X1), rm(X2)
             yield r1.le(r2 + slack), dict(axiom="antitone", X1=X1, X2=X2, lhs=r1, rhs=r2)
             M = sample_measurable(rm.target, rng, allow_inf=False)
@@ -259,17 +255,14 @@ def check_dom_closure(
     def in_dom(X: RandomVariable) -> bool:
         return rho(I, X).is_finite()
 
-    members = [
-        X for X in iter_cases(space, rng, max(8, samples // 4), allow_inf=False)
-        if I.in_domain(X) and in_dom(X)
-    ]
+    members = [X for X in domain_cases(I, rng, max(8, samples // 4), allow_inf=False) if in_dom(X)]
     if not members:
         return CheckReport.verified(prop, 0, notes=("vacuous guard: no finite-rho members sampled",))
 
     claims = (
         ("scaling", I.has(Flag.POS_HOMOGENEOUS), Flag.POS_HOMOGENEOUS.value),
         ("addition", I.has(Flag.SUPERADDITIVE), Flag.SUPERADDITIVE.value),
-        ("upward", I.has(Flag.INCREASING), Flag.INCREASING.value),
+        ("upward", True, Flag.INCREASING.value),  # checked on entry
         ("convexity", _acceptance_set_convex(I), "convex acceptance set"),
     )
 
@@ -354,14 +347,10 @@ def check_rho_correspondence(
     prop = f"rho-iff:{I.name}[-I(X)]"
     rm = rho_from_indicator(I)
     rng = derive_rng(seed, prop)
-    space = I.target.space
     held = {"axioms": True, "flags": True}
 
     def trials():
-        for _ in range(samples):
-            X2, X1 = sample_dominating_pair(space, rng, allow_inf=False)  # X1 >= X2
-            if not (rm.in_domain(X1) and rm.in_domain(X2)):
-                continue
+        for X2, X1 in dominated_pairs(rm, rng, samples, allow_inf=False):  # X1 >= X2
             r1 = rm(X1)
             p2 = r1.le(rm(X2))
             inc = I(X2).le(I(X1))

@@ -15,7 +15,13 @@ three partitions each:
   a weighted indicator; outside the fast subset also `check_prop_rm` and
   `check_rm_coherent` of `rho_from_indicator` on each of them;
 - `rho` (exact fast path and bisection), `recover_density`, the lower and
-  upper extensions;
+  upper extensions; outside the fast subset also `check_contractive` and
+  `is_conditional_expectation` on each indicator;
+- outside the fast subset, `check_projection_uniqueness_premises` on essinf,
+  and a condexp whose domain also asks for a nonnegative first atom, so that
+  it rejects finite draws: `check_rm_axioms` of its `rho_from_indicator`,
+  `check_rho_correspondence`, `check_projection_uniqueness_premises` and
+  `recover_density` on it;
 - each CLI verb through `cli.dispatch`, `project` (`projection_solve`)
   included; outside the fast subset also an American `envelope` whose
   exercise variable is measurable, and `apply` on each head of the indicator
@@ -51,12 +57,17 @@ from condind import (
     FiniteProbabilitySpace,
     Flag,
     Partition,
+    ZERO,
     check_additive_implies_regular,
     check_axioms,
+    check_contractive,
     check_convex_implies_regular,
     check_hplus_decomposition,
+    check_projection_uniqueness_premises,
     check_prop_rm,
     check_regular,
+    check_rho_correspondence,
+    check_rm_axioms,
     check_rm_coherent,
     check_structural,
     condexp_ext_indicator,
@@ -66,6 +77,7 @@ from condind import (
     esssup_indicator,
     family_inf,
     family_sup,
+    is_conditional_expectation,
     lower_extension,
     mix_self_dual,
     parse_scenario,
@@ -144,6 +156,14 @@ def _indicators(scenario, H: Partition) -> list:
     return out
 
 
+def _first_atom_nonneg(H: Partition):
+    """condexp on H, with the first atom also asked to be nonnegative: a
+    domain that rejects finite draws."""
+    condexp = condexp_indicator(H)
+    return replace(condexp, name="condexp|first>=0",
+                   domain_fn=lambda X: condexp.in_domain(X) and X.values[0] >= ZERO)
+
+
 def _cli(scenario, argv: list[str]):
     args = build_parser().parse_args(argv)
     return dispatch(args, scenario).to_dict()
@@ -196,6 +216,21 @@ def cases(fast: bool) -> Iterator[tuple[str, Callable[[], object]]]:
                     yield f"{at}/{I.name}/lowext/{v}", lambda: lower_extension(I, anchors, X)
                     yield f"{at}/{I.name}/upext/{v}", lambda: upper_extension(I, anchors, X)
                 yield f"{at}/{I.name}/recover-density", lambda: recover_density(I, samples, seeds[-1])
+                if not fast:
+                    yield f"{at}/{I.name}/contractive", lambda: check_contractive(I, samples, seeds[-1])
+                    yield (f"{at}/{I.name}/is-conditional-expectation",
+                           lambda: is_conditional_expectation(I, samples, seeds[-1]))
+            if not fast:
+                J = _first_atom_nonneg(H)
+                for seed in seeds:
+                    yield (f"{at}/essinf/uniqueness-premises/{seed}",
+                           lambda: check_projection_uniqueness_premises(essinf_indicator(H), samples, seed))
+                    yield f"{at}/{J.name}/rm-axioms/{seed}", lambda: check_rm_axioms(
+                        rho_from_indicator(J), samples, seed)
+                    yield f"{at}/{J.name}/rho-iff/{seed}", lambda: check_rho_correspondence(J, samples, seed)
+                    yield (f"{at}/{J.name}/uniqueness-premises/{seed}",
+                           lambda: check_projection_uniqueness_premises(J, samples, seed))
+                yield f"{at}/{J.name}/recover-density", lambda: recover_density(J, samples, seeds[-1])
             verbs = [["condexp-ext", "--var", v] for v in variables]
             verbs += [["apply", "--indicator", i, "--var", v]
                       for i in ("esssup", "essinf", "condexp-ext", "mix:esssup", "weighted:rho0")

@@ -413,6 +413,36 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_space.py",
     ),
     Mutant(
+        "domain-cases-unfiltered", "src/condind/checks.py",
+        "return filter(F.in_domain, iter_cases(F.target.space, rng, samples, allow_inf, nonneg))",
+        "return iter_cases(F.target.space, rng, samples, allow_inf, nonneg)",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "domain-pairs-guards-x-only", "src/condind/checks.py",
+        "if F.in_domain(X) and F.in_domain(Y):",
+        "if F.in_domain(X):",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "dominated-pairs-guards-lower-only", "src/condind/checks.py",
+        "if F.in_domain(lower) and F.in_domain(upper):",
+        "if F.in_domain(lower):",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "restricted-images-unrestricted", "src/condind/checks.py",
+        "yield ev, F(XH)",
+        "yield ev, F(X)",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "regular-glue-reversed", "src/condind/checks.py",
+        "glued = patch(IX, ev, IY)",
+        "glued = patch(IY, ev, IX)",
+        "tests/test_checks.py",
+    ),
+    Mutant(
         "esssup-keeps-later-equal-key", "src/condind/indicators.py",
         "            if v > m:\n",
         "            if v >= m:\n",

@@ -1,8 +1,10 @@
 """Checker battery against built-ins and constructed violators."""
 
+import ast
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -38,11 +40,20 @@ from condind import (
     restrict,
     rho_from_indicator,
 )
-from condind.checks import enumerate_or_sample, falsify, grid_coefficients, scaling_trials
+from condind.checks import (
+    domain_cases,
+    domain_pairs,
+    dominated_pairs,
+    enumerate_or_sample,
+    falsify,
+    grid_coefficients,
+    restricted_images,
+    scaling_trials,
+)
 from condind.cli import jsonable
 from condind.errors import HypothesisFailedError
 from condind.expectation_ext import _hypothesis_reports
-from condind.extreal import ZERO
+from condind.extreal import ONE, ZERO
 from condind.indicators import BUILTIN_NAMES, builtin_indicator
 from condind.sampling import (
     ALPHA_GRID,
@@ -432,3 +443,138 @@ def test_iter_cases_builds_only_the_corners_it_yields(monkeypatch):
     ):
         built[0] = 0
         assert len(list(cases)) == 8 and built[0] <= 8
+
+
+# -- domain guards: four helpers, each the loop it replaced ---------------------
+
+
+def first_atom_within_one(H):
+    """esssup, defined only where the first atom lies in [-1, 1]: a domain
+    that rejects X or Y alone, and the lower or the upper variable alone."""
+    return IndicatorSpec("esssup|first-in-[-1,1]", H, lambda X: esssup_cond(X, H),
+                         domain_fn=lambda X: -ONE <= X.values[0] <= ONE, flags=frozenset())
+
+
+@pytest.mark.parametrize("allow_inf", [True, False])
+def test_domain_cases_is_the_filtered_case_loop(space4, H, allow_inf):
+    I = first_atom_within_one(H)
+    for nonneg in (True, False):
+        rng, ref = derive_rng(4, f"cases:{nonneg}"), derive_rng(4, f"cases:{nonneg}")
+        got = list(domain_cases(I, rng, 40, allow_inf, nonneg))
+        want = [X for X in iter_cases(space4, ref, 40, allow_inf, nonneg) if I.in_domain(X)]
+        assert got == want and 0 < len(want) < 40
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("allow_inf", [True, False])
+def test_domain_pairs_draws_y_before_either_guard(space4, H, allow_inf):
+    I = first_atom_within_one(H)
+    rng, ref = derive_rng(4, "pairs"), derive_rng(4, "pairs")
+    got = list(domain_pairs(I, rng, 40, allow_inf))
+    drawn = []
+    for X in iter_cases(space4, ref, 40, allow_inf=allow_inf):
+        drawn.append((X, sample_rv(space4, ref, allow_inf=allow_inf)))
+    assert got == [(X, Y) for X, Y in drawn if I.in_domain(X) and I.in_domain(Y)]
+    assert rng.getstate() == ref.getstate()
+    # the planted domain rejects draws where only Y lies outside it
+    assert any(I.in_domain(X) and not I.in_domain(Y) for X, Y in drawn)
+
+
+@pytest.mark.parametrize("allow_inf", [True, False])
+def test_dominated_pairs_guards_both_variables(space4, H, allow_inf):
+    I = first_atom_within_one(H)
+    rng, ref = derive_rng(4, "dominated"), derive_rng(4, "dominated")
+    got = list(dominated_pairs(I, rng, 40, allow_inf))
+    drawn = [sample_dominating_pair(space4, ref, allow_inf) for _ in range(40)]
+    assert got == [(X, Y) for X, Y in drawn if I.in_domain(X) and I.in_domain(Y)]
+    assert rng.getstate() == ref.getstate()
+    assert any(I.in_domain(X) and not I.in_domain(Y) for X, Y in drawn)
+    assert any(I.in_domain(Y) and not I.in_domain(X) for X, Y in drawn)
+
+
+def test_restricted_images_keep_event_order_and_skip_outside_the_domain(space4, H):
+    I = first_atom_within_one(H)
+    X = rv(space4, 2, -1, "1/2", 3)
+    events = enumerate_events(H)
+    got = list(restricted_images(I, X, events))
+    # X 1_H is in the domain exactly when H misses the first atom, where X is 2
+    kept = [ev for ev in events if 0 not in ev.members]
+    assert [ev for ev, _ in got] == kept and 0 < len(kept) < len(events)
+    assert [image for _, image in got] == [esssup_cond(restrict(X, ev), H) for ev in kept]
+
+
+DOMAIN_HELPERS = {"domain_cases", "domain_pairs", "dominated_pairs", "restricted_images"}
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "condind")
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _tests_domain_of(test: ast.AST, target: ast.AST) -> bool:
+    """Whether `test` calls `.in_domain(v)` on a name v bound by `target`."""
+    names = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return any(_calls(n, "in_domain") and n.args and getattr(n.args[0], "id", None) in names
+               for n in ast.walk(test))
+
+
+def hand_written_domain_guards(tree: ast.AST, exempt=frozenset()) -> list[int]:
+    """Lines of the loops, outside the functions named in `exempt`, that draw
+    and then skip on a domain by hand: a loop (or comprehension) over
+    iter_cases(...) that opens with an in_domain test of its variable, or
+    with a sample_rv draw and then that test; and a loop that opens with a
+    sample_dominating_pair draw and an in_domain test of the pair."""
+    found = []
+    policy = {id(n) for f in ast.walk(tree) if getattr(f, "name", None) in exempt for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if id(node) in policy:
+            continue
+        if isinstance(node, ast.For):
+            first, second = (node.body + [None])[:2]
+            over_cases = _calls(node.iter, "iter_cases")
+            guarded = False
+            if over_cases and isinstance(first, ast.If):
+                guarded = _tests_domain_of(first.test, node.target)
+            elif isinstance(first, ast.Assign) and isinstance(second, ast.If):
+                if over_cases and _calls(first.value, "sample_rv"):
+                    guarded = _tests_domain_of(second.test, node.target)
+                elif _calls(first.value, "sample_dominating_pair"):
+                    guarded = _tests_domain_of(second.test, first.targets[0])
+            if guarded:
+                found.append(node.lineno)
+        elif isinstance(node, ast.comprehension):
+            if _calls(node.iter, "iter_cases") and node.ifs and _tests_domain_of(node.ifs[0], node.target):
+                found.append(node.iter.lineno)
+    return found
+
+
+@pytest.mark.parametrize("source,flagged", [
+    ("for X in iter_cases(s, rng, n):\n    if not I.in_domain(X):\n        continue\n", True),
+    ("for X in iter_cases(s, rng, n):\n    if I.in_domain(X) and I.in_domain(-X):\n        f(X)\n", True),
+    ("for _ in range(n):\n    X2, X1 = sample_dominating_pair(s, rng)\n"
+     "    if not (rm.in_domain(X1) and rm.in_domain(X2)):\n        continue\n", True),
+    ("m = [X for X in iter_cases(s, rng, n) if I.in_domain(X) and ok(X)]\n", True),
+    ("for X in iter_cases(s, rng, n):\n    Y = sample_rv(s, rng)\n"
+     "    if F.in_domain(X) and F.in_domain(Y):\n        f(X, Y)\n", True),
+    # a guard on a derived variable, and one that follows another draw, stay inline
+    ("for X in domain_cases(I, rng, n):\n    if I.in_domain(-X):\n        f(X)\n", False),
+    ("for X in iter_cases(s, rng, n):\n    h = draw(rng)\n    if I.in_domain(X):\n        f(X)\n", False),
+])
+def test_domain_guard_detector(source, flagged):
+    assert bool(hand_written_domain_guards(ast.parse(source))) is flagged
+
+
+def test_domain_guards_are_written_once():
+    """Outside the four helpers of checks, no loop draws and then skips on its
+    subject's domain by hand; the guards that stay inline are listed in the
+    helpers' section comment."""
+    found = {}
+    for file in sorted(os.listdir(SRC)):
+        if file.endswith(".py"):
+            with open(os.path.join(SRC, file)) as fh:
+                tree = ast.parse(fh.read())
+            lines = hand_written_domain_guards(tree, DOMAIN_HELPERS if file == "checks.py" else frozenset())
+            if lines:
+                found[file] = lines
+    assert found == {}
