@@ -10,6 +10,7 @@ density of an absolutely continuous measure, exactly.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from math import lcm
@@ -227,6 +228,32 @@ def _hypothesis_reports(
     return add_rep, falsify(f"self-dual:{I.name}", self_dual)
 
 
+# the replay's value grid on 4 atoms (FINITE_GRID on fewer)
+_GRID4 = (ext(-1), ZERO, ext(1), ext(2))
+
+
+def _is_product_mean(
+    V: RandomVariable, X: RandomVariable, wr: list[int], cells: list[tuple[tuple[int, ...], int]]
+) -> bool:
+    """V == E(density * X | H) for a finite X, decided in ints.
+
+    With density = nums / L and wr_i = w_i * nums_i (w the space's atom
+    weights), the reference on cell C is the finite sum_C wr_i X.nums_i
+    over sum_C w_i * L * X.den, the cell's entry in `cells`. As in
+    RandomVariable.__eq__, V must live on an equal space and carry no
+    infinite tag; then each atom's numerator over V.den is cross-multiplied.
+    """
+    if V.space is not X.space and V.space != X.space or any(V.kinds):
+        return False
+    v, dv, x, dx = V.nums, V.den, X.nums, X.den
+    for cell, mass in cells:
+        s = sum([wr[i] * x[i] for i in cell]) * dv
+        r = mass * dx
+        if any([v[i] * r != s for i in cell]):
+            return False
+    return True
+
+
 def recover_density(
     I: IndicatorSpec, samples: int = 200, seed: int = 0
 ) -> DensityReport:
@@ -236,9 +263,10 @@ def recover_density(
     value on that atom's indicator variable, read as a tag and an int
     numerator over a denominator; dividing by the base mass gives the
     density, built in ints over one denominator. Verification replays the
-    indicator against the product route E(density * X | H), bit-exact, on
-    the exhaustive grid (spaces of at most 4 atoms only) and on sampled
-    finite inputs.
+    indicator on the exhaustive grid (spaces of at most 4 atoms only) and
+    on sampled finite inputs against E(density * X | H), bit-exact: the
+    products density_i * x_i averaged over the base mass in ints, with no
+    kernel shared with the indicator under test.
     """
     add_rep, sd_rep = _hypothesis_reports(I, samples, seed)
     failed = tuple(
@@ -280,14 +308,15 @@ def recover_density(
     mismatch: RandomVariable | None = None
     if measure_ok:
         rng = derive_rng(seed, f"recover-verify:{I.name}")
-        small_grid = FINITE_GRID if space.size <= 3 else (ext(-1), ZERO, ext(1), ext(2))
-        trial: list[RandomVariable] = []
-        if space.size <= 4:
-            trial.extend(exhaustive_grid_rvs(space, small_grid))
-        trial.extend(iter_cases(space, rng, samples, allow_inf=False))
+        trial = iter_cases(space, rng, samples, allow_inf=False)
+        if n <= 4:
+            trial = itertools.chain(exhaustive_grid_rvs(space, FINITE_GRID if n <= 3 else _GRID4), trial)
+        # the product rho_i * x_i, weighted by P's atom weights w_i: built
+        # once as ints here, and checked against no library kernel
+        wr = list(map(operator.mul, w, density.nums))
+        cells = [(cell, sum(w[i] for i in cell) * density.den) for cell in H.cells]
         for X in filter(I.in_domain, trial):
-            # the product rho * X, not the weighted kernel: an independent route
-            if I(X) != ext_cond_expectation_closed_form(density * X, H):
+            if not _is_product_mean(I(X), X, wr, cells):
                 mismatch = X
                 break
     return DensityReport(

@@ -12,6 +12,8 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Iterator, Sequence
 
 from .extreal import NEG_INF, POS_INF, ExtReal, ext
@@ -123,14 +125,27 @@ def iter_cases(
     yield from itertools.islice(itertools.chain(corners, draws), max(samples, 0))
 
 
+@lru_cache(maxsize=8)
+def _grid_rows(
+    n: int, grid: tuple[ExtReal, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    # Every length-n row over the grid, in product order, as reduced
+    # (tags, numerators, denominator): ints only, so the cache keeps no
+    # space and no variable alive.
+    kinds, nums, den = _pack(grid)
+    rows = []
+    for combo in itertools.product(list(zip(kinds, nums)), repeat=n):
+        tags, row = zip(*combo)
+        g = gcd(den, *row)
+        rows.append((tags, tuple([x // g for x in row]), den // g))
+    return tuple(rows)
+
+
 def exhaustive_grid_rvs(
     space: FiniteProbabilitySpace, grid: Sequence[ExtReal] = GRID_VALUES
 ) -> Iterator[RandomVariable]:
-    # each grid value as (tag, numerator) over one common denominator
-    kinds, nums, den = _pack(grid)
-    for combo in itertools.product(list(zip(kinds, nums)), repeat=space.size):
-        kinds, nums = zip(*combo)
-        yield _packed(space, kinds, nums, den)
+    for tags, nums, den in _grid_rows(space.size, tuple(grid)):
+        yield _packed(space, tags, nums, den)
 
 
 def sample_event(partition: Partition, rng: random.Random) -> Event:

@@ -407,6 +407,24 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_expectation.py",
     ),
     Mutant(
+        "replay-divides-by-q-mass", "src/condind/expectation_ext.py",
+        "cells = [(cell, sum(w[i] for i in cell) * density.den) for cell in H.cells]",
+        "cells = [(cell, sum(wr[i] for i in cell)) for cell in H.cells]",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "replay-checks-first-atom-only", "src/condind/expectation_ext.py",
+        "if any([v[i] * r != s for i in cell]):",
+        "if v[cell[0]] * r != s:",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
+        "replay-ignores-infinite-image", "src/condind/expectation_ext.py",
+        "if V.space is not X.space and V.space != X.space or any(V.kinds):",
+        "if V.space is not X.space and V.space != X.space:",
+        "tests/test_expectation.py",
+    ),
+    Mutant(
         "broadcast-bare-one-index-itemgetter", "src/condind/space.py",
         "operator.itemgetter(*cell_of) if n > 1 else tuple",
         "operator.itemgetter(*cell_of)",

@@ -30,7 +30,8 @@ from condind.cli import jsonable
 from condind.errors import BadDensityError, HypothesisFailedError
 from condind.indicators import IndicatorSpec
 from condind.extreal import NEG_INF, POS_INF, ext
-from condind.sampling import GRID_VALUES, derive_rng, exhaustive_grid_rvs, sample_rv
+from condind.sampling import (FINITE_GRID, GRID_VALUES, derive_rng, exhaustive_grid_rvs, iter_cases,
+                              sample_rv)
 from condind.space import expectation, is_refinement
 from conftest import all_partitions, rv, values_reads
 
@@ -383,9 +384,102 @@ def test_recover_density_reads_an_infinite_atom_measure():
     [(1, GRID_VALUES), (2, GRID_VALUES), (3, GRID_VALUES), (4, (ext(-1), ext(0), ext(1), ext(2)))],
 )
 def test_exhaustive_grid_rvs_matches_value_construction(n, grid):
-    space = FiniteProbabilitySpace.uniform([f"g{i}" for i in range(n)])
-    got = list(exhaustive_grid_rvs(space, grid))
-    want = [RandomVariable(space, combo) for combo in itertools.product(grid, repeat=n)]
-    assert len(got) == len(grid) ** n
-    assert got == want and [hash(X) for X in got] == [hash(X) for X in want]
-    assert all(X.kinds is space._finite_kinds for X in got if X.is_finite())
+    # twice on equal but distinct spaces: the second call reads the cached
+    # rows, and each variable lives on the space it was asked for
+    for space in [FiniteProbabilitySpace.uniform([f"g{i}" for i in range(n)]) for _ in range(2)]:
+        got = list(exhaustive_grid_rvs(space, grid))
+        want = [RandomVariable(space, combo) for combo in itertools.product(grid, repeat=n)]
+        assert len(got) == len(grid) ** n
+        assert got == want and [hash(X) for X in got] == [hash(X) for X in want]
+        assert all(X.space is space for X in got)
+        assert all(X.kinds is space._finite_kinds for X in got if X.is_finite())
+
+
+def _replay_oracle(I, samples, seed):
+    """The first X of recover_density's replay, in replay order, whose image
+    differs from E(density * X | H) formed as the product rho * X and the
+    closed form; None when every image matches."""
+    H = I.target
+    space = H.space
+    density = recover_density(I, samples, seed).density
+    assert density.is_finite() and density.is_nonnegative() and expectation(density) == ext(1)
+    grid = FINITE_GRID if space.size <= 3 else (ext(-1), ext(0), ext(1), ext(2))
+    trial = list(exhaustive_grid_rvs(space, grid)) if space.size <= 4 else []
+    trial += iter_cases(space, derive_rng(seed, f"recover-verify:{I.name}"), samples, allow_inf=False)
+    for X in filter(I.in_domain, trial):
+        if I(X) != ext_cond_expectation_closed_form(density * X, H):
+            return X
+    return None
+
+
+def _replay_cases(H):
+    """Additive self-dual indicators on H, named, each with the witness its
+    replay must find (None: none)."""
+    space = H.space
+    ce = condexp_indicator(H)
+    rng = derive_rng(28, "replay-oracle")
+    for k in range(4):
+        yield f"normalized#{k}", weighted_indicator(H, sample_normalized_density(H, rng)), None
+    yield "global-mean", IndicatorSpec(
+        "global-mean", H, lambda X: RandomVariable.constant(space, expectation(X))), True
+    if space.size != 4:
+        return
+    # one grid variable's image is off by 1/7 on the second atom of its cell,
+    # or +inf on an atom of a cell whose reference is 0
+    cell = H.cells[0]
+    off = rv(space, 2, -1, 1, 0)
+    nudge = RandomVariable.indicator(Event(space, frozenset({cell[1]}))).scale(Fraction(1, 7))
+    yield "off-by-1/7", IndicatorSpec(
+        "off-by-1/7", H, lambda X: ce(X) + nudge if X == off else ce(X)), off
+    spiked = rv(space, 0, 0, 2, -1)
+    spike_image = RandomVariable(space, (ext(0), POS_INF, ext(Fraction(1, 2)), ext(Fraction(1, 2))))
+    yield "inf-image", IndicatorSpec(
+        "inf-image", H, lambda X: spike_image if X == spiked else ce(X)), spiked
+    # the image on a distinct space equal to H's: equal variables, no witness
+    twin = FiniteProbabilitySpace(space.atoms, space.probs)
+    yield "twin-space", IndicatorSpec(
+        "twin-space", H, lambda X: RandomVariable(twin, ce(X).values)), None
+    # the constant E_Q(X) for Q = rho P with E(rho) = 1 but cell means 3/2
+    # and 1/2: a probability measure, so the replay runs, and its reference
+    # divides by P's cell mass, where E_Q(X|H) would divide by Q's
+    rho = rv(space, 2, 1, 0, 1)
+    yield "global-Q-mean", IndicatorSpec(
+        "global-Q-mean", H, lambda X: RandomVariable.constant(space, expectation(rho * X))), True
+
+
+@pytest.mark.parametrize("which", ["space4", "space12"])
+def test_recover_density_replay_matches_product_oracle(which, H):
+    # the replay checks rho * X in ints, against no library kernel; its
+    # first failure is the product route's first failure
+    if which == "space12":
+        H = _space12()[0]
+    seen = 0
+    for name, I, expected in _replay_cases(H):
+        for seed in (0, 1):
+            report = recover_density(I, samples=12, seed=seed)
+            witness = _replay_oracle(I, 12, seed)
+            assert report.mismatch_witness == witness, (name, seed)
+            assert report.reconstruction_ok == (report.conditional_mean_one and witness is None)
+            if expected is True:
+                assert witness is not None, name
+            else:
+                assert witness == expected, name
+            seen += 1
+    assert seen == (18 if which == "space4" else 10)
+
+
+def test_recover_density_replay_calls_the_closed_form_once(monkeypatch, H):
+    # only the conditional-mean-one test calls the closed form; the replay
+    # of the 256 grid variables and the samples calls it no more
+    import condind.expectation_ext as expectation_ext
+
+    calls = [0]
+    closed_form = expectation_ext.ext_cond_expectation_closed_form
+
+    def spy(X, H):
+        calls[0] += 1
+        return closed_form(X, H)
+
+    monkeypatch.setattr(expectation_ext, "ext_cond_expectation_closed_form", spy)
+    report = recover_density(condexp_indicator(H), samples=20, seed=0)
+    assert report.reconstruction_ok and calls[0] == 1
