@@ -266,7 +266,8 @@ def recover_density(
     indicator on the exhaustive grid (spaces of at most 4 atoms only) and
     on sampled finite inputs against E(density * X | H), bit-exact: the
     products density_i * x_i averaged over the base mass in ints, with no
-    kernel shared with the indicator under test.
+    kernel shared with the indicator under test. A replayed input outside
+    the indicator's domain is a mismatch.
     """
     add_rep, sd_rep = _hypothesis_reports(I, samples, seed)
     failed = tuple(
@@ -315,8 +316,8 @@ def recover_density(
         # once as ints here, and checked against no library kernel
         wr = list(map(operator.mul, w, density.nums))
         cells = [(cell, sum(w[i] for i in cell) * density.den) for cell in H.cells]
-        for X in filter(I.in_domain, trial):
-            if not _is_product_mean(I(X), X, wr, cells):
+        for X in trial:
+            if not (I.in_domain(X) and _is_product_mean(I(X), X, wr, cells)):
                 mismatch = X
                 break
     return DensityReport(

@@ -33,23 +33,17 @@ GRID_VALUES: tuple[ExtReal, ...] = (
 )
 FINITE_GRID: tuple[ExtReal, ...] = tuple(v for v in GRID_VALUES if v.is_finite)
 
-# measurable coefficients: finite rationals including 0, 1 and negatives
+# scaling coefficients, finite, with 0 and negatives; not 1: F(1 X) = 1 F(X) for every F
 ALPHA_GRID: tuple[Fraction, ...] = (
     Fraction(-2),
     Fraction(-1),
     Fraction(-1, 2),
     Fraction(0),
     Fraction(1, 2),
-    Fraction(1),
     Fraction(2),
 )
-UNIT_GRID: tuple[Fraction, ...] = (
-    Fraction(0),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(3, 4),
-    Fraction(1),
-)
+# strict mixture weights: at 0 and 1 the mixture is Y or X, where the law cannot fail
+UNIT_GRID: tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 NONNEG_ALPHA_GRID: tuple[Fraction, ...] = tuple(a for a in ALPHA_GRID if a >= 0)
 
 

@@ -461,6 +461,24 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_checks.py",
     ),
     Mutant(
+        "axioms-sandwich-drops-lower-bound", "src/condind/checks.py",
+        "lo.le(IX) and IX.le(hi)",
+        "IX.le(hi)",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "sign-split-drops-negative-part", "src/condind/checks.py",
+        "h.pos() * I(X) + h.neg() * I(-X)",
+        "h.pos() * I(X)",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "unit-grid-drops-a-strict-weight", "src/condind/sampling.py",
+        "(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))",
+        "(Fraction(1, 4), Fraction(3, 4))",
+        "tests/test_checks.py",
+    ),
+    Mutant(
         "esssup-keeps-later-equal-key", "src/condind/indicators.py",
         "            if v > m:\n",
         "            if v >= m:\n",

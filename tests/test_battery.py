@@ -160,8 +160,8 @@ def test_battery_green_on_random_scenario_shapes():
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--samples", "10"], "436c668e801fc6e8cbc0877a1174dc927313ec90f989f39a7ab5d801673d155f"),
-        ([], "85aa8c1a24d454a4792279e1b66c7fbd4630dccf0320cac1cbb69f8d15abef5c"),
+        (["--samples", "10"], "11d3d71b2857f89c52341c7d3e2cb6b483e3f52c8dca649f7be00134a2c99f9f"),
+        ([], "cda076b8715e4d37b2de540a3d366835440785a60005ef3ee46c5e93278249fc"),
     ],
     ids=["samples-10", "default-samples"],
 )

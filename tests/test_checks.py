@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +19,13 @@ from condind import (
     Partition,
     RandomVariable,
     Verdict,
+    canonical_scenario,
     check_additive_implies_regular,
     check_axioms,
     check_convex_implies_regular,
+    check_dom_closure,
     check_hplus_decomposition,
+    check_lemm_cond_exp,
     check_regular,
     check_projection_uniqueness_premises,
     check_prop_rm,
@@ -40,6 +44,7 @@ from condind import (
     restrict,
     rho_from_indicator,
 )
+from condind import battery, checks, expectation_ext, risk
 from condind.checks import (
     domain_cases,
     domain_pairs,
@@ -229,6 +234,18 @@ def test_structural_non_monotone_witness(space4):
     assert w["X"].le(w["Y"]) and not w["lhs"].le(w["rhs"])
 
 
+def test_positivity_rests_on_the_sandwich_lower_bound(space4, H):
+    # below the cell minimum off the measurable variables: a nonnegative input
+    # gets a negative image, which only the sandwich's lower bound can see
+    one = RandomVariable.constant(space4, 1)
+    below = IndicatorSpec("below-floor", H, lambda X: X if is_measurable(X, H) else essinf_cond(X, H) - one,
+                          flags=frozenset())
+    rep = check_axioms(below, samples=60, seed=0)
+    w = rep.witness
+    assert rep.verdict is Verdict.COUNTEREXAMPLE and w["axiom"] == "sandwich"
+    assert w["X"].is_nonnegative() and not w["value"].ge(RandomVariable.constant(space4, 0))
+
+
 def test_fatou_skips_without_sequences(space4, H):
     rep = check_structural(esssup_indicator(H), "fatou", samples=10, seed=0)
     assert rep.verdict is Verdict.SKIPPED
@@ -258,6 +275,67 @@ def test_hplus_handles_pure_signs(space4, H):
 def test_hplus_skips_without_flags(space4, H):
     bare = IndicatorSpec("bare", H, lambda X: esssup_cond(X, H), flags=frozenset())
     assert check_hplus_decomposition(bare).verdict is Verdict.SKIPPED
+
+
+def test_case_counts_leave_out_trials_that_cannot_fail(H):
+    # positivity follows from the sandwich on the same X, the weights 0 and 1
+    # give back Y and X, and the sign split at h = -1 reads
+    # I(-X) = 0 I(X) + 1 I(-X): none of these is counted as a case
+    for rep, cases in (
+        (check_rm_convexity(rho_from_indicator(condexp_indicator(H)), 60, 1), 180),
+        (check_structural(esssup_indicator(H), "convex", 60, 1), 180),
+        (check_hplus_decomposition(esssup_indicator(H), 500, 7), 500),
+        (check_hplus_decomposition(condexp_indicator(H), 500, 7), 313),
+        (check_axioms(esssup_indicator(H), 500, 7), 1626),
+    ):
+        assert (rep.verdict, rep.cases) == (Verdict.VERIFIED, cases), rep.prop
+
+
+def _constant(alpha):
+    """A witness's coefficient as a Fraction when it is a scalar or a
+    constant variable; None for a coefficient that varies over the atoms."""
+    if isinstance(alpha, Fraction):
+        return alpha
+    values = set(alpha.values)
+    return values.pop().frac if len(values) == 1 else None
+
+
+def test_no_mixture_at_weight_0_or_1_and_no_scaling_by_1(monkeypatch, H):
+    # every witness the convexity and scaling laws yield, by report name
+    seen = []
+
+    def spy(prop, trials, notes=()):
+        def recorded():
+            for ok, witness in trials:
+                seen.append((prop, witness))
+                yield ok, witness
+        return falsify(prop, recorded(), notes)
+
+    for module in (checks, risk, expectation_ext, battery):
+        monkeypatch.setattr(module, "falsify", spy)
+    condexp = condexp_indicator(H)
+    rm = rho_from_indicator(condexp)
+    check_structural(esssup_indicator(H), Flag.CONVEX, 40, 1)
+    check_structural(condexp, Flag.POS_HOMOGENEOUS, 40, 1)
+    check_rm_convexity(rm, 40, 1)
+    check_rm_pos_hom(rm, 40, 1)
+    check_dom_closure(condexp, 40, 1)
+    check_lemm_cond_exp(H, 40, 1)
+    dict(battery.properties(canonical_scenario(), 1, 40))["linear-scaling:condexp"]()
+
+    mixed, scaled = set(), set()
+    for prop, w in seen:
+        law = prop.split(":")[0]
+        if law in (Flag.CONVEX.value, "rm-convex") or w.get("claim") == "convexity":
+            mixed.add(_constant(w["alpha"]))
+        elif law in (Flag.POS_HOMOGENEOUS.value, "rm-pos-hom", "linear-scaling") \
+                or w.get("claim") == "scaling" or w.get("identity") == "scalar":
+            scaled.add((law, _constant(w["alpha"])))
+    assert mixed == {Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}
+    laws = {Flag.POS_HOMOGENEOUS.value, "rm-pos-hom", "dom-closure", "linear-scaling", "condexp-ext-identities"}
+    assert {law for law, _ in scaled} == laws
+    assert {law for law, a in scaled if a == 0} == laws
+    assert not {law for law, a in scaled if a == 1}
 
 
 def test_implication_guards_never_alarm(space4, H):
@@ -375,7 +453,7 @@ COUNTEREXAMPLE_PATHS = {
 # sha256 of the JSON of each path's reports for seeds 0-4
 COUNTEREXAMPLE_DIGESTS = {
     "pos-homogeneous:esssup+1": "8b0153f2a119982adb1a2836dc0250cdccf29d636e346752ceb8d7b5623414dd",
-    "prop-rm:esssup-declared-superadditive": "55705323fb0560849fad3b1c57f176edd4e5e0c53f4cbdc90658d686b834b5db",
+    "prop-rm:esssup-declared-superadditive": "aee0af8aec17d89b1ffa055a445cf342c962c41762311febeed487a5d0c022f5",
     "recover-density:esssup": "0820d58ad246e679d36a4696ff4ae193187c7156af3812fd54f08c44467bd36e",
     "self-dual:esssup": "ae0e2434e3d9ddc0d44ea25378ac069311cfc8f68e8fc5c07c16dc13c1a4e276",
     "subadditive:essinf": "2d76472be6e6bd79d0acc62ef6324dfbe904ef5a10b8b0fae4f73ae7ce151fcc",
@@ -383,11 +461,11 @@ COUNTEREXAMPLE_DIGESTS = {
     "uniqueness-premises:essinf": "24c4bd8b8923418495a44d4ff53c0ad287dfac409c19bb32eae5bff938bf38fc",
     "uniqueness-premises:esssup-declared-superadditive":
         "2282c9b506708593b40b311e307895e5c8957e8f35a4c2466e4c576779ab2025",
-    "pos-homogeneous:global-mean": "c3aec3ca6069ad3a636a21b96197b8ae2bccbf5177ce19153fb845dff9d70f6b",
-    "linear-scaling:global-mean": "10d7ccd3c4a63e021789887c18c51753941e1e087be28062ace14eefa78e77d3",
+    "pos-homogeneous:global-mean": "a30398632aad2f035c07fc7bff058489ea9c66365fadb6dc60a369aaa77c53f5",
+    "linear-scaling:global-mean": "e8575edc0be73da1f71adef0f2fe8c70b683c6f0f95afaf30205d33cdb125451",
     "linear:global-mean": "31fa9384680c15f0696751ad6da6b96056816ad38f4bd0d0f8b2ee502d0a63c7",
-    "convex:global-mean": "a468cdc7fe4943ec3d4cb9a33dd8d42397635ba186911b7bfefcbcf2e95a19d6",
-    "rm-convex:esssup": "e289db68ffbeb7fd40b63abf34f075d56ea873f9932fd71746e3418d357be39f",
+    "convex:global-mean": "5ddab3382b62ecbc85866fb92b53e9c82a0457f81bdd291adc0f41c7e8741c46",
+    "rm-convex:esssup": "d2552eb8a3d9b1d28a202af77e4e11ca382ee432b94e97bf6a4e47ca47a41269",
     "rm-pos-hom:esssup+1": "5861dd069ab0b9c83e70acffcc2fc3eda76e42abd172e09ab0138af7403d5397",
     "recover-density-hypotheses:condexp": "061d6fcf58bd40cc9c2c1f13653d62054f4286aef90e4b5584972fbe779ea7b6",
 }

@@ -451,7 +451,7 @@ CHECK = ["check", "--indicator", "esssup", "--sigma", "H", "--property"]
 @pytest.mark.parametrize("argv,code,lines", [
     (["apply", "--indicator", "esssup", "--sigma", "H", "--var", "X"], EXIT_OK,
      ["command: apply  seed=7 samples=500", "failed: False"]),
-    (CHECK + ["axioms"], EXIT_OK, ["  [ok] axioms:esssup: 1671 cases", "failed: False"]),
+    (CHECK + ["axioms"], EXIT_OK, ["  [ok] axioms:esssup: 1626 cases", "failed: False"]),
     (CHECK + ["superadditive"], EXIT_COUNTEREXAMPLE,
      ["  [FAIL] superadditive:esssup: 12 cases", "failed: True"]),
     (CHECK + ["fatou"], EXIT_OK, [f"  [skip] fatou:esssup: 0 cases ({FATOU_SKIP})", "failed: False"]),

@@ -1,6 +1,7 @@
 """Extended conditional expectation: identities, additivity classes,
 weighted expectations, and density recovery."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,7 +30,7 @@ from condind.battery import sample_normalized_density
 from condind.cli import jsonable
 from condind.errors import BadDensityError, HypothesisFailedError
 from condind.indicators import IndicatorSpec
-from condind.extreal import NEG_INF, POS_INF, ext
+from condind.extreal import NEG_INF, POS_INF, ZERO, ext
 from condind.sampling import (FINITE_GRID, GRID_VALUES, derive_rng, exhaustive_grid_rvs, iter_cases,
                               sample_rv)
 from condind.space import expectation, is_refinement
@@ -206,6 +207,21 @@ def test_is_conditional_expectation(space4, H):
     assert report.density == rho0
     ok, report = is_conditional_expectation(esssup_indicator(H), samples=60, seed=0)
     assert not ok and report is None
+
+
+def test_replay_outside_the_domain_is_a_mismatch(space4, H):
+    # condexp asking also for a nonnegative first atom passes the hypotheses
+    # and recovers density 1, but it is undefined on the replay's first grid
+    # row, the constant -1: that input is a mismatch, not a skipped one
+    condexp = condexp_indicator(H)
+    J = dataclasses.replace(condexp, name="condexp|first>=0",
+                            domain_fn=lambda X: condexp.in_domain(X) and X.values[0] >= ZERO)
+    ok, _ = is_conditional_expectation(J, 40, 2)
+    assert not ok
+    report = recover_density(J)
+    assert report.density == RandomVariable.constant(space4, 1) and report.conditional_mean_one
+    assert not report.reconstruction_ok
+    assert report.mismatch_witness == RandomVariable.constant(space4, -1)
 
 
 def test_contractive_selfdual_subadditive_is_condexp(space4, H):

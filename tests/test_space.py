@@ -28,7 +28,6 @@ from condind import (
 from condind.errors import CapExceededError, SpaceMismatchError, ValidationError
 from condind.extreal import NEG_INF, POS_INF, ZERO, ext
 from condind.battery import sample_normalized_density
-from condind.sampling import ALPHA_GRID
 from condind.space import _cell_means, _pack, _packed, cell_means
 
 from conftest import all_partitions, rv, set_partitions
@@ -324,6 +323,8 @@ def test_event_prob(space4):
 
 
 PACKED_GRID = (NEG_INF, ext(-2), ext("-1/3"), ZERO, ext("1/2"), ext(3), POS_INF)
+# scalars of the arithmetic sweep, 1 included
+SCALARS = tuple(map(Fraction, (-2, -1, "-1/2", 0, "1/2", 1, 2)))
 
 
 def assert_packed(got: RandomVariable, want) -> None:
@@ -359,7 +360,7 @@ def test_packed_ops_match_extreal_reference():
         assert_packed(X.neg(), [v.neg_part() for v in values])
         assert X.is_nonnegative() == all(v >= ZERO for v in values)
         assert X.is_finite() == all(v.is_finite for v in values)
-        for alpha in ALPHA_GRID:
+        for alpha in SCALARS:
             a = ext(alpha)
             assert_packed(X.scale(alpha), [a * v for v in values])
             assert_packed(X.shift(alpha), [v + a for v in values])
