@@ -27,7 +27,7 @@ _EXPORTS = {
                        "check_esssup_shift_rigidity check_projection "
                        "check_projection_uniqueness_premises check_tower "
                        "is_indicator_martingale projection_solve"),
-        ("risk", "RiskMeasureSpec check_dom_closure check_prop_rm "
+        ("risk", "check_dom_closure check_prop_rm "
                  "check_rho_correspondence check_rm_axioms check_rm_coherent check_rm_convexity "
                  "check_rm_pos_hom rho rho_from_acceptance rho_from_indicator"),
         ("expectation_ext", "DensityReport additivity_set check_additivity_on_F check_contractive "

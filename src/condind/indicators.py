@@ -54,7 +54,9 @@ EvalFn = Callable[[RandomVariable], RandomVariable]
 class IndicatorSpec:
     """A conditional indicator: target partition, domain, evaluation, flags.
 
-    ``domain_fn is None`` means "every random variable on the space".
+    ``domain_fn is None`` means "every random variable on the space". A risk
+    measure (``risk.rho_from_indicator``, ``risk.rho_from_acceptance``) is one
+    that declares no flags, on the finite positions of its indicator's domain.
     """
 
     name: str

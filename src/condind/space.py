@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -169,9 +169,14 @@ class Partition:
         if not ordered:
             raise ValidationError("cells must be ordered by smallest atom index")
         object.__setattr__(self, "_cell_of", tuple(cell_of))
-        # copies k per-cell values to the n atoms in one call; a one-index
-        # itemgetter would return a bare value, so one atom takes `tuple`
-        object.__setattr__(self, "_broadcast", operator.itemgetter(*cell_of) if n > 1 else tuple)
+
+    @cached_property
+    def _broadcast(self):
+        # copies k per-cell values to the n atoms in one call, built on first
+        # use since many partitions never carry a measurable result; a
+        # one-index itemgetter would return a bare value, so one atom takes `tuple`
+        cell_of, n = self._cell_of, self.space.size
+        return operator.itemgetter(*cell_of) if n > 1 else tuple
 
     @staticmethod
     def from_cells(space: FiniteProbabilitySpace, cells: Iterable[Iterable[int]]) -> "Partition":

@@ -20,8 +20,8 @@ three partitions each:
 - outside the fast subset, `check_projection_uniqueness_premises` on essinf,
   and a condexp whose domain also asks for a nonnegative first atom, so that
   it rejects finite draws: `check_rm_axioms` of its `rho_from_indicator`,
-  `check_rho_correspondence`, `check_projection_uniqueness_premises` and
-  `recover_density` on it;
+  `check_prop_rm`, `check_rho_correspondence`,
+  `check_projection_uniqueness_premises` and `recover_density` on it;
 - each CLI verb through `cli.dispatch`, `project` (`projection_solve`)
   included; outside the fast subset also an American `envelope` whose
   exercise variable is measurable, and `apply` on each head of the indicator
@@ -227,6 +227,7 @@ def cases(fast: bool) -> Iterator[tuple[str, Callable[[], object]]]:
                            lambda: check_projection_uniqueness_premises(essinf_indicator(H), samples, seed))
                     yield f"{at}/{J.name}/rm-axioms/{seed}", lambda: check_rm_axioms(
                         rho_from_indicator(J), samples, seed)
+                    yield f"{at}/{J.name}/prop-rm/{seed}", lambda: check_prop_rm(J, samples, seed)
                     yield f"{at}/{J.name}/rho-iff/{seed}", lambda: check_rho_correspondence(J, samples, seed)
                     yield (f"{at}/{J.name}/uniqueness-premises/{seed}",
                            lambda: check_projection_uniqueness_premises(J, samples, seed))

@@ -479,6 +479,18 @@ ROWS: tuple[Mutant, ...] = (
         "tests/test_checks.py",
     ),
     Mutant(
+        "risk-measure-admits-infinite", "src/condind/risk.py",
+        "lambda X: X.is_finite() and I.in_domain(X)",
+        "lambda X: I.in_domain(X)",
+        "tests/test_risk.py",
+    ),
+    Mutant(
+        "risk-measure-ignores-indicator-domain", "src/condind/risk.py",
+        "lambda X: X.is_finite() and I.in_domain(X)",
+        "lambda X: X.is_finite()",
+        "tests/test_risk.py",
+    ),
+    Mutant(
         "esssup-keeps-later-equal-key", "src/condind/indicators.py",
         "            if v > m:\n",
         "            if v >= m:\n",

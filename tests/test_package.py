@@ -12,7 +12,7 @@ import condind
 PUBLIC_NAMES = sorted("""
     AdaptedProcess BUILTIN_NAMES CheckReport DEFAULT_TOL DensityReport Event ExtReal
     Filtration FiniteProbabilitySpace Flag IndicatorSpec NEG_INF ONE POS_INF Partition
-    RandomVariable RiskMeasureSpec Scenario StochasticIndicator Verdict ZERO
+    RandomVariable Scenario StochasticIndicator Verdict ZERO
     additivity_set backward_envelope builtin_indicator
     canonical_scenario check_additive_implies_regular check_additivity_on_F check_axioms
     check_contractive check_convex_implies_regular check_dom_closure
@@ -61,8 +61,22 @@ def _references(node: ast.AST, defining: frozenset = frozenset()) -> set[str]:
 
 
 def test_all_is_the_public_api():
-    assert len(PUBLIC_NAMES) == 83
+    assert len(PUBLIC_NAMES) == 82
     assert sorted(condind.__all__) == PUBLIC_NAMES
+
+
+def test_one_class_guards_a_domain():
+    # risk measures and every indicator share IndicatorSpec's record and guard
+    guards = set()
+    for file in os.listdir(SRC):
+        if file.endswith(".py"):
+            with open(os.path.join(SRC, file)) as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.ClassDef):
+                        guards |= {(node.name, item.name) for item in node.body
+                                   if isinstance(item, ast.FunctionDef)
+                                   and item.name in ("__call__", "in_domain")}
+    assert guards == {("IndicatorSpec", "__call__"), ("IndicatorSpec", "in_domain")}
 
 
 def test_every_export_has_a_caller_or_a_recorded_reason():

@@ -11,7 +11,6 @@ from condind import (
     Flag,
     IndicatorSpec,
     RandomVariable,
-    RiskMeasureSpec,
     Verdict,
     check_dom_closure,
     check_prop_rm,
@@ -30,7 +29,7 @@ from condind import (
     rho_from_acceptance,
     rho_from_indicator,
 )
-from condind.errors import NotIncreasingError, NotRegularError, ValidationError
+from condind.errors import DomainViolationError, NotIncreasingError, NotRegularError, ValidationError
 from condind.extreal import NEG_INF, POS_INF, ZERO, ext
 from condind.space import Event, Partition, is_measurable, patch
 from condind.sampling import derive_rng, sample_rv
@@ -303,7 +302,7 @@ def test_rm_axioms_builtins(space4, H):
 
 def test_rm_axioms_counterexample_shifted(space4, H):
     ce = condexp_indicator(H)
-    shifted = RiskMeasureSpec(
+    shifted = IndicatorSpec(
         name="rho+1",
         target=H,
         eval_fn=lambda X: -ce(X) + RandomVariable.constant(space4, 1),
@@ -313,7 +312,7 @@ def test_rm_axioms_counterexample_shifted(space4, H):
     assert rep.witness["axiom"] == "normalization"
 
 
-def cash_error_at_shifts(H: Partition, at_first, at_shift) -> tuple[RiskMeasureSpec, list[int]]:
+def cash_error_at_shifts(H: Partition, at_first, at_shift) -> tuple[IndicatorSpec, list[int]]:
     """-E(X|H) plus `at_first` on atom 0, or `at_shift` there when X is an
     earlier argument plus a nonzero H-measurable shift, as in the
     cash-invariance trial's left side. Zero is outside the domain, so an
@@ -331,7 +330,7 @@ def cash_error_at_shifts(H: Partition, at_first, at_shift) -> tuple[RiskMeasureS
         shifts[0] += shifted
         return -ce(X) + (shift if shifted else first)
 
-    rm = RiskMeasureSpec("cash-error", H, ev, domain_fn=lambda X: X != zero)
+    rm = IndicatorSpec("cash-error", H, ev, domain_fn=lambda X: X != zero)
     return rm, shifts
 
 
@@ -368,7 +367,7 @@ def test_rm_axioms_reads_no_values(monkeypatch, H):
 
 def test_rm_convexity_violation_squared_mean(space4, H):
     ce = condexp_indicator(H)
-    rm = RiskMeasureSpec(
+    rm = IndicatorSpec(
         name="minus-squared-mean",
         target=H,
         eval_fn=lambda X: -(ce(X) * ce(X)),
@@ -377,7 +376,7 @@ def test_rm_convexity_violation_squared_mean(space4, H):
     assert rep.verdict is Verdict.COUNTEREXAMPLE
 
 
-def convexity_gap_on_mixtures(H: Partition, gap) -> tuple[RiskMeasureSpec, list[int]]:
+def convexity_gap_on_mixtures(H: Partition, gap) -> tuple[IndicatorSpec, list[int]]:
     """-E(X|H) plus `gap` on atom 0 when X is a strict mixture aP + (1-a)Q of
     the draw's pair (P, Q), as the convexity trial's left side is from its
     second weight on; its right side is then -E(X|H) exactly. The pair is
@@ -398,7 +397,7 @@ def convexity_gap_on_mixtures(H: Partition, gap) -> tuple[RiskMeasureSpec, list[
         hits[0] += mixed
         return -ce(X) + bump if mixed else -ce(X)
 
-    return RiskMeasureSpec("convexity-gap", H, ev), hits
+    return IndicatorSpec("convexity-gap", H, ev), hits
 
 
 @pytest.mark.parametrize(
@@ -430,6 +429,48 @@ def test_dom_closure_examples(space4, H):
     assert inf.verdict is Verdict.VERIFIED
     bare = IndicatorSpec("bare", H, lambda X: X, flags=frozenset())
     assert check_dom_closure(bare).verdict is Verdict.SKIPPED
+
+
+def test_dom_closure_with_no_finite_rho_member_is_skipped(H):
+    # I = -inf everywhere accepts no cash level: rho is +inf on every position
+    minus_inf = RandomVariable.constant(H.space, NEG_INF)
+    flags = frozenset({Flag.INCREASING, Flag.REGULAR})
+    I = IndicatorSpec("minus-inf", H, lambda X: minus_inf, flags=flags)
+    rep = check_dom_closure(I, samples=40, seed=1)
+    assert rep.verdict is Verdict.SKIPPED and rep.cases == 0
+    assert rep.reason == "vacuous: no finite-rho members sampled"
+
+
+def first_atom_nonneg(H: Partition) -> IndicatorSpec:
+    """condexp on H, with the first atom also asked to be nonnegative: a
+    domain that rejects finite draws and admits some infinite ones."""
+    condexp = condexp_indicator(H)
+    return dataclasses.replace(condexp, name="condexp|first>=0",
+                               domain_fn=lambda X: condexp.in_domain(X) and X.values[0] >= ZERO)
+
+
+def test_risk_measures_live_on_the_finite_positions_of_the_domain(space4, H):
+    J = first_atom_nonneg(H)
+    inside = rv(space4, 0, 2, -1, 1)
+    outside = [rv(space4, -1, 0, 0, 0),  # finite, outside J's domain
+               rv(space4, POS_INF, POS_INF, 0, 0), rv(space4, 0, 0, NEG_INF, NEG_INF)]  # in J's domain
+    assert not J.in_domain(outside[0]) and J.in_domain(outside[1]) and J.in_domain(outside[2])
+    for rm, name in ((rho_from_indicator(J), "rho[-I(X)]:condexp|first>=0"),
+                     (rho_from_acceptance(J), "rho[acceptance]:condexp|first>=0")):
+        assert isinstance(rm, IndicatorSpec) and rm.name == name and not rm.flags
+        assert rm(inside) == -J(inside)
+        for X in outside:
+            assert not rm.in_domain(X)
+            with pytest.raises(DomainViolationError):
+                rm(X)
+
+
+def test_prop_rm_skips_draws_outside_a_restricted_domain(H):
+    # J rejects finite draws: the axiom trials pass them by instead of raising
+    J = first_atom_nonneg(H)
+    rep = check_prop_rm(J, 40, 1)
+    assert rep.verdict is Verdict.VERIFIED and rep.cases == 173, rep.witness
+    assert check_rm_axioms(rho_from_acceptance(J), 40, 1).verdict is Verdict.VERIFIED
 
 
 def test_prop_rm_examples(space4, H):

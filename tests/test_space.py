@@ -462,3 +462,13 @@ def test_measurable_results_reduce_to_the_unique_packed_form():
         for got, want in measurable_results(H4, X, density):
             assert_unique_form(got, want)
             assert max(abs(n) for n in want.nums).bit_length() > 80
+
+
+def test_broadcast_is_built_on_first_use(space4):
+    # a partition that never carries a measurable result never builds it
+    H = Partition.from_cells(space4, [[0, 1], [2, 3]])
+    assert "_broadcast" not in H.__dict__
+    X = rv(space4, 1, 3, 2, 6)
+    assert cell_means(X, H) == rv(space4, 2, 2, 4, 4)
+    broadcast = H.__dict__["_broadcast"]
+    assert cell_means(X, H) == rv(space4, 2, 2, 4, 4) and H._broadcast is broadcast
