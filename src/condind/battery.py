@@ -48,7 +48,6 @@ from .indicators import (
     Flag,
     builtin_indicator,
     dual,
-    essinf_cond,
     esssup_cond,
     lower_extension,
     mix_self_dual,
@@ -75,7 +74,7 @@ from .stochastic import (
     is_indicator_martingale,
 )
 
-_EPS_GRID = (0, Fraction(1, 4), Fraction(1, 2), 1, 2, 3)
+_EPS_GRID = (Fraction(1, 4), Fraction(1, 2), 1, 2, 3)  # at 0, X - 0 1_F is X
 
 
 def _convention_table(prop: str) -> CheckReport:
@@ -156,12 +155,6 @@ def _extension_sandwich(I, rng, samples) -> Iterator[Trial]:
             for A in anchors
         )
         yield coincide, dict(step="coincidence-on-anchors", X=X)
-        # with no anchors only measurable minorants/majorants remain
-        collapse = (
-            lower_extension(I, [], X) == essinf_cond(X, I.target)
-            and upper_extension(I, [], X) == esssup_cond(X, I.target)
-        )
-        yield collapse, dict(step="empty-anchor-collapse", X=X)
 
 
 def _extension_duality(I, rng, samples) -> Iterator[Trial]:

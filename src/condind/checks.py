@@ -101,10 +101,11 @@ def falsify(prop: str, trials: Iterable[Trial], notes: tuple[str, ...] = ()) -> 
 # measurable variables), so a law drops every draw outside its subject's domain.
 # A helper drops a draw only once all of it is drawn, so a rejected draw uses
 # the stream as a kept one does and the draws do not depend on the domain.
-# Guards left inline: check_regular counts a draw it never evaluated as a passing
-# trial, check_hplus_decomposition draws h before its guard, the martingale and
-# envelope laws guard on every time's indicator, and every guard on a derived
-# variable (X + Y, AX, X + M, -X, hX, a splice).
+# Guards left inline: check_regular draws X and Y by sample_rv, not iter_cases,
+# and counts only the draws in the domain, check_hplus_decomposition draws h
+# before its guard, the martingale and envelope laws guard on every time's
+# indicator, and every guard on a derived variable (X + Y, AX, X + M, -X, hX,
+# a splice).
 
 Pair = tuple[RandomVariable, RandomVariable]
 
@@ -132,11 +133,14 @@ def dominated_pairs(F, rng, samples: int, allow_inf: bool = True) -> Iterator[Pa
 
 
 def restricted_images(F, X: RandomVariable, events: Iterable[Event]) -> Iterator[tuple[Event, RandomVariable]]:
-    """Each event H, in order, with F(X 1_H), whenever X 1_H is in F's domain."""
+    """Each event H, in order, with F(X 1_H), whenever X 1_H is in F's domain;
+    never the whole space, where X 1_H is X and every law compares F(X) with
+    itself."""
     for ev in events:
-        XH = restrict(X, ev)
-        if F.in_domain(XH):
-            yield ev, F(XH)
+        if len(ev.members) < X.space.size:
+            XH = restrict(X, ev)
+            if F.in_domain(XH):
+                yield ev, F(XH)
 
 
 # -- shared laws -----------------------------------------------------------------
@@ -283,13 +287,17 @@ def check_regular(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 
     and on H^c. For (2), on a cell C inside H both sides are I(X 1_C); on a
     cell outside H the value is I(0), which (2) on the empty event makes 0.
 
-    One trial per draw of (X, Y): every event of a failing draw is still
-    evaluated, so the notes report each statement's verdict on that draw.
+    One trial per draw of (X, Y) in I's domain, though every sample draws
+    both. Every event of a failing draw is still evaluated, so the notes
+    report each statement's verdict on that draw. A one-cell partition's
+    cell is the whole space, where all three statements compare I(X) with
+    itself, so only the empty event is listed there.
     """
     rng = derive_rng(seed, f"regular:{I.name}")
     H = I.target
     space = H.space
-    events = [Event.empty(space)] + [H.cell_event(c) for c in range(H.cell_count)]
+    cells = [H.cell_event(c) for c in range(H.cell_count)] if H.cell_count > 1 else []
+    events = [Event.empty(space)] + cells
     failed: set[str] = set()
 
     def draws():
@@ -314,7 +322,7 @@ def check_regular(I: IndicatorSpec, samples: int = DEFAULT_SAMPLES, seed: int = 
                         if not ok:
                             failed.add(name)
                             first = first or witness
-            yield first is None, first
+                yield first is None, first
 
     report = falsify(f"regular:{I.name}", draws())
     verdicts = {k: k not in failed for k in ("agree", "restrict", "splice")}

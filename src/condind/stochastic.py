@@ -130,11 +130,13 @@ def check_projection(
 
 
 def _projection_trials(I0, Z, X, events):
+    """One trial per event but the empty one, where both sides are I0(0)."""
     for ev in events:
-        lhs_arg, rhs_arg = restrict(X, ev), restrict(Z, ev)
-        if I0.in_domain(lhs_arg) and I0.in_domain(rhs_arg):
-            lhs, rhs = I0(lhs_arg), I0(rhs_arg)
-            yield lhs == rhs, dict(F=ev, lhs=lhs, rhs=rhs)
+        if ev.members:
+            lhs_arg, rhs_arg = restrict(X, ev), restrict(Z, ev)
+            if I0.in_domain(lhs_arg) and I0.in_domain(rhs_arg):
+                lhs, rhs = I0(lhs_arg), I0(rhs_arg)
+                yield lhs == rhs, dict(F=ev, lhs=lhs, rhs=rhs)
 
 
 def projection_solve(
@@ -150,7 +152,8 @@ def projection_solve(
     discretization cannot miss the canonical solution. For X >= 0 the
     candidate values are restricted to >= 0 (the uniqueness regime); signed
     X searches the whole grid and makes no uniqueness claim. Each candidate
-    is checked on all 2^k events, listed once: a solution is claimed exact. A
+    is checked on all 2^k events (but the empty one), listed once: a
+    solution is claimed exact. A
     sweep of more than SOLVE_BUDGET (candidate, event) pairs raises
     GridTooLargeError as soon as a cell's survivors show it, at once for k >= 18.
     """

@@ -53,7 +53,7 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "additivity-verdict-on-whole-variable", "src/condind/expectation_ext.py",
-        "if failure is None and restrict(lhs, ev) != restrict(rhs, ev):",
+        "if failure is None and lhs.values[i] != rhs.values[i]:",
         "if failure is None and lhs != rhs:",
         "tests/test_expectation.py",
     ),
@@ -245,9 +245,33 @@ ROWS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "regular-without-empty-event", "src/condind/checks.py",
-        "events = [Event.empty(space)] + [H.cell_event(c) for c in range(H.cell_count)]",
-        "events = [H.cell_event(c) for c in range(H.cell_count)]",
+        "events = [Event.empty(space)] + cells",
+        "events = cells",
         "tests/test_checks.py",
+    ),
+    Mutant(
+        "regular-counts-unevaluated-draws", "src/condind/checks.py",
+        "                yield first is None, first",
+        "            yield first is None, first",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "restricted-images-keeps-whole-space", "src/condind/checks.py",
+        "if len(ev.members) < X.space.size:",
+        "if len(ev.members) <= X.space.size:",
+        "tests/test_checks.py",
+    ),
+    Mutant(
+        "projection-trials-keep-empty-event", "src/condind/stochastic.py",
+        "        if ev.members:",
+        "        if True:",
+        "tests/test_stochastic.py",
+    ),
+    Mutant(
+        "eps-grid-keeps-zero", "src/condind/battery.py",
+        "_EPS_GRID = (Fraction(1, 4),",
+        "_EPS_GRID = (0, Fraction(1, 4),",
+        "tests/test_battery.py",
     ),
     Mutant(
         "regular-without-last-cell", "src/condind/checks.py",

@@ -160,8 +160,8 @@ def test_battery_green_on_random_scenario_shapes():
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--samples", "10"], "11d3d71b2857f89c52341c7d3e2cb6b483e3f52c8dca649f7be00134a2c99f9f"),
-        ([], "cda076b8715e4d37b2de540a3d366835440785a60005ef3ee46c5e93278249fc"),
+        (["--samples", "10"], "c22776a03bb6d7ad4eafab3a307abb92b24640665ca7884094947fd6ab0f92db"),
+        ([], "1379f3bf623ac3f0ff75c8792699672cf566e7d97e1d274e85955c1aabf858f0"),
     ],
     ids=["samples-10", "default-samples"],
 )
@@ -188,6 +188,32 @@ def test_every_property_runs_alone(seed, samples):
     for _ in range(2):
         alone = [jsonable(replace(check(), prop=name)) for name, check in reversed(rows)]
         assert alone[::-1] == full
+
+
+@pytest.mark.parametrize("samples", [10, 40])
+def test_extension_sandwich_has_two_trials_per_sample(scenario, samples):
+    # the sandwich and the coincidence on the anchors; with no anchors the
+    # extensions are the cell extremes themselves, which
+    # tests/test_indicators.py checks once for every built-in
+    (row,) = [run for name, run in properties(scenario, 7, samples) if name == "extension-sandwich:esssup"]
+    rep = row()
+    assert rep.verdict is Verdict.VERIFIED and rep.cases == 2 * samples
+
+
+def test_shift_rigidity_row_never_shifts_by_zero(monkeypatch, scenario):
+    # X - 0 1_F is X, so eps = 0 could not fail
+    from condind import battery
+
+    inner, grids = battery.check_esssup_shift_rigidity, []
+
+    def spy(F0, event, X, eps_grid):
+        grids.append(tuple(eps_grid))
+        return inner(F0, event, X, eps_grid)
+
+    monkeypatch.setattr(battery, "check_esssup_shift_rigidity", spy)
+    (row,) = [run for name, run in properties(scenario, 7, 30) if name == "esssup-shift-rigidity"]
+    assert row().ok and grids
+    assert all(eps > 0 for grid in grids for eps in grid)
 
 
 def test_projection_row_passes_its_seed_to_check_projection(monkeypatch):

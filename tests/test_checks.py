@@ -186,6 +186,36 @@ def test_regular_checks_every_cell(space4):
     assert rep.witness["H"] == F2.cell_event(last)
 
 
+def test_regular_counts_only_the_draws_it_evaluates(space4, H):
+    # condexp on H rejects a draw whose cell holds both infinities; such a
+    # draw evaluates nothing, so it is no case, and X and Y are still drawn
+    I = builtin_indicator("condexp", H)
+    rng = derive_rng(7, "regular:condexp")
+    evaluated = 0
+    for _ in range(500):
+        X, Y = sample_rv(space4, rng), sample_rv(space4, rng)
+        evaluated += I.in_domain(X) and I.in_domain(Y)
+    rep = check_regular(I, 500, 7)
+    assert rep.verdict is Verdict.VERIFIED
+    assert rep.cases == evaluated < 500
+
+
+def test_regular_evaluates_only_the_empty_event_on_one_cell(scenario):
+    # F0's one cell is the whole space, where all three statements compare
+    # I(X) with itself: a draw evaluates I(X), I(Y), I(0) and I(Y) spliced
+    # on the empty event, and nothing more
+    F0 = scenario.partitions["F0"]
+    calls = [0]
+
+    def counted(X):
+        calls[0] += 1
+        return esssup_cond(X, F0)
+
+    rep = check_regular(IndicatorSpec("counted-esssup", F0, counted), 40, 5)
+    assert rep.verdict is Verdict.VERIFIED and rep.cases == 40
+    assert calls[0] == 4 * 40
+
+
 def test_structural_esssup(space4, H):
     I = esssup_indicator(H)
     for flag in (Flag.INCREASING, Flag.TRANSLATION_INVARIANT, Flag.POS_HOMOGENEOUS,
@@ -579,6 +609,20 @@ def test_restricted_images_keep_event_order_and_skip_outside_the_domain(space4, 
     kept = [ev for ev in events if 0 not in ev.members]
     assert [ev for ev, _ in got] == kept and 0 < len(kept) < len(events)
     assert [image for _, image in got] == [esssup_cond(restrict(X, ev), H) for ev in kept]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_restricted_images_skip_the_whole_space(space4, H, name):
+    # there X 1_H is X, and every law would compare I(X) with itself; the
+    # empty event stays, where a law checks I(0) = 0
+    I = builtin_indicator(name, H)
+    events = enumerate_events(H)
+    whole = Event.full(space4)
+    for X in domain_cases(I, derive_rng(3, "whole-space"), 40):
+        got = [ev for ev, _ in restricted_images(I, X, events)]
+        assert whole not in got
+        assert got == [ev for ev in events if ev != whole and I.in_domain(restrict(X, ev))]
+        assert got[0] == Event.empty(space4)
 
 
 DOMAIN_HELPERS = {"domain_cases", "domain_pairs", "dominated_pairs", "restricted_images"}

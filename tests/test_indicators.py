@@ -32,7 +32,7 @@ from condind import (
 )
 from condind.errors import MixedTargetsError, NotMonotoneError
 from condind.extreal import NEG_INF, POS_INF, ext
-from condind.sampling import derive_rng, sample_rv
+from condind.sampling import derive_rng, iter_cases, sample_rv
 
 from conftest import (
     finite_grid_rvs,
@@ -223,11 +223,18 @@ def test_extension_requires_monotone(space4, H):
         lower_extension(bare, [], rv(space4, 1, 2, 3, 4))
 
 
-def test_extension_empty_anchor_list(space4, H):
-    sup = esssup_indicator(H)
-    X = rv(space4, 1, 3, 2, 6)
-    assert lower_extension(sup, [], X) == essinf_cond(X, H)
-    assert upper_extension(sup, [], X) == esssup_cond(X, H)
+def test_extension_empty_anchor_list(scenario):
+    # with no anchors only the measurable minorants and majorants remain: for
+    # every built-in the extensions are the cell extremes, infinities included
+    space = scenario.space
+    cases = [rv(space, 1, 3, 2, 6), *iter_cases(space, derive_rng(2, "ext-empty"), 60)]
+    assert any(not X.is_finite() for X in cases)
+    for name, partition in itertools.product(BUILTIN_NAMES, scenario.partitions.values()):
+        I = builtin_indicator(name, partition)
+        assert I.has(Flag.INCREASING)
+        for X in cases:
+            assert lower_extension(I, [], X) == essinf_cond(X, partition), (name, X)
+            assert upper_extension(I, [], X) == esssup_cond(X, partition), (name, X)
 
 
 def test_extension_coincides_on_anchors(space4, H):

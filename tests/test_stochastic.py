@@ -102,6 +102,23 @@ def test_projection_past_the_cap_samples_on_its_own_stream():
     assert rep.witness["F"] == first
 
 
+@pytest.mark.parametrize("name", ["H", "F2"])
+def test_projection_trials_skip_the_empty_event(scenario, name):
+    # on the empty event both sides are I0(0): a total I0 has one trial on
+    # each of the other 2^k - 1 events, in order
+    from condind import stochastic
+
+    Ft = scenario.partitions[name]
+    X = scenario.variables["X"]
+    I0 = esssup_indicator(scenario.partitions["F0"])
+    events = stochastic.enumerate_events(Ft)
+    Z = esssup_cond(X, Ft)
+    trials = list(stochastic._projection_trials(I0, Z, X, events))
+    assert len(trials) == 2**Ft.cell_count - 1
+    assert [w["F"] for _, w in trials] == events[1:]
+    assert all(ok for ok, _ in trials)
+
+
 def test_projection_requires_measurable_candidate(scenario, space4):
     F0 = scenario.partitions["F0"]
     F1 = scenario.partitions["H"]
